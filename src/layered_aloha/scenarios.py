@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from .model import SystemConfig, db_to_linear, design_config
 from .optimize import SearchSettings, optimize_arrivals, optimize_rates
 from .outage import outage
-from .simulate import estimate_outage, estimate_throughput
+from .simulate import SAMPLING_CONTRACT, estimate_outage, estimate_throughput
 from .throughput import (
     baseline_aloha_max,
     baseline_irsa,
@@ -124,6 +124,7 @@ class ScenarioResult:
             f"# scenario: {s.name}",
             f"# description: {s.description}",
             f"# version: {VERSION}",
+            f"# sampling_contract: {SAMPLING_CONTRACT}",
             f"# seed: {s.seed}",
             f"# slots: {s.slots}",
             f"# outputs: {','.join(s.outputs)}",
@@ -245,9 +246,14 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
     """Evaluate every grid point of a scenario and collect the CSV rows.
 
     Grid point i uses seed `scenario.seed + i` for its simulations, echoed
-    in the rows.
+    in the rows; the whole range of per-point seeds is checked up front.
     """
     s = scenario
+    if "simulated" in s.outputs and not 0 <= s.seed <= 2 ** 64 - len(s.grid):
+        raise ValueError(
+            f"seed {s.seed} does not fit a {len(s.grid)}-point grid: point i simulates "
+            f"with seed + i, so the seed must lie in [0, 2^64 - {len(s.grid)}]"
+        )
     rows: list[Row] = []
     for i, x in enumerate(s.grid):
         seed = s.seed + i

@@ -19,6 +19,13 @@ keyed by (seed, slot index); the estimators consume fixed-size batches of
 slots, each batch keyed by (seed, batch index), so results are
 bit-identical for any worker count.  Batch reductions go through
 math.fsum, which is exactly rounded and hence order-independent.
+
+Sampling contract 2 fixes the sample path.  Each stream draws, in order:
+the Poisson user counts of every layer; the channel sets of all users by
+Floyd's algorithm (Bentley & Floyd, CACM 1987), one bounded integer per
+user and copy, O(B) memory per user; then all exponential gains.  With
+B = 1 the channel draw is one `integers(0, N)` call, so single-copy
+sample paths are those of contract 1.
 """
 
 from __future__ import annotations
@@ -41,6 +48,10 @@ OUTCOME_NAMES = ("decoded", "collided", "sinr_failure", "blocked")
 #: slots per estimator batch.  Part of the sampling contract: changing it
 #: changes which substream a slot draws from, hence the sample path.
 BATCH_SLOTS = 4096
+
+#: version of the sample path (draw order and algorithms, see the module
+#: docstring); bumped whenever a fixed seed stops reproducing old samples.
+SAMPLING_CONTRACT = 2
 
 _KEY_SLOT = 0
 _KEY_BATCH = 1 << 63
@@ -162,19 +173,24 @@ class JointCaptureEstimate:
 def _draw_copies(rng, total: int, num_channels: int, copies: int, gain_mean: float):
     """Channel sets and gains for `total` users, one row per user.
 
-    Channels are a partial shuffle (first B entries of a full per-row
-    permutation), so each row is a uniform B-subset of distinct channels.
+    Channels come from a vectorized Floyd sampler: for j = N-B .. N-1 each
+    user draws t uniform on [0, j] and keeps t, or j if t is already in its
+    row.  Each row is then a uniform B-subset of distinct channels, but the
+    order of copies within a row is not uniformly random (late columns
+    favour high channel indices); the decoders treat copies symmetrically,
+    so the order carries no meaning.  For B = 1 the loop is one plain
+    `integers(0, N)` draw.
     """
-    if total == 0:
-        return (
-            np.zeros((0, copies), dtype=np.int64),
-            np.zeros((0, copies), dtype=np.float64),
-        )
-    if copies == 1:
-        ch = rng.integers(0, num_channels, size=(total, 1))
-    else:
-        perm = rng.permuted(np.tile(np.arange(num_channels), (total, 1)), axis=1)
-        ch = np.ascontiguousarray(perm[:, :copies])
+    cols = []
+    for j in range(num_channels - copies, num_channels):
+        t = rng.integers(0, j + 1, size=total)
+        if cols:
+            taken = cols[0] == t
+            for c in cols[1:]:
+                taken |= c == t
+            t[taken] = j
+        cols.append(t)
+    ch = np.stack(cols, axis=1)
     gains = rng.exponential(scale=gain_mean, size=(total, copies))
     return ch, gains
 

@@ -149,3 +149,18 @@ def test_reopen_flag_accepted(capsys):
     ])
     assert code == 0
     assert _parse_csv(capsys.readouterr().out)
+
+
+def test_scenario_seed_range_checked_up_front(capsys):
+    # grid point i simulates with seed + i; the last one must stay < 2^64
+    top = 2 ** 64 - 1
+    assert main(["scenario", "outage-vs-copies", "--seed", str(top),
+                 "--slots", "1", "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(top) in captured.err and "12-point grid" in captured.err
+    assert str(top + 1) not in captured.err
+    assert main(["scenario", "outage-vs-copies", "--seed", str(top - 11),
+                 "--slots", "1", "--out", "-"]) == 0
+    seeds = {r["seed"] for r in _parse_csv(capsys.readouterr().out) if r["seed"]}
+    assert max(map(int, seeds)) == top

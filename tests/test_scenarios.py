@@ -11,6 +11,7 @@ from layered_aloha import (
     run_scenario,
 )
 from layered_aloha.scenarios import CSV_HEADER, QUANTITIES, Row
+from layered_aloha.simulate import SAMPLING_CONTRACT
 
 
 def _tiny(kind="throughput", **over):
@@ -183,3 +184,8 @@ def test_float_formatting_nine_significant_digits():
     line = [ln for ln in text.splitlines() if ln.startswith("tiny,")][0]
     value = line.split(",")[5]
     assert len(value.replace(".", "").replace("-", "").lstrip("0")) <= 9
+
+
+def test_csv_header_declares_sampling_contract():
+    lines = run_scenario(_tiny(outputs=("analytic",))).to_csv().splitlines()
+    assert f"# sampling_contract: {SAMPLING_CONTRACT}" in lines

@@ -1,7 +1,12 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from layered_aloha import (
     BLOCKED,
@@ -25,6 +30,7 @@ from layered_aloha.simulate import (
     BATCH_SLOTS,
     _batch_from_slots,
     _decode_batch,
+    _draw_copies,
     _sample_batch,
 )
 
@@ -93,6 +99,93 @@ def test_batch_sampler_channel_uniformity():
     freq = np.bincount(ch.ravel(), minlength=10)
     expect = ch.size / 10
     assert np.all(np.abs(freq - expect) < 5.0 * math.sqrt(expect))
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3, 6])
+def test_draw_copies_subsets_exactly_uniform(copies):
+    # every B-subset of N channels must be equally likely: chi-square
+    # goodness of fit over all C(N, B) subsets, scipy as the oracle
+    n_channels, users = 6, 60_000
+    ch, _ = _draw_copies(np.random.default_rng(17), users, n_channels, copies, 1.0)
+    subsets = list(itertools.combinations(range(n_channels), copies))
+    index = {c: i for i, c in enumerate(subsets)}
+    freq = np.bincount([index[tuple(row)] for row in np.sort(ch, axis=1).tolist()],
+                       minlength=len(subsets))
+    if len(subsets) == 1:  # B == N: every row holds all channels
+        assert freq.tolist() == [users]
+    else:
+        assert stats.chisquare(freq).pvalue > 1e-3
+
+
+def test_draw_copies_single_copy_is_one_integers_draw():
+    # B = 1 keeps the contract-1 sample path: one integers(0, N) per user
+    ch, gains = _draw_copies(np.random.default_rng(4), 1000, 60, 1, 2.0)
+    rng = np.random.default_rng(4)
+    assert np.array_equal(ch[:, 0], rng.integers(0, 60, size=1000))
+    assert np.array_equal(gains, rng.exponential(scale=2.0, size=(1000, 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 80).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.integers(0, 300),
+    st.integers(0, 2 ** 32 - 1),
+)
+@example((6, 6), 0, 0)
+@example((6, 6), 50, 1)
+@example((1, 1), 50, 2)
+def test_draw_copies_rows_are_distinct_channels(shape, users, seed):
+    n_channels, copies = shape
+    ch, gains = _draw_copies(np.random.default_rng(seed), users, n_channels, copies, 1.0)
+    assert ch.shape == gains.shape == (users, copies)
+    assert ch.dtype == np.int64
+    assert ((ch >= 0) & (ch < n_channels)).all()
+    assert (np.diff(np.sort(ch, axis=1), axis=1) > 0).all()
+
+
+def test_draw_copies_memory_scales_with_copies_not_channels():
+    # no N-wide array may be allocated: peak stays a small multiple of the
+    # (users, B) output even with a million channels
+    users, n_channels, copies = 10_000, 1_000_000, 4
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        _draw_copies(rng, users, n_channels, copies, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * users * copies * 8
+
+
+def _shuffle_copies(slot, rng):
+    """The same slot with each user's copies (channel and gain) reordered."""
+    channels, gains = [], []
+    for ch, g in zip(slot.channels, slot.gains):
+        order = np.argsort(rng.random(ch.shape), axis=1)
+        channels.append(np.take_along_axis(ch, order, axis=1))
+        gains.append(np.take_along_axis(g, order, axis=1))
+    return SlotRealization(counts=slot.counts, channels=channels, gains=gains)
+
+
+def test_decoding_ignores_copy_order():
+    # the sampler's column order is not uniform; decoding must not care
+    rng = np.random.default_rng(23)
+    configs = [
+        design_config(3, 8, 4.0, 1.0, 4.0, repetition=3),
+        design_config(2, 12, 5.0, 0.8, 10.0, repetition=4),
+    ]
+    for k, cfg in enumerate(configs):
+        slots = [sample_slot(cfg, slot_rng(70 + k, i)) for i in range(80)]
+        shuffled = [_shuffle_copies(s, rng) for s in slots]
+        for reopen in (False, True):
+            for a, b in zip(slots, shuffled):
+                ra, rb = sic_decode(a, cfg, reopen), sic_decode(b, cfg, reopen)
+                assert all(np.array_equal(x, y) for x, y in zip(ra.outcomes, rb.outcomes))
+                assert ra.decoded_per_layer == rb.decoded_per_layer
+                assert np.array_equal(ra.residual, rb.residual)
+                assert np.array_equal(ra.stop_layer, rb.stop_layer)
+            assert np.array_equal(_batch_decode_counts(slots, cfg, reopen),
+                                  _batch_decode_counts(shuffled, cfg, reopen))
 
 
 def test_sic_decode_hand_trace():
