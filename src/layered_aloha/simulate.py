@@ -20,6 +20,15 @@ slots, each batch keyed by (seed, batch index), so results are
 bit-identical for any worker count.  Batch reductions go through
 math.fsum, which is exactly rounded and hence order-independent.
 
+The estimators decode a batch in channel space, a tile of slots at a time:
+per tile, one bincount counts the copies and one weighted bincount sums
+the received power of every (layer, channel) cell, and the sweep runs on
+those cell rows.  The tile size derives from L*N to keep the tile's
+arrays small; it is not part of the sampling contract, and the decoded
+output cannot depend on it, because slots never share a cell and each
+cell's sums are formed in the same order whatever the tile.  `sic_decode`
+is the readable per-slot reference the batch decoder is tested against.
+
 Sampling contract 2 fixes the sample path.  Each stream draws, in order:
 the Poisson user counts of every layer; the channel sets of all users by
 Floyd's algorithm (Bentley & Floyd, CACM 1987), one bounded integer per
@@ -52,6 +61,12 @@ BATCH_SLOTS = 4096
 #: version of the sample path (draw order and algorithms, see the module
 #: docstring); bumped whenever a fixed seed stops reproducing old samples.
 SAMPLING_CONTRACT = 2
+
+#: cells per batch-decoder tile; each tile holds max(1, _TILE_CELLS // (L*N))
+#: slots, which keeps the tile's (L, C*N) temporaries small enough for the
+#: allocator to reuse instead of mapping fresh pages on every call.  Slots
+#: decode independently, so results do not depend on it.
+_TILE_CELLS = 8192
 
 _KEY_SLOT = 0
 _KEY_BATCH = 1 << 63
@@ -303,92 +318,90 @@ def _sample_batch(config: SystemConfig, seed: int, batch_index: int, size: int):
     return counts, ch, gains, slot_of_row, layer_of_row
 
 
-def _batch_from_slots(slots: list[SlotRealization]):
-    """Adapter packing sampled slots into the batched-decode layout."""
-    L = slots[0].counts.shape[0]
-    counts = np.stack([s.counts for s in slots])
-    ch_parts, gain_parts = [], []
-    for s in slots:
-        for l in range(L):
-            if s.channels[l].size:
-                ch_parts.append(s.channels[l])
-                gain_parts.append(s.gains[l])
-    B = slots[0].channels[0].shape[1] if slots[0].channels else 1
-    ch = np.concatenate(ch_parts) if ch_parts else np.zeros((0, B), dtype=np.int64)
-    gains = np.concatenate(gain_parts) if gain_parts else np.zeros((0, B))
-    slot_of_row = np.repeat(np.arange(len(slots)), counts.sum(axis=1))
-    layer_of_row = np.tile(np.arange(L), len(slots)).repeat(counts.ravel())
-    return counts, ch, gains, slot_of_row, layer_of_row
-
-
 def _decode_batch(
     batch,
     config: SystemConfig,
     reopen_cleared_channels: bool = False,
     want_channel_flags: bool = False,
 ):
-    """Vectorized SIC sweep over a batch of slots.
+    """Vectorized SIC sweep over a batch of slots, in channel space.
 
-    Channels of different slots live at disjoint keys slot*N + q, so one
-    pass decodes all slots at once.  Returns per-slot decoded counts
-    (S, L); with `want_channel_flags` also per-layer channel occupancy and
-    singleton-decode flags (used by the joint-capture estimator).
+    Slots are decoded one tile at a time, C = max(1, _TILE_CELLS // (L*N))
+    slots per tile (at most the batch); copy rows are slot-major, so a tile
+    is a contiguous row range.  Each copy gets the cell key
+    layer*(C*N) + (slot in tile)*N + channel.  One bincount gives every
+    cell's occupancy and one weighted bincount its received power P_l*g;
+    a running sum of the power rows from layer L down gives the
+    interference each layer sees.  The sweep then works on tile-wide
+    boolean rows: a cell decodes when it is open, holds one copy and clears
+    the SINR test, and a user decodes when any of its copies sits on such a
+    cell.
+
+    The output does not depend on C.  Slots never share a cell, and the
+    floating-point operations are fixed by the data alone: a lone copy's
+    cell power is 0.0 + P*g, exactly P*g; each cell adds its copies in row
+    order; the interference adds whole layer rows from L down, an empty
+    layer adding an exact 0.0; and the SINR test is `>=`.
+
+    Returns per-slot decoded counts (S, L); with `want_channel_flags` also
+    per-layer channel occupancy and singleton-decode flags over the whole
+    batch, indexed slot*N + q (used by the joint-capture estimator).
     """
     counts, ch, gains, slot_of_row, layer_of_row = batch
     S, L = counts.shape
     N = config.num_channels
-    SN = S * N
-    P = config.powers
-    nus = [snr_gap(r) for r in config.rates]
-    keys = ch + (slot_of_row * N)[:, None]
+    C = min(S, max(1, _TILE_CELLS // (L * N)))
+    CN = C * N
+    nus = np.array([snr_gap(r) for r in config.rates])[:, None]
+    row_cell = layer_of_row * CN + (slot_of_row % C) * N
+    row_power = np.asarray(config.powers, dtype=np.float64)[layer_of_row]
+    row_start = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
+    user_decoded = np.zeros(layer_of_row.shape[0], dtype=bool)
+    if want_channel_flags:
+        occ_flags = [np.zeros(S * N, dtype=np.int64) for _ in range(L)]
+        dec_flags = [np.zeros(S * N, dtype=bool) for _ in range(L)]
 
-    layer_rows = [np.nonzero(layer_of_row == l)[0] for l in range(L)]
-    suffix = []
-    acc = None
-    for l in range(L - 1, -1, -1):
-        suffix.append(acc)
-        if l > 0 and layer_rows[l].size:
-            r = layer_rows[l]
-            w = np.bincount(keys[r].ravel(), weights=P[l] * gains[r].ravel(), minlength=SN)
-            acc = w if acc is None else acc + w
-    suffix.reverse()  # suffix[l] is interferer power above layer l (None if nothing)
-
-    blocked = np.zeros(SN, dtype=bool)
-    residual_below = np.zeros(SN, dtype=np.int64)
-    decoded = np.zeros((S, L))
-    occ_flags, dec_flags = [], []
-
-    for l in range(L):
-        r = layer_rows[l]
-        if r.size == 0:
-            if want_channel_flags:
-                occ_flags.append(np.zeros(SN, dtype=np.int64))
-                dec_flags.append(np.zeros(SN, dtype=bool))
-            continue
-        k = keys[r]
-        g = gains[r]
-        occ = np.bincount(k.ravel(), minlength=SN)
-        open_now = (residual_below[k] == 0) if reopen_cleared_channels else ~blocked[k]
-        coll = open_now & (occ[k] >= 2)
-        single = open_now & (occ[k] == 1)
-        interference = config.noise_power if suffix[l] is None else suffix[l][k] + config.noise_power
-        ok = single & (P[l] * g >= nus[l] * interference)
-        user_decoded = ok.any(axis=1)
-        decoded[:, l] = np.bincount(slot_of_row[r][user_decoded], minlength=S)
-
-        blocked[k[coll]] = True
-        blocked[k[single & ~ok]] = True
-        if reopen_cleared_channels or want_channel_flags:
-            res = occ.copy()
-            if user_decoded.any():
-                res -= np.bincount(k[user_decoded].ravel(), minlength=SN)
-            residual_below += res
+    for s0 in range(0, S, C):
+        s1 = min(s0 + C, S)
+        r0, r1 = row_start[s0], row_start[s1]
+        key = ch[r0:r1] + row_cell[r0:r1, None]
+        flat_key = key.ravel()
+        occ = np.bincount(flat_key, minlength=L * CN).reshape(L, CN)
+        weights = (gains[r0:r1] * row_power[r0:r1, None]).ravel()
+        power = np.bincount(flat_key, weights=weights, minlength=L * CN).reshape(L, CN)
+        # SINR threshold: nu_l * (noise + every copy of layers l+1..L, summed from L down)
+        threshold = np.zeros((L, CN))
+        for l in range(L - 2, -1, -1):
+            threshold[l] = threshold[l + 1] + power[l + 1]
+        threshold += config.noise_power
+        threshold *= nus
+        ok = (occ == 1) & (power >= threshold)
+        flat_ok = ok.reshape(-1)
+        if reopen_cleared_channels:
+            # a channel is open while no copy of a lower layer is left on it
+            layer = layer_of_row[r0:r1]
+            residual_below = np.zeros(CN, dtype=np.int64)
+            for l in range(1, L):
+                mine = key[layer == l - 1]
+                cancelled = mine[flat_ok[mine].any(axis=1)].ravel() - (l - 1) * CN
+                residual_below += occ[l - 1] - np.bincount(cancelled, minlength=CN)
+                ok[l] &= residual_below == 0
+        else:
+            # a collision or failed lone copy stops the channel for deeper layers
+            stalls = (occ > 0) & ~ok
+            blocked = np.zeros(CN, dtype=bool)
+            for l in range(L):
+                ok[l] &= ~blocked
+                blocked |= stalls[l]
+        user_decoded[r0:r1] = flat_ok[key].any(axis=1)
         if want_channel_flags:
-            flag = np.zeros(SN, dtype=bool)
-            flag[k[ok]] = True
-            occ_flags.append(occ)
-            dec_flags.append(flag)
+            for l in range(L):
+                occ_flags[l][s0 * N: s1 * N] = occ[l, : (s1 - s0) * N]
+                dec_flags[l][s0 * N: s1 * N] = ok[l, : (s1 - s0) * N]
 
+    decoded = np.bincount(
+        (slot_of_row * L + layer_of_row)[user_decoded], minlength=S * L
+    ).reshape(S, L).astype(np.float64)
     if want_channel_flags:
         return decoded, occ_flags, dec_flags
     return decoded

@@ -17,18 +17,20 @@ from layered_aloha import (
     SlotRealization,
     SystemConfig,
     conditional_collision_moment,
+    db_to_linear,
     design_config,
     estimate_joint_capture,
     estimate_outage,
     estimate_throughput,
+    optimize_rates,
     sample_slot,
     sic_decode,
     slot_rng,
     throughput,
 )
+from layered_aloha import simulate
 from layered_aloha.simulate import (
     BATCH_SLOTS,
-    _batch_from_slots,
     _decode_batch,
     _draw_copies,
     _sample_batch,
@@ -308,6 +310,24 @@ def test_reopen_semantics_difference():
     assert reopened.decoded_per_layer == (1, 1)
 
 
+def _batch_from_slots(slots):
+    """Pack sampled slots into the batched-decode layout of `_sample_batch`."""
+    L = slots[0].counts.shape[0]
+    counts = np.stack([s.counts for s in slots])
+    ch_parts, gain_parts = [], []
+    for s in slots:
+        for l in range(L):
+            if s.channels[l].size:
+                ch_parts.append(s.channels[l])
+                gain_parts.append(s.gains[l])
+    B = slots[0].channels[0].shape[1] if slots[0].channels else 1
+    ch = np.concatenate(ch_parts) if ch_parts else np.zeros((0, B), dtype=np.int64)
+    gains = np.concatenate(gain_parts) if gain_parts else np.zeros((0, B))
+    slot_of_row = np.repeat(np.arange(len(slots)), counts.sum(axis=1))
+    layer_of_row = np.tile(np.arange(L), len(slots)).repeat(counts.ravel())
+    return counts, ch, gains, slot_of_row, layer_of_row
+
+
 def _batch_decode_counts(slots, cfg, reopen):
     batch = _batch_from_slots(slots)
     return _decode_batch(batch, cfg, reopen)
@@ -330,6 +350,85 @@ def test_batch_decode_matches_per_slot_decoder():
             )
             batched = _batch_decode_counts(slots, cfg, reopen)
             assert np.array_equal(per_slot, batched), (k, reopen)
+
+
+# an exact SINR tie on channel 0: layer 1 sees 6 * 1.0 == nu(1) * (2 * 2.5 + 1)
+_TIE_CONFIG = SystemConfig(2, (LayerParams(1.0, 6.0, 1.0), LayerParams(1.0, 2.0, 1.0)))
+_TIE_SLOT = _slot([1, 1], [[0], [0]], [[1.0], [2.5]])
+
+
+def test_exact_sinr_tie_decodes():
+    for reopen in (False, True):
+        assert sic_decode(_TIE_SLOT, _TIE_CONFIG, reopen).decoded_per_layer == (1, 1)
+
+
+@st.composite
+def _small_batches(draw):
+    """A config with L 1-5, N 1-12, B 1..N and a few slots sampled from it."""
+    L = draw(st.integers(1, 5))
+    N = draw(st.integers(1, 12))
+    B = draw(st.integers(1, N))
+    arrival = draw(st.one_of(
+        st.just(0.0),
+        st.floats(20.0, 80.0),
+        st.lists(st.floats(0.0, 40.0), min_size=L, max_size=L),
+    ))
+    rate = draw(st.one_of(st.floats(0.0, 6.0), st.lists(st.floats(0.0, 6.0), min_size=L, max_size=L)))
+    cfg = design_config(L, N, arrival, rate, db_to_linear(draw(st.floats(-5.0, 25.0))),
+                        repetition=B)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return cfg, [sample_slot(cfg, slot_rng(seed, i)) for i in range(draw(st.integers(1, 12)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_batches(), st.booleans())
+@example((_TIE_CONFIG, [_TIE_SLOT]), False)
+@example((_TIE_CONFIG, [_TIE_SLOT]), True)
+def test_batch_decode_matches_per_slot_oracle(case, reopen):
+    cfg, slots = case
+    expected = np.array([sic_decode(s, cfg, reopen).decoded_per_layer for s in slots], dtype=float)
+    assert np.array_equal(_batch_decode_counts(slots, cfg, reopen), expected)
+
+
+@pytest.mark.parametrize("reopen", [False, True])
+def test_batch_decode_independent_of_tile_size(monkeypatch, reopen):
+    # slots never share a cell, so tiles of one slot, of 7 slots (which
+    # does not divide the batch) and of the whole batch must agree exactly
+    base = design_config(3, 10, 14.0, 0.0, db_to_linear(3.0))
+    configs = [
+        design_config(3, 60, 3.0, 1.0, db_to_linear(10.0), repetition=4),
+        base.with_rates(optimize_rates(base).optimal_rates),
+    ]
+    for k, cfg in enumerate(configs):
+        batch = _sample_batch(cfg, 40 + k, 0, BATCH_SLOTS)
+        cells = cfg.num_layers * cfg.num_channels
+        results = []
+        for tile_slots in (1, 7, BATCH_SLOTS):
+            monkeypatch.setattr(simulate, "_TILE_CELLS", tile_slots * cells)
+            results.append(_decode_batch(batch, cfg, reopen, want_channel_flags=True))
+        decoded, occ_flags, dec_flags = results[0]
+        assert decoded.sum() > 0
+        for other_decoded, other_occ, other_dec in results[1:]:
+            assert np.array_equal(decoded, other_decoded)
+            assert all(np.array_equal(a, b) for a, b in zip(occ_flags, other_occ))
+            assert all(np.array_equal(a, b) for a, b in zip(dec_flags, other_dec))
+
+
+def test_batch_decode_memory_scales_with_tile_not_batch():
+    # with N = 200 000 a tile is one slot: the peak is a few (L, N) rows,
+    # far below the S x N arrays (77 MB each here) of a batch-wide sweep
+    L, N, S = 2, 200_000, 48
+    cfg = design_config(L, N, 2.0, 1.0, 10.0, repetition=2)
+    batch = _sample_batch(cfg, 3, 0, S)
+    copies = batch[1].size
+    tracemalloc.start()
+    try:
+        decoded = _decode_batch(batch, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decoded.sum() > 0
+    assert peak <= 5 * (L * N + copies) * 8
 
 
 def test_estimators_deterministic_across_workers():

@@ -1,0 +1,65 @@
+"""Write the simulator's golden CSV outputs into a directory.
+
+Usage: python tools/golden.py OUTDIR
+
+Runs the `layered_aloha` package of the checkout this script sits in
+(its `src/` directory) and writes one CSV per invocation:
+
+* every registry scenario at its own seed, with `--workers 2`;
+* the `simulate` and `outage` subcommands on one fixed configuration
+  each, with and without `--reopen-cleared-channels` (the only way to
+  reach the alternative SIC semantics from the command line).
+
+Every file is deterministic for a given checkout.  Running the script in
+two checkouts and comparing with `diff -r DIR_A DIR_B` shows whether a
+change altered any output byte.  Exits 1 if any invocation fails.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from layered_aloha.cli import main as cli_main  # noqa: E402
+from layered_aloha.scenarios import SCENARIOS  # noqa: E402
+
+SIMULATE = ["simulate", "--layers", "2", "--channels", "10", "--arrival", "8",
+            "--rate", "1", "--gamma-db", "3", "--copies", "2", "--slots", "50000",
+            "--seed", "7"]
+OUTAGE = ["outage", "--layers", "3", "--channels", "60", "--arrival", "3",
+          "--rate", "1", "--gamma-db", "10", "--copies", "4", "--slots", "20000",
+          "--seed", "7"]
+
+
+def invocations():
+    """(file name, CLI argv) of every golden output."""
+    for name in sorted(SCENARIOS):
+        yield f"scenario-{name}.csv", ["scenario", name, "--workers", "2"]
+    for argv in (SIMULATE, OUTAGE):
+        yield f"{argv[0]}.csv", argv + ["--workers", "2"]
+        yield f"{argv[0]}-reopen.csv", argv + ["--workers", "2", "--reopen-cleared-channels"]
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    outdir = argv[0]
+    os.makedirs(outdir, exist_ok=True)
+    failed = []
+    for filename, args in invocations():
+        code = cli_main(args + ["--out", os.path.join(outdir, filename)])
+        print(f"{filename}: exit {code}", file=sys.stderr)
+        if code != 0:
+            failed.append(filename)
+    if failed:
+        print(f"failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
