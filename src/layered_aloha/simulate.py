@@ -21,20 +21,19 @@ bit-identical for any worker count.  Batch reductions go through
 math.fsum, which is exactly rounded and hence order-independent.
 
 The estimators decode a batch in channel space, a tile of slots at a time:
-per tile, one bincount counts the copies and one weighted bincount sums
-the received power of every (layer, channel) cell, and the sweep runs on
-those cell rows.  The tile size derives from L*N to keep the tile's
-arrays small; it is not part of the sampling contract, and the decoded
-output cannot depend on it, because slots never share a cell and each
-cell's sums are formed in the same order whatever the tile.  `sic_decode`
-is the readable per-slot reference the batch decoder is tested against.
+each tile draws its gains from the batch generator, then one bincount
+counts the copies and one weighted bincount sums the received power of
+every (layer, channel) cell.  The tile size bounds the tile's arrays; it
+is not part of the sampling contract, and the output cannot depend on it:
+slots never share a cell, and each cell's sums are formed in the same
+order whatever the tile.  `sic_decode` is the per-slot reference.
 
 Sampling contract 2 fixes the sample path.  Each stream draws, in order:
 the Poisson user counts of every layer; the channel sets of all users by
 Floyd's algorithm (Bentley & Floyd, CACM 1987), one bounded integer per
-user and copy, O(B) memory per user; then all exponential gains.  With
-B = 1 the channel draw is one `integers(0, N)` call, so single-copy
-sample paths are those of contract 1.
+user and copy, O(B) memory per user; then all exponential gains, in one
+draw or tile by tile alike.  With B = 1 the channel draw is one
+`integers(0, N)` call, so single-copy sample paths are those of contract 1.
 """
 
 from __future__ import annotations
@@ -62,11 +61,12 @@ BATCH_SLOTS = 4096
 #: docstring); bumped whenever a fixed seed stops reproducing old samples.
 SAMPLING_CONTRACT = 2
 
-#: cells per batch-decoder tile; each tile holds max(1, _TILE_CELLS // (L*N))
-#: slots, which keeps the tile's (L, C*N) temporaries small enough for the
-#: allocator to reuse instead of mapping fresh pages on every call.  Slots
-#: decode independently, so results do not depend on it.
-_TILE_CELLS = 8192
+#: cells (L*N per slot) and expected copies (B*sum(lambda) per slot) per
+#: batch-decoder tile: both keep the tile's arrays near 96 KiB, under
+#: glibc's 128 KiB mmap threshold, so they are reused, not mapped afresh.
+#: Slots decode independently, so results do not depend on them.
+_TILE_CELLS = 12288
+_TILE_COPIES = 12288
 
 _KEY_SLOT = 0
 _KEY_BATCH = 1 << 63
@@ -117,10 +117,6 @@ class SlotRealization:
             and all(np.array_equal(a, b) for a, b in zip(self.channels, other.channels))
             and all(np.array_equal(a, b) for a, b in zip(self.gains, other.gains))
         )
-
-    @property
-    def num_users(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -185,16 +181,16 @@ class JointCaptureEstimate:
 # --- sampling ----------------------------------------------------------------
 
 
-def _draw_copies(rng, total: int, num_channels: int, copies: int, gain_mean: float):
-    """Channel sets and gains for `total` users, one row per user.
+def _draw_channels(rng, total: int, num_channels: int, copies: int) -> np.ndarray:
+    """Distinct channel sets for `total` users, one (B,) row per user.
 
-    Channels come from a vectorized Floyd sampler: for j = N-B .. N-1 each
-    user draws t uniform on [0, j] and keeps t, or j if t is already in its
-    row.  Each row is then a uniform B-subset of distinct channels, but the
-    order of copies within a row is not uniformly random (late columns
-    favour high channel indices); the decoders treat copies symmetrically,
-    so the order carries no meaning.  For B = 1 the loop is one plain
-    `integers(0, N)` draw.
+    A vectorized Floyd sampler: for j = N-B .. N-1 each user draws t
+    uniform on [0, j] and keeps t, or j if t is already in its row.  Each
+    row is then a uniform B-subset of distinct channels, but the order of
+    copies within a row is not uniformly random (late columns favour high
+    channel indices); the decoders treat copies symmetrically, so the order
+    carries no meaning.  For B = 1 the loop is one plain `integers(0, N)`
+    draw, returned as a column view.
     """
     cols = []
     for j in range(num_channels - copies, num_channels):
@@ -205,16 +201,19 @@ def _draw_copies(rng, total: int, num_channels: int, copies: int, gain_mean: flo
                 taken |= c == t
             t[taken] = j
         cols.append(t)
-    ch = np.stack(cols, axis=1)
-    gains = rng.exponential(scale=gain_mean, size=(total, copies))
-    return ch, gains
+    return cols[0][:, None] if copies == 1 else np.stack(cols, axis=1)
+
+
+def _draw_copies(rng, total: int, num_channels: int, copies: int, gain_mean: float):
+    """Channel sets, then exponential gains, for `total` users."""
+    ch = _draw_channels(rng, total, num_channels, copies)
+    return ch, rng.exponential(scale=gain_mean, size=(total, copies))
 
 
 def sample_slot(config: SystemConfig, rng: np.random.Generator) -> SlotRealization:
     """Draw one slot: Poisson user counts, then channels and gains for all
     users in layer order.  Deterministic given the generator state."""
-    lams = np.asarray(config.arrival_rates, dtype=np.float64)
-    counts = rng.poisson(lams)
+    counts = rng.poisson(config.arrival_rates)
     total = int(counts.sum())
     ch, gains = _draw_copies(rng, total, config.num_channels, config.repetition, config.channel_gain_mean)
     offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -235,11 +234,11 @@ def sic_decode(
     P = config.powers
     nus = [snr_gap(r) for r in config.rates]
 
-    # interference seen by layer l at each channel: every copy of layers > l
+    # seen by layer l: every copy of layers > l summed from L down, then noise
     suffix = []
-    acc = np.full(N, config.noise_power)
+    acc = np.zeros(N)
     for l in range(L - 1, -1, -1):
-        suffix.append(acc.copy())
+        suffix.append(acc + config.noise_power)
         ch, g = slot.channels[l], slot.gains[l]
         if l > 0 and ch.size:
             acc += np.bincount(ch.ravel(), weights=P[l] * g.ravel(), minlength=N)
@@ -304,18 +303,14 @@ def sic_decode(
 def _sample_batch(config: SystemConfig, seed: int, batch_index: int, size: int):
     """Sample `size` slots from the batch substream.
 
-    Returns (counts (S, L), channels (T, B), gains (T, B), slot_of_row,
-    layer_of_row); copy rows are slot-major, layer-major within a slot.
+    Returns (counts (S, L), channels (T, B), rng), copy rows slot-major,
+    layer-major within a slot.  `rng` is positioned at the gains, which
+    `_decode_batch` draws tile by tile, so a batch decodes only once.
     """
     rng = _batch_rng(seed, batch_index)
-    L = config.num_layers
-    lams = np.asarray(config.arrival_rates, dtype=np.float64)
-    counts = rng.poisson(lam=lams, size=(size, L))
-    total = int(counts.sum())
-    ch, gains = _draw_copies(rng, total, config.num_channels, config.repetition, config.channel_gain_mean)
-    slot_of_row = np.repeat(np.arange(size), counts.sum(axis=1))
-    layer_of_row = np.tile(np.arange(L), size).repeat(counts.ravel())
-    return counts, ch, gains, slot_of_row, layer_of_row
+    counts = rng.poisson(lam=config.arrival_rates, size=(size, config.num_layers))
+    ch = _draw_channels(rng, int(counts.sum()), config.num_channels, config.repetition)
+    return counts, ch, rng
 
 
 def _decode_batch(
@@ -326,50 +321,59 @@ def _decode_batch(
 ):
     """Vectorized SIC sweep over a batch of slots, in channel space.
 
-    Slots are decoded one tile at a time, C = max(1, _TILE_CELLS // (L*N))
-    slots per tile (at most the batch); copy rows are slot-major, so a tile
-    is a contiguous row range.  Each copy gets the cell key
-    layer*(C*N) + (slot in tile)*N + channel.  One bincount gives every
-    cell's occupancy and one weighted bincount its received power P_l*g;
-    a running sum of the power rows from layer L down gives the
-    interference each layer sees.  The sweep then works on tile-wide
-    boolean rows: a cell decodes when it is open, holds one copy and clears
-    the SINR test, and a user decodes when any of its copies sits on such a
-    cell.
+    A tile is C slots, a contiguous range of the slot-major copy rows: the
+    most (1 to S) with L*C*N <= _TILE_CELLS and C*B*sum(lambda) <=
+    _TILE_COPIES.  Each tile draws its (rows, B) gains from the batch
+    generator, which fills arrays in row-major order, each value continuing
+    the stream, so the tiles' draws are the one-shot (T, B) draw.  Each
+    copy's cell key, layer*(C*N) + (slot in tile)*N + channel, comes from a
+    per-(slot, layer) table.  One bincount gives every cell's occupancy and
+    one weighted bincount its received power P_l*g; a running sum of the
+    power rows from layer L down gives the interference each layer sees.
+    The sweep then works on tile-wide boolean rows: a cell decodes when it
+    is open, holds one copy and clears the SINR test, and a user decodes
+    when any of its copies sits on such a cell.
 
     The output does not depend on C.  Slots never share a cell, and the
     floating-point operations are fixed by the data alone: a lone copy's
     cell power is 0.0 + P*g, exactly P*g; each cell adds its copies in row
     order; the interference adds whole layer rows from L down, an empty
-    layer adding an exact 0.0; and the SINR test is `>=`.
+    layer adding an exact 0.0, then the noise; and the SINR test is `>=`.
 
     Returns per-slot decoded counts (S, L); with `want_channel_flags` also
-    per-layer channel occupancy and singleton-decode flags over the whole
-    batch, indexed slot*N + q (used by the joint-capture estimator).
+    the (L, S*N) channel occupancy and singleton-decode flags of the whole
+    batch, column slot*N + q (used by the joint-capture estimator).
     """
-    counts, ch, gains, slot_of_row, layer_of_row = batch
+    counts, ch, rng = batch
     S, L = counts.shape
-    N = config.num_channels
-    C = min(S, max(1, _TILE_CELLS // (L * N)))
+    N, B = config.num_channels, ch.shape[1]
+    copies = B * sum(config.arrival_rates)
+    C = min(S, _TILE_CELLS // (L * N), _TILE_COPIES // copies if copies else S)
+    C = max(1, int(C))
     CN = C * N
     nus = np.array([snr_gap(r) for r in config.rates])[:, None]
-    row_cell = layer_of_row * CN + (slot_of_row % C) * N
-    row_power = np.asarray(config.powers, dtype=np.float64)[layer_of_row]
+    group_cell = (np.arange(C)[:, None] * N + np.arange(L) * CN).ravel()
+    group_power = np.tile(np.asarray(config.powers, dtype=np.float64), C)
     row_start = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
-    user_decoded = np.zeros(layer_of_row.shape[0], dtype=bool)
+    decoded = np.zeros((S, L))
     if want_channel_flags:
-        occ_flags = [np.zeros(S * N, dtype=np.int64) for _ in range(L)]
-        dec_flags = [np.zeros(S * N, dtype=bool) for _ in range(L)]
+        occ_flags = np.zeros((L, S * N), dtype=np.int64)
+        dec_flags = np.zeros((L, S * N), dtype=bool)
 
     for s0 in range(0, S, C):
         s1 = min(s0 + C, S)
+        users = counts[s0:s1].ravel()
         r0, r1 = row_start[s0], row_start[s1]
-        key = ch[r0:r1] + row_cell[r0:r1, None]
+        gains = rng.exponential(scale=config.channel_gain_mean, size=(r1 - r0, B))
+        key = ch[r0:r1] + np.repeat(group_cell[: users.size], users)[:, None]
         flat_key = key.ravel()
+        group = np.repeat(np.arange(users.size), users)
+        # (B, rows) layout: any-copy reductions run along contiguous rows
+        key_t = np.ascontiguousarray(key.T)
         occ = np.bincount(flat_key, minlength=L * CN).reshape(L, CN)
-        weights = (gains[r0:r1] * row_power[r0:r1, None]).ravel()
+        weights = (gains * np.repeat(group_power[: users.size], users)[:, None]).ravel()
         power = np.bincount(flat_key, weights=weights, minlength=L * CN).reshape(L, CN)
-        # SINR threshold: nu_l * (noise + every copy of layers l+1..L, summed from L down)
+        # SINR threshold: nu_l * (every copy of layers l+1..L, summed from L down, + noise)
         threshold = np.zeros((L, CN))
         for l in range(L - 2, -1, -1):
             threshold[l] = threshold[l + 1] + power[l + 1]
@@ -379,11 +383,11 @@ def _decode_batch(
         flat_ok = ok.reshape(-1)
         if reopen_cleared_channels:
             # a channel is open while no copy of a lower layer is left on it
-            layer = layer_of_row[r0:r1]
+            layer = group % L
             residual_below = np.zeros(CN, dtype=np.int64)
             for l in range(1, L):
-                mine = key[layer == l - 1]
-                cancelled = mine[flat_ok[mine].any(axis=1)].ravel() - (l - 1) * CN
+                mine = key_t[:, layer == l - 1]
+                cancelled = mine[:, flat_ok[mine].any(axis=0)].ravel() - (l - 1) * CN
                 residual_below += occ[l - 1] - np.bincount(cancelled, minlength=CN)
                 ok[l] &= residual_below == 0
         else:
@@ -393,15 +397,12 @@ def _decode_batch(
             for l in range(L):
                 ok[l] &= ~blocked
                 blocked |= stalls[l]
-        user_decoded[r0:r1] = flat_ok[key].any(axis=1)
+        user_decoded = flat_ok[key_t].any(axis=0)
+        decoded[s0:s1] = np.bincount(group[user_decoded], minlength=users.size).reshape(-1, L)
         if want_channel_flags:
-            for l in range(L):
-                occ_flags[l][s0 * N: s1 * N] = occ[l, : (s1 - s0) * N]
-                dec_flags[l][s0 * N: s1 * N] = ok[l, : (s1 - s0) * N]
+            occ_flags[:, s0 * N: s1 * N] = occ[:, : (s1 - s0) * N]
+            dec_flags[:, s0 * N: s1 * N] = ok[:, : (s1 - s0) * N]
 
-    decoded = np.bincount(
-        (slot_of_row * L + layer_of_row)[user_decoded], minlength=S * L
-    ).reshape(S, L).astype(np.float64)
     if want_channel_flags:
         return decoded, occ_flags, dec_flags
     return decoded
@@ -436,9 +437,8 @@ def _batch_worker(args):
         )
     if mode == "joint":
         _, occ_flags, dec_flags = _decode_batch(batch, config, reopen, want_channel_flags=True)
-        mask = (occ_flags[0] == 1) & (occ_flags[1] == 1)
-        a = dec_flags[0][mask]
-        b = dec_flags[1][mask]
+        mask = (occ_flags == 1).all(axis=0)
+        a, b = dec_flags[:, mask]
         return (
             float(mask.sum()),
             float(a.sum()),

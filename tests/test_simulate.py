@@ -87,7 +87,8 @@ def test_batch_sampler_poisson_moments_and_gain_mean():
     gain_n = 0
     for bi in range(0, (n + BATCH_SLOTS - 1) // BATCH_SLOTS):
         size = min(BATCH_SLOTS, n - bi * BATCH_SLOTS)
-        counts, _, gains, _, _ = _sample_batch(cfg, 5, bi, size)
+        counts, ch, rng = _sample_batch(cfg, 5, bi, size)
+        gains = rng.exponential(scale=cfg.channel_gain_mean, size=ch.shape)
         total += counts.sum()
         gain_sum += gains.sum()
         gain_n += gains.size
@@ -97,7 +98,7 @@ def test_batch_sampler_poisson_moments_and_gain_mean():
 
 def test_batch_sampler_channel_uniformity():
     cfg = design_config(1, 10, 10.0, 1.0, 2.0, repetition=3)
-    counts, ch, _, _, _ = _sample_batch(cfg, 8, 0, 4096)
+    counts, ch, _ = _sample_batch(cfg, 8, 0, 4096)
     freq = np.bincount(ch.ravel(), minlength=10)
     expect = ch.size / 10
     assert np.all(np.abs(freq - expect) < 5.0 * math.sqrt(expect))
@@ -310,8 +311,33 @@ def test_reopen_semantics_difference():
     assert reopened.decoded_per_layer == (1, 1)
 
 
+class _StoredGains:
+    """Stands in for a batch generator: hands out stored gains in row order."""
+
+    def __init__(self, gains):
+        self.gains, self.next = gains, 0
+
+    def exponential(self, scale, size):
+        out = self.gains[self.next: self.next + size[0]]
+        assert out.shape == tuple(size)
+        self.next += size[0]
+        return out
+
+
+class _GainSpy:
+    """Wraps a batch generator and keeps every gain block drawn from it."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def exponential(self, scale, size):
+        self.draws.append(self.rng.exponential(scale=scale, size=size))
+        return self.draws[-1]
+
+
 def _batch_from_slots(slots):
-    """Pack sampled slots into the batched-decode layout of `_sample_batch`."""
+    """Pack sampled slots into the batched-decode layout of `_sample_batch`,
+    with a generator stand-in that yields the slots' own gains."""
     L = slots[0].counts.shape[0]
     counts = np.stack([s.counts for s in slots])
     ch_parts, gain_parts = [], []
@@ -323,9 +349,7 @@ def _batch_from_slots(slots):
     B = slots[0].channels[0].shape[1] if slots[0].channels else 1
     ch = np.concatenate(ch_parts) if ch_parts else np.zeros((0, B), dtype=np.int64)
     gains = np.concatenate(gain_parts) if gain_parts else np.zeros((0, B))
-    slot_of_row = np.repeat(np.arange(len(slots)), counts.sum(axis=1))
-    layer_of_row = np.tile(np.arange(L), len(slots)).repeat(counts.ravel())
-    return counts, ch, gains, slot_of_row, layer_of_row
+    return counts, ch, _StoredGains(gains)
 
 
 def _batch_decode_counts(slots, cfg, reopen):
@@ -357,6 +381,13 @@ _TIE_CONFIG = SystemConfig(2, (LayerParams(1.0, 6.0, 1.0), LayerParams(1.0, 2.0,
 _TIE_SLOT = _slot([1, 1], [[0], [0]], [[1.0], [2.5]])
 
 
+# a one-ulp tie: layer 1's gain equals (noise + g3) + g2, while the
+# decoders' (g3 + g2) + noise rounds one ulp higher, so layer 1 fails
+_ULP_TIE_CONFIG = SystemConfig(1, (LayerParams(1.0, 1.0, 1.0),) * 3)
+_ULP_TIE_SLOT = _slot([1, 1, 1], [[0], [0], [0]],
+                      [[1.9449261518806789], [0.49543508709194095], [0.4494910647887381]])
+
+
 def test_exact_sinr_tie_decodes():
     for reopen in (False, True):
         assert sic_decode(_TIE_SLOT, _TIE_CONFIG, reopen).decoded_per_layer == (1, 1)
@@ -384,34 +415,71 @@ def _small_batches(draw):
 @given(_small_batches(), st.booleans())
 @example((_TIE_CONFIG, [_TIE_SLOT]), False)
 @example((_TIE_CONFIG, [_TIE_SLOT]), True)
+@example((_ULP_TIE_CONFIG, [_ULP_TIE_SLOT]), False)
+@example((_ULP_TIE_CONFIG, [_ULP_TIE_SLOT]), True)
 def test_batch_decode_matches_per_slot_oracle(case, reopen):
     cfg, slots = case
     expected = np.array([sic_decode(s, cfg, reopen).decoded_per_layer for s in slots], dtype=float)
     assert np.array_equal(_batch_decode_counts(slots, cfg, reopen), expected)
 
 
-@pytest.mark.parametrize("reopen", [False, True])
-def test_batch_decode_independent_of_tile_size(monkeypatch, reopen):
-    # slots never share a cell, so tiles of one slot, of 7 slots (which
-    # does not divide the batch) and of the whole batch must agree exactly
+def _tile_configs():
+    """The outage-vs-copies B = 4 point and the throughput-vs-arrival
+    lambda = 14 point (rates optimized as the scenario does)."""
     base = design_config(3, 10, 14.0, 0.0, db_to_linear(3.0))
-    configs = [
+    return [
         design_config(3, 60, 3.0, 1.0, db_to_linear(10.0), repetition=4),
         base.with_rates(optimize_rates(base).optimal_rates),
     ]
-    for k, cfg in enumerate(configs):
-        batch = _sample_batch(cfg, 40 + k, 0, BATCH_SLOTS)
+
+
+@pytest.mark.parametrize("reopen", [False, True])
+def test_batch_decode_independent_of_tile_size(monkeypatch, reopen):
+    # slots never share a cell and the gains stream through in row order, so
+    # tiles of one slot, of 7 slots (which does not divide the batch) and of
+    # the whole batch must agree exactly, whichever limit sets the tile
+    unbounded = 10 ** 12
+    for k, cfg in enumerate(_tile_configs()):
         cells = cfg.num_layers * cfg.num_channels
+        copies = cfg.repetition * sum(cfg.arrival_rates)
+        limits = [  # (_TILE_CELLS, _TILE_COPIES, tile slots)
+            (cells, unbounded, 1),
+            (unbounded, copies, 1),
+            (7 * cells, unbounded, 7),
+            (unbounded, 7 * copies, 7),
+            (unbounded, unbounded, BATCH_SLOTS),
+        ]
         results = []
-        for tile_slots in (1, 7, BATCH_SLOTS):
-            monkeypatch.setattr(simulate, "_TILE_CELLS", tile_slots * cells)
-            results.append(_decode_batch(batch, cfg, reopen, want_channel_flags=True))
+        for tile_cells, tile_copies, tile_slots in limits:
+            monkeypatch.setattr(simulate, "_TILE_CELLS", tile_cells)
+            monkeypatch.setattr(simulate, "_TILE_COPIES", tile_copies)
+            counts, ch, rng = _sample_batch(cfg, 40 + k, 0, BATCH_SLOTS)
+            spy = _GainSpy(rng)
+            results.append(_decode_batch((counts, ch, spy), cfg, reopen, want_channel_flags=True))
+            assert len(spy.draws) == -(-BATCH_SLOTS // tile_slots)
         decoded, occ_flags, dec_flags = results[0]
         assert decoded.sum() > 0
         for other_decoded, other_occ, other_dec in results[1:]:
             assert np.array_equal(decoded, other_decoded)
             assert all(np.array_equal(a, b) for a, b in zip(occ_flags, other_occ))
             assert all(np.array_equal(a, b) for a, b in zip(dec_flags, other_dec))
+
+
+@pytest.mark.parametrize("copies", [1, 4, 12])
+def test_tile_gain_draws_equal_one_shot_draw(copies):
+    # the decoder's per-tile gain blocks, concatenated, are the (T, B) gains
+    # `_draw_copies` draws in one call from the same batch substream
+    cfg = design_config(3, 60, 3.0, 1.0, db_to_linear(10.0), repetition=copies)
+    counts, ch, rng = _sample_batch(cfg, 9, 2, BATCH_SLOTS)
+    spy = _GainSpy(rng)
+    _decode_batch((counts, ch, spy), cfg)
+    assert len(spy.draws) > 1
+
+    one_shot = simulate._batch_rng(9, 2)
+    assert np.array_equal(one_shot.poisson(cfg.arrival_rates, size=counts.shape), counts)
+    ch_ref, gains_ref = _draw_copies(one_shot, int(counts.sum()), 60, copies, cfg.channel_gain_mean)
+    assert np.array_equal(ch, ch_ref)
+    assert np.array_equal(np.concatenate(spy.draws), gains_ref)
 
 
 def test_batch_decode_memory_scales_with_tile_not_batch():
@@ -429,6 +497,24 @@ def test_batch_decode_memory_scales_with_tile_not_batch():
         tracemalloc.stop()
     assert decoded.sum() > 0
     assert peak <= 5 * (L * N + copies) * 8
+
+
+@pytest.mark.parametrize("reopen", [False, True])
+def test_batch_worker_holds_one_copy_sized_array(reopen):
+    # the (T, B) channel draw is the only array as long as the batch's
+    # copies; beside it sit the (S, L) counts and decoded counts, the slot
+    # offsets, and a fixed number of tile-sized temporaries
+    cfg = _tile_configs()[1]
+    channels = _sample_batch(cfg, 5, 0, BATCH_SLOTS)[1]
+    tile_bytes = max(simulate._TILE_CELLS, simulate._TILE_COPIES) * 8
+    batch_bytes = (2 * cfg.num_layers + 1) * BATCH_SLOTS * 8
+    tracemalloc.start()
+    try:
+        simulate._batch_worker(("throughput", cfg, 5, 0, BATCH_SLOTS, reopen))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= channels.nbytes + batch_bytes + 16 * tile_bytes
 
 
 def test_estimators_deterministic_across_workers():
@@ -533,11 +619,13 @@ def test_joint_capture_trivial_cases():
 
 
 def test_zero_arrival_throughput_is_exactly_zero():
-    cfg = design_config(2, 10, 0.0, 1.0, 2.0)
-    est = estimate_throughput(cfg, 3000, 8)
-    assert est.total.value == 0.0
-    assert est.total.stderr == 0.0
-    assert all(o.value == 0.0 and o.stderr == 0.0 for o in est.per_layer)
+    # 1e-310 is subnormal: the decoder's tile-size rule must not overflow
+    for arrival in (0.0, 1e-310):
+        cfg = design_config(2, 10, arrival, 1.0, 2.0)
+        est = estimate_throughput(cfg, 3000, 8)
+        assert est.total.value == 0.0
+        assert est.total.stderr == 0.0
+        assert all(o.value == 0.0 and o.stderr == 0.0 for o in est.per_layer)
 
 
 def test_joint_capture_detects_cross_layer_dependence():

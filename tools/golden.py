@@ -8,7 +8,10 @@ Runs the `layered_aloha` package of the checkout this script sits in
 * every registry scenario at its own seed, with `--workers 2`;
 * the `simulate` and `outage` subcommands on one fixed configuration
   each, with and without `--reopen-cleared-channels` (the only way to
-  reach the alternative SIC semantics from the command line).
+  reach the alternative SIC semantics from the command line);
+* `estimate_joint_capture`, which no CLI command reaches, at the
+  configuration and seed of `demos/decoding_dependence.py` with fewer
+  slots, as the `repr` of its result (floats in full precision).
 
 Every file is deterministic for a given checkout.  Running the script in
 two checkouts and comparing with `diff -r DIR_A DIR_B` shows whether a
@@ -23,6 +26,12 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from layered_aloha import (  # noqa: E402
+    db_to_linear,
+    design_config,
+    estimate_joint_capture,
+    optimize_rates,
+)
 from layered_aloha.cli import main as cli_main  # noqa: E402
 from layered_aloha.scenarios import SCENARIOS  # noqa: E402
 
@@ -43,6 +52,13 @@ def invocations():
         yield f"{argv[0]}-reopen.csv", argv + ["--workers", "2", "--reopen-cleared-channels"]
 
 
+def joint_capture() -> str:
+    """The joint-capture estimate of the decoding-dependence demo."""
+    base = design_config(2, 10, 10.0, 0.0, db_to_linear(3.0))
+    cfg = base.with_rates(optimize_rates(base).optimal_rates)
+    return repr(estimate_joint_capture(cfg, 50_000, seed=7, workers=2)) + "\n"
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -55,6 +71,8 @@ def main(argv) -> int:
         print(f"{filename}: exit {code}", file=sys.stderr)
         if code != 0:
             failed.append(filename)
+    with open(os.path.join(outdir, "joint-capture.txt"), "w") as f:
+        f.write(joint_capture())
     if failed:
         print(f"failed: {', '.join(failed)}", file=sys.stderr)
         return 1
