@@ -167,9 +167,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_optimize_rates(args) -> int:
     config, _ = _config_from_args(args)
-    settings = SearchSettings(
-        rate_max=args.rate_max, grid_points=args.grid_points, refine_tol=args.refine_tol
-    )
+    try:
+        settings = SearchSettings(
+            rate_max=args.rate_max, grid_points=args.grid_points, refine_tol=args.refine_tol
+        )
+    except ValueError as exc:  # the message starts with the field name
+        flag = "--" + str(exc).split()[0].replace("_", "-")
+        raise ValueError(f"{flag}: {exc}") from None
     plan = optimize_rates(config, settings, use_bound=args.use_bound)
     lines = ["layer  arrival  power      rate*      partial_value"]
     for l, lp in enumerate(config.layers):
@@ -177,6 +181,10 @@ def _cmd_optimize_rates(args) -> int:
             f"{l + 1:>5}  {lp.arrival_rate:<7g}  {lp.power:<9.6g}  {plan.optimal_rates[l]:<9.6g}"
             f"  {plan.layer_values[l]:.6g}"
         )
+    lines.extend(
+        f"note: layer {l} rate optimum at the search bound --rate-max {settings.rate_max:g}"
+        for l in plan.bound_hits
+    )
     lines.append(f"total throughput: {plan.achieved_throughput:.9g}")
     _write("\n".join(lines) + "\n", args.out)
     return 0

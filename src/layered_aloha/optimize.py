@@ -10,8 +10,16 @@ the common-rate lower bound.
 
 Scalar maximization is a coarse uniform grid followed by golden-section
 refinement of the best bracket; the per-layer objective is not known to be
-unimodal, so the grid stage guards against local maxima.  Ties break
-toward the smallest argument.
+unimodal, so the grid stage guards against local maxima.  Each objective
+accepts a float or an ndarray and evaluates one formula either way.  The
+whole grid is evaluated once in numpy, but only to shortlist candidates:
+index 0 and every point within a relative 1e-9 of the largest non-NaN
+array value.  The scalar objective (`capture_prob_exact`, `math.exp`)
+re-evaluates the shortlist in ascending order and a point wins only by
+being strictly greater, so numpy's last-ulp differences from libm never
+decide.  Ties break toward the smallest argument; a NaN never wins, and a
+NaN at the grid's first point keeps that point.  A layer whose grid
+optimum is the upper search end is recorded in the plan's `bound_hits`.
 """
 
 from __future__ import annotations
@@ -19,10 +27,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import SystemConfig, snr_gap
-from .throughput import capture_prob_exact, capture_prob_lower_bound
+from .throughput import capture_exponent, capture_prob_exact, capture_prob_lower_bound
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Relative distance below the largest array value of the grid points the
+# scalar objective re-evaluates; far above numpy's few-ulp error in exp/pow.
+_SHORTLIST_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -35,14 +49,18 @@ class SearchSettings:
     arrival_max: float = 4.0
 
     def __post_init__(self):
-        if self.rate_max <= 0:
-            raise ValueError(f"rate_max must be > 0, got {self.rate_max}")
-        if self.grid_points < 2:
-            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
-        if self.refine_tol <= 0:
-            raise ValueError(f"refine_tol must be > 0, got {self.refine_tol}")
-        if self.arrival_max <= 0:
-            raise ValueError(f"arrival_max must be > 0, got {self.arrival_max}")
+        # every message starts with the field name, which the CLI maps to its flag
+        if not 0 < self.rate_max < 1024:
+            raise ValueError(
+                f"rate_max must be > 0 and < 1024 (2**rate_max must fit a double), "
+                f"got {self.rate_max}"
+            )
+        if not 2 <= self.grid_points <= 2 ** 20:
+            raise ValueError(f"grid_points must be in [2, 2**20], got {self.grid_points}")
+        if not 0 < self.refine_tol < math.inf:
+            raise ValueError(f"refine_tol must be finite and > 0, got {self.refine_tol}")
+        if not 0 < self.arrival_max < math.inf:
+            raise ValueError(f"arrival_max must be finite and > 0, got {self.arrival_max}")
 
 
 @dataclass(frozen=True)
@@ -51,21 +69,29 @@ class RatePlan:
 
     `layer_values[i]` is the optimized partial objective covering layers
     i+1..L (1-based), so `layer_values[0]` is the full objective and
-    equals `achieved_throughput`.
+    equals `achieved_throughput`.  `bound_hits` lists, in ascending order,
+    the 1-based layers whose grid optimum is the upper search end
+    `rate_max`: their optimum may lie beyond the searched range.
     """
 
     optimal_rates: tuple[float, ...]
     layer_values: tuple[float, ...]
     achieved_throughput: float
+    bound_hits: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class ArrivalPlan:
-    """Result of the backward normalized-arrival recursion (common rate)."""
+    """Result of the backward normalized-arrival recursion (common rate).
+
+    `bound_hits` lists the 1-based layers whose grid optimum is the upper
+    search end `arrival_max`.
+    """
 
     optimal_tau: tuple[float, ...]
     layer_values: tuple[float, ...]
     value: float
+    bound_hits: tuple[int, ...] = ()
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -86,27 +112,35 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _maximize_scalar(f, upper: float, settings: SearchSettings) -> tuple[float, float]:
+def _maximize_scalar(f, upper: float, settings: SearchSettings) -> tuple[float, float, bool]:
     """Grid scan on [0, upper] then golden refinement around the best point.
 
-    Returns (argmax, max).  The first of equal grid values wins, so ties
-    break toward the smallest argument.
+    `f` takes a float or an ndarray.  Returns (argmax, max, at_upper), with
+    `at_upper` set when the grid optimum is `upper` itself.  The grid is
+    evaluated as one array only to shortlist candidates; the scalar `f`
+    picks among them in ascending order under a strict `>`, so the first
+    of equal grid values wins and a NaN never does.
     """
     n = settings.grid_points
-    xs = [upper * k / n for k in range(n + 1)]
+    xs = upper * np.arange(n + 1) / n
+    with np.errstate(all="ignore"):
+        vs = f(xs)
+        top = np.fmax.reduce(vs)  # NaN only if every value is NaN
+        near = vs >= top - _SHORTLIST_MARGIN * abs(top)
+    near[0] = True
     best_i = 0
-    best_v = f(xs[0])
-    for i in range(1, n + 1):
-        v = f(xs[i])
+    best_v = f(float(xs[0]))
+    for i in np.flatnonzero(near)[1:].tolist():
+        v = f(float(xs[i]))
         if v > best_v:
             best_i, best_v = i, v
-    lo = xs[best_i - 1] if best_i > 0 else xs[0]
-    hi = xs[best_i + 1] if best_i < n else xs[n]
+    lo = float(xs[max(best_i - 1, 0)])
+    hi = float(xs[min(best_i + 1, n)])
     x = _golden_max(f, lo, hi, settings.refine_tol)
     v = f(x)
     if v > best_v:
-        return x, v
-    return xs[best_i], best_v
+        return x, v, best_i == n
+    return float(xs[best_i]), best_v, best_i == n
 
 
 def optimize_rates(
@@ -127,6 +161,7 @@ def optimize_rates(
     L = config.num_layers
     rates = [0.0] * L
     values = [0.0] * L
+    hits = []
     value_above = 0.0
     for l in range(L, 0, -1):
         lam = config.layers[l - 1].arrival_rate
@@ -138,14 +173,19 @@ def optimize_rates(
         decay = math.exp(-lam / N)
 
         def objective(r, l=l, lam=lam, decay=decay, tail=value_above):
-            phi = capture(l, config, rate=r)
+            if isinstance(r, np.ndarray):
+                phi = np.exp(-capture_exponent(l, config, 2.0 ** r - 1.0, bound=use_bound))
+            else:
+                phi = capture(l, config, rate=r)
             return r * phi * lam * decay + (1.0 + phi * lam / N) * decay * tail
 
-        r_star, v_star = _maximize_scalar(objective, settings.rate_max, settings)
+        r_star, v_star, at_upper = _maximize_scalar(objective, settings.rate_max, settings)
         rates[l - 1] = r_star
         values[l - 1] = v_star
+        if at_upper:
+            hits.insert(0, l)
         value_above = v_star
-    return RatePlan(tuple(rates), tuple(values), values[0])
+    return RatePlan(tuple(rates), tuple(values), values[0], tuple(hits))
 
 
 def optimize_arrivals(
@@ -172,14 +212,18 @@ def optimize_arrivals(
     phi = math.exp(-snr_gap(rate) / gamma)
     taus = [0.0] * num_layers
     values = [0.0] * num_layers
+    hits = []
     value_above = 0.0
     for l in range(num_layers - 1, -1, -1):
 
         def objective(t, tail=value_above):
-            return phi * t * math.exp(-t) + (1.0 + phi * t) * math.exp(-t) * tail
+            decay = np.exp(-t) if isinstance(t, np.ndarray) else math.exp(-t)
+            return phi * t * decay + (1.0 + phi * t) * decay * tail
 
-        t_star, v_star = _maximize_scalar(objective, settings.arrival_max, settings)
+        t_star, v_star, at_upper = _maximize_scalar(objective, settings.arrival_max, settings)
         taus[l] = t_star
         values[l] = v_star
+        if at_upper:
+            hits.insert(0, l + 1)
         value_above = v_star
-    return ArrivalPlan(tuple(taus), tuple(values), num_channels * values[0])
+    return ArrivalPlan(tuple(taus), tuple(values), num_channels * values[0], tuple(hits))

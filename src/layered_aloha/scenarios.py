@@ -115,8 +115,12 @@ class Row:
 
 @dataclass(frozen=True)
 class ScenarioResult:
+    """Rows of a run plus `notes` found while computing them (optimizer
+    bound hits), echoed as `# note:` header lines after the scenario's own."""
+
     scenario: Scenario
     rows: tuple[Row, ...]
+    notes: tuple[str, ...] = ()
 
     def to_csv(self) -> str:
         s = self.scenario
@@ -131,7 +135,7 @@ class ScenarioResult:
             f"# sweep: {s.x_name} over {_fmt(s.grid[0])}..{_fmt(s.grid[-1])} ({len(s.grid)} points)",
             "# config: " + " ".join(self._config_echo()),
         ]
-        lines.extend(f"# note: {n}" for n in s.notes)
+        lines.extend(f"# note: {n}" for n in s.notes + self.notes)
         lines.append(CSV_HEADER)
         lines.extend(self._data_lines())
         return "\n".join(lines) + "\n"
@@ -178,11 +182,13 @@ def _fmt(v: float) -> str:
     return f"{v:.9g}"
 
 
-def _rates_for(config: SystemConfig, common_rate: float | None) -> SystemConfig:
+def _rates_for(config: SystemConfig, common_rate: float | None) -> tuple[SystemConfig, tuple[int, ...]]:
+    """The config with optimized rates (unless `common_rate` is fixed) and
+    the layers whose rate optimum hit the search bound."""
     if common_rate is not None:
-        return config  # already built with the fixed rate
+        return config, ()  # already built with the fixed rate
     plan = optimize_rates(config, SearchSettings())
-    return config.with_rates(plan.optimal_rates)
+    return config.with_rates(plan.optimal_rates), plan.bound_hits
 
 
 def _build(s: Scenario, arrival: float, num_layers: int | None = None,
@@ -239,7 +245,16 @@ def _packet_rows(s: Scenario, num_layers: int, num_channels: int, x: float):
     if "baselines" in s.outputs:
         rows.append(Row(x, "total", "baseline_aloha", baseline_aloha_max(num_channels)))
         rows.append(Row(x, "total", "baseline_irsa", baseline_irsa(num_channels)))
-    return rows
+    return rows, plan.bound_hits
+
+
+def _bound_note(s: Scenario, x: float, hits: tuple[int, ...]) -> str:
+    """Note for a grid point whose optimized rates or arrivals hit the search bound."""
+    search = SearchSettings()
+    what, bound = (("arrival", search.arrival_max) if s.kind.startswith("packets")
+                   else ("rate", search.rate_max))
+    layers = ", ".join(map(str, hits))
+    return f"{s.x_name}={_fmt(x)}: optimized {what} of layer(s) {layers} at the search bound {_fmt(bound)}"
 
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
@@ -247,6 +262,8 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
 
     Grid point i uses seed `scenario.seed + i` for its simulations, echoed
     in the rows; the whole range of per-point seeds is checked up front.
+    A grid point whose optimized rates or arrivals hit the search bound
+    gets a note in the result.
     """
     s = scenario
     if "simulated" in s.outputs and not 0 <= s.seed <= 2 ** 64 - len(s.grid):
@@ -255,28 +272,32 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
             f"with seed + i, so the seed must lie in [0, 2^64 - {len(s.grid)}]"
         )
     rows: list[Row] = []
+    notes: list[str] = []
     for i, x in enumerate(s.grid):
         seed = s.seed + i
+        hits: tuple[int, ...] = ()
         if s.kind == "throughput":
-            config = _rates_for(_build(s, arrival=x), s.rate)
+            config, hits = _rates_for(_build(s, arrival=x), s.rate)
             rows.extend(_throughput_rows(s, config, x, seed, workers))
         elif s.kind == "rate":
             config = _build(s, arrival=s.arrival_rate)
             config = config.with_rates([x] * s.num_layers)
             rows.extend(_throughput_rows(s, config, x, seed, workers))
         elif s.kind == "gamma":
-            config = _rates_for(_build(s, arrival=s.arrival_rate, gamma_db=x), s.rate)
+            config, hits = _rates_for(_build(s, arrival=s.arrival_rate, gamma_db=x), s.rate)
             rows.extend(_throughput_rows(s, config, x, seed, workers))
         elif s.kind == "layers":
-            config = _rates_for(_build(s, arrival=s.arrival_rate, num_layers=int(x)), s.rate)
+            config, hits = _rates_for(_build(s, arrival=s.arrival_rate, num_layers=int(x)), s.rate)
             rows.extend(_throughput_rows(s, config, x, seed, workers))
         elif s.kind == "power":
             config = _build(s, arrival=x)
             rows.append(Row(x, "total", "power_mean", sum(config.powers) / config.num_layers))
         elif s.kind == "packets_layers":
-            rows.extend(_packet_rows(s, int(x), s.num_channels, x))
+            point_rows, hits = _packet_rows(s, int(x), s.num_channels, x)
+            rows.extend(point_rows)
         elif s.kind == "packets_channels":
-            rows.extend(_packet_rows(s, s.num_layers, int(x), x))
+            point_rows, hits = _packet_rows(s, s.num_layers, int(x), x)
+            rows.extend(point_rows)
         elif s.kind == "outage_rate":
             config = _build(s, arrival=s.arrival_rate).with_rates([x] * s.num_layers)
             rows.extend(_outage_rows(s, config, x, seed, workers))
@@ -288,7 +309,9 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
             rows.extend(_outage_rows(s, config, x, seed, workers))
         else:  # pragma: no cover - guarded by Scenario validation
             raise ValueError(f"unknown scenario kind {s.kind!r}")
-    return ScenarioResult(scenario=s, rows=tuple(rows))
+        if hits:
+            notes.append(_bound_note(s, x, hits))
+    return ScenarioResult(scenario=s, rows=tuple(rows), notes=tuple(notes))
 
 
 def run_power_report(arrival_grid, num_layers: int, num_channels: int, gamma: float,

@@ -46,6 +46,29 @@ def _check_layer(l: int, config: SystemConfig):
         raise ValueError(f"layer index must be in 1..{config.num_layers}, got {l}")
 
 
+def capture_exponent(l: int, config: SystemConfig, nu, bound: bool = False):
+    """Minus the log of layer l's capture probability at SINR threshold nu.
+
+    The exact form is
+
+        nu N_0 / (P_l s2) + sum_{i>l} (lambda_i/N) nu P_i / (P_l + nu P_i)
+
+    and the Jensen bound (`bound`) is nu / gamma_l.  `nu` is a float or an
+    ndarray of thresholds; the same expression serves the scalar capture
+    probabilities below and the optimizer's whole-grid evaluation.
+    ``l`` is 1-based and not checked here.
+    """
+    lp = config.layers[l - 1]
+    if bound:
+        gamma_l = lp.power * config.channel_gain_mean / interference_variance(l, config, copies=1)
+        return nu / gamma_l
+    expo = nu * config.noise_power / (lp.power * config.channel_gain_mean)
+    for i in range(l, config.num_layers):
+        up = config.layers[i]
+        expo += (up.arrival_rate / config.num_channels) * nu * up.power / (lp.power + nu * up.power)
+    return expo
+
+
 def capture_prob_exact(l: int, config: SystemConfig, rate: float | None = None) -> float:
     """Probability that a lone layer-l signal survives fading and upper-layer
     interference at its rate.
@@ -60,13 +83,8 @@ def capture_prob_exact(l: int, config: SystemConfig, rate: float | None = None) 
     layer's configured rate (handy for rate searches).
     """
     _check_layer(l, config)
-    lp = config.layers[l - 1]
-    nu = snr_gap(lp.rate if rate is None else rate)
-    expo = nu * config.noise_power / (lp.power * config.channel_gain_mean)
-    for i in range(l, config.num_layers):
-        up = config.layers[i]
-        expo += (up.arrival_rate / config.num_channels) * nu * up.power / (lp.power + nu * up.power)
-    return math.exp(-expo)
+    nu = snr_gap(config.layers[l - 1].rate if rate is None else rate)
+    return math.exp(-capture_exponent(l, config, nu))
 
 
 def capture_prob_lower_bound(l: int, config: SystemConfig, rate: float | None = None) -> float:
@@ -77,9 +95,8 @@ def capture_prob_lower_bound(l: int, config: SystemConfig, rate: float | None = 
     for the top layer, which sees no interference.
     """
     _check_layer(l, config)
-    lp = config.layers[l - 1]
-    gamma_l = lp.power * config.channel_gain_mean / interference_variance(l, config, copies=1)
-    return math.exp(-snr_gap(lp.rate if rate is None else rate) / gamma_l)
+    nu = snr_gap(config.layers[l - 1].rate if rate is None else rate)
+    return math.exp(-capture_exponent(l, config, nu, bound=True))
 
 
 def eta(l: int, config: SystemConfig, capture_prob: float) -> float:

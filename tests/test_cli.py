@@ -164,3 +164,47 @@ def test_scenario_seed_range_checked_up_front(capsys):
                  "--slots", "1", "--out", "-"]) == 0
     seeds = {r["seed"] for r in _parse_csv(capsys.readouterr().out) if r["seed"]}
     assert max(map(int, seeds)) == top
+
+
+_THREE_LAYERS = ["--layers", "3", "--channels", "10", "--arrival", "10"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rate-max", "2000"), ("--rate-max", "1024"), ("--rate-max", "nan"), ("--rate-max", "inf"),
+    ("--grid-points", "1"), ("--grid-points", str(2 ** 20 + 1)),
+    ("--refine-tol", "0"), ("--refine-tol", "nan"), ("--refine-tol", "inf"),
+])
+def test_optimize_rates_rejects_unusable_search_settings(capsys, flag, value):
+    code = main(["optimize-rates", *_THREE_LAYERS, "--gamma-db", "10", flag, value])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}:")
+
+
+def test_optimize_rates_notes_layers_at_the_search_bound(capsys):
+    assert main(["optimize-rates", *_THREE_LAYERS, "--gamma-db", "60"]) == 0
+    out = capsys.readouterr().out
+    notes = [ln for ln in out.splitlines() if ln.startswith("note:")]
+    assert notes == [
+        "note: layer 2 rate optimum at the search bound --rate-max 16",
+        "note: layer 3 rate optimum at the search bound --rate-max 16",
+    ]
+    assert out.splitlines()[-1].startswith("total throughput:")
+    assert main(["optimize-rates", *_THREE_LAYERS, "--gamma-db", "60", "--rate-max", "64"]) == 0
+    assert "note:" not in capsys.readouterr().out
+
+
+def test_sweep_notes_grid_points_at_the_search_bound(capsys):
+    sweep = ["sweep", "--var", "gamma-db", *_THREE_LAYERS, "--outputs", "analytic"]
+    assert main(sweep + ["--grid", "10,60"]) == 0
+    text = capsys.readouterr().out
+    assert [ln for ln in text.splitlines() if ln.startswith("# note:")] == [
+        "# note: gamma_db=60: optimized rate of layer(s) 2, 3 at the search bound 16"
+    ]
+    assert main(sweep + ["--grid", "10"]) == 0
+    alone = capsys.readouterr().out
+    assert "# note:" not in alone
+    # the note changes no data row
+    rows_10 = [r for r in _parse_csv(text) if r["x_value"] == "10"]
+    assert rows_10 == _parse_csv(alone)

@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from layered_aloha import (
     SearchSettings,
     capture_prob_exact,
+    db_to_linear,
     design_config,
     optimize_arrivals,
     optimize_rates,
     sla_lower_bound,
     throughput,
 )
+from layered_aloha import optimize
 
 
 def _cfg(num_layers, arrival, gamma, num_channels=10):
@@ -139,6 +143,16 @@ def test_search_settings_validation():
         SearchSettings(refine_tol=0.0)
     with pytest.raises(ValueError):
         SearchSettings(arrival_max=-1.0)
+    for field, value in [
+        ("rate_max", math.nan), ("rate_max", math.inf), ("rate_max", 1024.0),
+        ("grid_points", 2 ** 20 + 1),
+        ("refine_tol", math.nan), ("refine_tol", math.inf),
+        ("arrival_max", math.nan), ("arrival_max", math.inf),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            SearchSettings(**{field: value})
+    # the largest accepted rate bound still has a finite 2**rate_max
+    assert SearchSettings(rate_max=1023.0, grid_points=2 ** 20).rate_max == 1023.0
 
 
 def test_optimize_arrivals_single_layer():
@@ -174,3 +188,116 @@ def test_optimize_arrivals_validation():
         optimize_arrivals(2, 10, 1.0, 0.0)
     with pytest.raises(ValueError):
         optimize_arrivals(2, 10, 1.0, 10.0, SearchSettings(arrival_max=0.0))
+
+
+def test_rate_optimum_at_the_search_bound_is_flagged():
+    cfg = _cfg(3, 10.0, db_to_linear(60.0))
+    plan = optimize_rates(cfg)
+    assert plan.optimal_rates[1:] == (16.0, 16.0)
+    assert 15.9 < plan.optimal_rates[0] < 16.0
+    assert plan.bound_hits == (2, 3)
+    wide = optimize_rates(cfg, SearchSettings(rate_max=64.0))
+    assert wide.bound_hits == ()
+    assert wide.achieved_throughput > plan.achieved_throughput
+    assert optimize_rates(_cfg(3, 10.0, db_to_linear(10.0))).bound_hits == ()
+
+
+def test_arrival_optimum_at_the_search_bound_is_flagged():
+    # the top layer's tau e^-tau peaks at tau = 1, beyond arrival_max = 0.5
+    plan = optimize_arrivals(2, 10, 1.0, 10.0, SearchSettings(arrival_max=0.5))
+    assert plan.optimal_tau[1] == 0.5
+    assert 2 in plan.bound_hits
+    assert optimize_arrivals(2, 10, 1.0, 10.0).bound_hits == ()
+
+
+def _reference_maximize(f, upper, s):
+    """The scalar grid scan the array shortlist replaced: every grid point
+    through the scalar objective, strict `>`, then golden refinement."""
+    n = s.grid_points
+    xs = [upper * k / n for k in range(n + 1)]
+    best_i = 0
+    best_v = f(xs[0])
+    for i in range(1, n + 1):
+        v = f(xs[i])
+        if v > best_v:
+            best_i, best_v = i, v
+    lo = xs[best_i - 1] if best_i > 0 else xs[0]
+    hi = xs[best_i + 1] if best_i < n else xs[n]
+    x = optimize._golden_max(f, lo, hi, s.refine_tol)
+    v = f(x)
+    if v > best_v:
+        return x, v, best_i == n
+    return xs[best_i], best_v, best_i == n
+
+
+def _all_plans(cfg, search, rate, gamma):
+    return (
+        optimize_rates(cfg, search),
+        optimize_rates(cfg, search, use_bound=True),
+        optimize_arrivals(cfg.num_layers, cfg.num_channels, rate, gamma, search),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    num_layers=st.integers(1, 8),
+    num_channels=st.integers(1, 1000),
+    arrival=st.floats(0.0, 800.0),
+    gamma_db=st.floats(-10.0, 60.0),
+    grid_points=st.integers(2, 4096),
+    rate_max=st.floats(1e-3, 1023.0),
+    arrival_max=st.floats(1e-3, 100.0),
+    rate=st.floats(0.0, 30.0),
+)
+@example(3, 10, 10.0, 60.0, 2048, 16.0, 4.0, 1.0)  # rate optima at the bound
+@example(3, 10, 10.0, 60.0, 2048, 1000.0, 4.0, 1.0)  # NaN on the top of the grid
+@example(3, 1, 800.0, -10.0, 2048, 16.0, 4.0, 30.0)  # every objective flat at 0
+def test_grid_shortlist_gives_the_scalar_scan_plans(
+    num_layers, num_channels, arrival, gamma_db, grid_points, rate_max, arrival_max, rate
+):
+    gamma = db_to_linear(gamma_db)
+    cfg = design_config(num_layers, num_channels, arrival, 0.0, gamma)
+    search = SearchSettings(rate_max=rate_max, grid_points=grid_points, arrival_max=arrival_max)
+    plans = _all_plans(cfg, search, rate, gamma)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_maximize_scalar", _reference_maximize)
+        assert plans == _all_plans(cfg, search, rate, gamma)
+
+
+class _UlpObjective:
+    """A grid objective whose array evaluation is off by a few ulps.
+
+    Scalar values are 1 + level * 2**-52 on the grid (NaN where level is
+    None) and 0 off it; the array path adds `skew` more ulps per point, as
+    a SIMD exp or pow may, so near-ties can order differently in it."""
+
+    def __init__(self, upper, levels, skew):
+        self.upper, self.n = upper, len(levels) - 1
+        self.scalar = [math.nan if v is None else 1.0 + v * 2.0 ** -52 for v in levels]
+        self.array = np.array(self.scalar) + np.array(skew) * 2.0 ** -52
+
+    def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            return self.array.copy()
+        k = round(x * self.n / self.upper)
+        return self.scalar[k] if self.upper * k / self.n == x else 0.0
+
+
+_GRID_LEVELS = st.integers(2, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.none() | st.integers(0, 3), min_size=n + 1, max_size=n + 1),
+    st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1),
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GRID_LEVELS)
+@example(([None, 0, 1], [0, 0, 0]))  # NaN at the first point keeps it
+@example(([0, 0, 0, 0], [0, 0, 0, 0]))  # all tied: the first point wins
+@example(([0, 1, 0, 0], [0, 0, 0, 2]))  # the array top is not the scalar top
+def test_scalar_objective_decides_among_the_shortlist(levels_and_skew):
+    levels, skew = levels_and_skew
+    f = _UlpObjective(2.0, levels, skew)
+    search = SearchSettings(rate_max=2.0, grid_points=len(levels) - 1)
+    got = optimize._maximize_scalar(f, 2.0, search)
+    want = _reference_maximize(f, 2.0, search)
+    assert repr(got) == repr(want)

@@ -9,6 +9,11 @@ Runs the `layered_aloha` package of the checkout this script sits in
 * the `simulate` and `outage` subcommands on one fixed configuration
   each, with and without `--reopen-cleared-channels` (the only way to
   reach the alternative SIC semantics from the command line);
+* `optimize-rates` for 3 and 8 layers at 10 dB, each with and without
+  `--use-bound`, and for 3 layers at 60 dB, where two layers' rate
+  optima sit at the search bound and the output carries `note:` lines;
+* `sweep --var gamma-db --outputs analytic,bound` for 8 layers, which
+  optimizes rates at every grid point;
 * `estimate_joint_capture`, which no CLI command reaches, at the
   configuration and seed of `demos/decoding_dependence.py` with fewer
   slots, as the `repr` of its result (floats in full precision).
@@ -41,6 +46,9 @@ SIMULATE = ["simulate", "--layers", "2", "--channels", "10", "--arrival", "8",
 OUTAGE = ["outage", "--layers", "3", "--channels", "60", "--arrival", "3",
           "--rate", "1", "--gamma-db", "10", "--copies", "4", "--slots", "20000",
           "--seed", "7"]
+SYSTEM = ["--channels", "10", "--arrival", "10"]
+GAMMA_SWEEP = ["sweep", "--var", "gamma-db", "--grid=-10:30:5", "--layers", "8",
+               "--outputs", "analytic,bound"] + SYSTEM
 
 
 def invocations():
@@ -50,6 +58,12 @@ def invocations():
     for argv in (SIMULATE, OUTAGE):
         yield f"{argv[0]}.csv", argv + ["--workers", "2"]
         yield f"{argv[0]}-reopen.csv", argv + ["--workers", "2", "--reopen-cleared-channels"]
+    for layers in ("3", "8"):
+        argv = ["optimize-rates", "--layers", layers, "--gamma-db", "10"] + SYSTEM
+        yield f"optimize-rates-l{layers}.txt", argv
+        yield f"optimize-rates-l{layers}-bound.txt", argv + ["--use-bound"]
+    yield "optimize-rates-60db.txt", ["optimize-rates", "--layers", "3", "--gamma-db", "60"] + SYSTEM
+    yield "sweep-gamma-l8.csv", GAMMA_SWEEP
 
 
 def joint_capture() -> str:
