@@ -9,14 +9,12 @@ that serves as the ground truth for the closed forms.
 from .model import (
     LayerParams,
     SystemConfig,
-    TargetSinr,
     allocate_powers,
     collision_prob,
     config_from_settings,
     db_to_linear,
     design_config,
     interference_variance,
-    linear_to_db,
     load_config_file,
     parse_config_text,
     snr_gap,
@@ -36,7 +34,7 @@ from .outage import (
     psi_closed_form,
     psi_series,
 )
-from .scenarios import SCENARIOS, Scenario, ScenarioResult, get_scenario, run_power_report, run_scenario
+from .scenarios import SCENARIOS, Scenario, ScenarioResult, get_scenario, run_scenario
 from .simulate import (
     BLOCKED,
     COLLIDED,

@@ -13,17 +13,18 @@ import sys
 
 from .model import SystemConfig, load_config_file
 from .optimize import SearchSettings, optimize_rates
-from .outage import outage
+from .outage import outage  # noqa: F401  (unused; bench/tracing.py patches it here)
 from .scenarios import (
+    KINDS,
     SCENARIOS,
-    Row,
     Scenario,
     ScenarioResult,
     get_scenario,
+    run_point,
     run_scenario,
 )
-from .simulate import estimate_throughput
-from .throughput import throughput
+from .simulate import estimate_throughput  # noqa: F401  (unused; bench/tracing.py patches it here)
+from .throughput import throughput  # noqa: F401  (unused; bench/tracing.py patches it here)
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
@@ -106,11 +107,11 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
 
 
 _SWEEP_KIND = {
-    "arrival": ("throughput", "arrival"),
-    "rate": ("rate", "rate"),
-    "gamma-db": ("gamma", "gamma_db"),
-    "layers": ("layers", "layers"),
-    "copies": ("outage_copies", "copies"),
+    "arrival": "throughput",
+    "rate": "rate",
+    "gamma-db": "gamma",
+    "layers": "layers",
+    "copies": "outage_copies",
 }
 
 
@@ -127,7 +128,7 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    kind, x_name = _SWEEP_KIND[args.var]
+    kind = _SWEEP_KIND[args.var]
     settings = _settings_from_args(args)
     required = {"layers", "channels"}
     if kind != "throughput":
@@ -135,6 +136,10 @@ def _cmd_sweep(args) -> int:
     missing = sorted(required - settings.keys())
     if missing:
         raise ValueError(f"sweep needs {', '.join(missing)} (flags or config file)")
+    unsupported = sorted({"noise_power", "gain_mean", "powers"} & settings.keys())
+    if unsupported:
+        raise ValueError(f"sweep does not take {', '.join(unsupported)}: a sweep uses unit "
+                         "noise power and gain mean and powers allocated from gamma_db")
     arrival = settings.get("arrival_rate", 0.0)
     if isinstance(arrival, (list, tuple)):
         raise ValueError("sweep uses a single per-layer arrival rate")
@@ -145,12 +150,11 @@ def _cmd_sweep(args) -> int:
     seed = 1 if args.seed is None else args.seed
     scenario = Scenario(
         name="sweep",
-        description=f"ad-hoc sweep over {x_name}",
+        description=f"ad-hoc sweep over {KINDS[kind].x_name}",
         kind=kind,
-        x_name=x_name,
         grid=_parse_grid(args.grid),
         outputs=outputs,
-        slots=args.slots or 10000,
+        slots=10000 if args.slots is None else args.slots,
         seed=seed,
         num_layers=settings["layers"],
         num_channels=settings["channels"],
@@ -190,17 +194,11 @@ def _cmd_optimize_rates(args) -> int:
     return 0
 
 
-def _cmd_outage(args) -> int:
-    config, gamma_db = _config_from_args(args)
+def _run_one_point(args, config: SystemConfig, gamma_db: float, x: float, **fields) -> int:
+    """Write the CSV of `config` as the one-point scenario that `fields` describe."""
     seed = 1 if args.seed is None else args.seed
     scenario = Scenario(
-        name="outage",
-        description="per-layer outage for one configuration",
-        kind="outage_copies",
-        x_name="copies",
-        grid=(float(config.repetition),),
-        outputs=("analytic", "simulated") if args.slots else ("analytic",),
-        slots=args.slots or 1,
+        grid=(x,),
         seed=seed,
         num_layers=config.num_layers,
         num_channels=config.num_channels,
@@ -208,61 +206,36 @@ def _cmd_outage(args) -> int:
         rate=config.layers[0].rate,
         gamma_db=gamma_db,
         repetition=config.repetition,
+        **fields,
     )
-    rows = []
-    rep = outage(config)
-    x = float(config.repetition)
-    for l in range(config.num_layers):
-        rows.append(Row(x, str(l + 1), "analytic_outage", rep.outage[l]))
-    if args.slots:
-        from .simulate import estimate_outage
-
-        est = estimate_outage(config, args.slots, seed, workers=args.workers,
-                              reopen_cleared_channels=args.reopen_cleared_channels)
-        for l, out in enumerate(est.per_layer):
-            rows.append(Row(x, str(l + 1), "simulated_outage", out.value, out.stderr,
-                            args.slots, seed))
-    _write(ScenarioResult(scenario, tuple(rows)).to_csv(), args.out)
+    rows, notes = run_point(scenario, config, x, seed, args.workers, args.reopen_cleared_channels)
+    _write(ScenarioResult(scenario, tuple(rows), tuple(notes)).to_csv(), args.out)
     return 0
+
+
+def _cmd_outage(args) -> int:
+    config, gamma_db = _config_from_args(args)
+    analytic_only = args.slots is None
+    return _run_one_point(
+        args, config, gamma_db, float(config.repetition),
+        name="outage",
+        description="per-layer outage for one configuration",
+        kind="outage_copies",
+        outputs=("analytic",) if analytic_only else ("analytic", "simulated"),
+        slots=1 if analytic_only else args.slots,
+    )
 
 
 def _cmd_simulate(args) -> int:
     config, gamma_db = _config_from_args(args)
-    slots = args.slots or 10000
-    seed = 1 if args.seed is None else args.seed
-    scenario = Scenario(
+    return _run_one_point(
+        args, config, gamma_db, config.layers[0].arrival_rate,
         name="simulate",
         description="simulated and analytic throughput for one configuration",
-        kind="throughput",
-        x_name="arrival",
-        grid=(config.layers[0].arrival_rate,),
+        kind="simulate",
         outputs=("analytic", "simulated"),
-        slots=slots,
-        seed=seed,
-        num_layers=config.num_layers,
-        num_channels=config.num_channels,
-        arrival_rate=config.layers[0].arrival_rate,
-        rate=config.layers[0].rate,
-        gamma_db=gamma_db,
-        repetition=config.repetition,
+        slots=10000 if args.slots is None else args.slots,
     )
-    rows = []
-    x = config.layers[0].arrival_rate
-    report = throughput(config)
-    for l in range(config.num_layers):
-        rows.append(Row(x, str(l + 1), "analytic_throughput", report.layer_throughput[l]))
-        rows.append(Row(x, str(l + 1), "capture_exact", report.capture_exact[l]))
-        rows.append(Row(x, str(l + 1), "capture_bound", report.capture_bound[l]))
-    rows.append(Row(x, "total", "analytic_throughput", report.total_throughput))
-    est = estimate_throughput(config, slots, seed, workers=args.workers,
-                              reopen_cleared_channels=args.reopen_cleared_channels)
-    for l, out in enumerate(est.per_layer):
-        rows.append(Row(x, str(l + 1), "simulated_throughput", out.value, out.stderr,
-                        slots, seed))
-    rows.append(Row(x, "total", "simulated_throughput", est.total.value, est.total.stderr,
-                    slots, seed))
-    _write(ScenarioResult(scenario, tuple(rows)).to_csv(), args.out)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -43,18 +43,6 @@ class LayerParams:
 
 
 @dataclass(frozen=True)
-class TargetSinr:
-    """Design target for the average per-layer SINR (linear scale, > 0)."""
-
-    gamma: float
-
-    def __post_init__(self):
-        _check_finite("gamma", self.gamma)
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-
-
-@dataclass(frozen=True)
 class SystemConfig:
     """Immutable description of one layered random-access system.
 
@@ -125,12 +113,6 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise ValueError(f"cannot convert non-positive value {x} to dB")
-    return 10.0 * math.log10(x)
-
-
 def snr_gap(rate: float) -> float:
     """SINR threshold equivalent to a code rate: 2**rate - 1."""
     if rate < 0 or not math.isfinite(rate):
@@ -175,7 +157,7 @@ def interference_variance(l: int, config: SystemConfig, copies: int = 1) -> floa
 
 
 def allocate_powers(
-    gamma: TargetSinr | float,
+    gamma: float,
     arrival_rates,
     num_channels: int,
     channel_gain_mean: float = 1.0,
@@ -189,7 +171,7 @@ def allocate_powers(
     P_l * sigma_h^2 / sigma_bar_l^2 == gamma for every layer, and the powers
     are non-increasing (strictly decreasing below any loaded layer).
     """
-    g = gamma.gamma if isinstance(gamma, TargetSinr) else float(gamma)
+    g = float(gamma)
     if g <= 0 or not math.isfinite(g):
         raise ValueError(f"gamma must be finite and > 0, got {g}")
     lams = [float(x) for x in arrival_rates]
@@ -210,7 +192,7 @@ def design_config(
     num_channels: int,
     arrival_rate,
     rate,
-    gamma: TargetSinr | float,
+    gamma: float,
     channel_gain_mean: float = 1.0,
     noise_power: float = 1.0,
     repetition: int = 1,

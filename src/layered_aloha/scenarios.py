@@ -16,7 +16,10 @@ empty for closed-form rows.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import NamedTuple
 
 from .model import SystemConfig, db_to_linear, design_config
 from .optimize import SearchSettings, optimize_arrivals, optimize_rates
@@ -50,28 +53,18 @@ QUANTITIES = frozenset(
 
 OUTPUT_KINDS = ("analytic", "simulated", "bound", "baselines")
 
-_KINDS = (
-    "throughput",
-    "rate",
-    "gamma",
-    "layers",
-    "power",
-    "packets_layers",
-    "packets_channels",
-    "outage_rate",
-    "outage_copies",
-    "outage_arrival",
-)
-
 
 @dataclass(frozen=True)
 class Scenario:
-    """One sweep: fixed system family, grid over a single variable."""
+    """One sweep: fixed system family, grid over a single variable.
+
+    `kind` names an entry of `KINDS`, which fixes the swept variable and
+    how each grid point becomes rows.
+    """
 
     name: str
     description: str
     kind: str
-    x_name: str
     grid: tuple[float, ...]
     outputs: tuple[str, ...]
     slots: int
@@ -85,17 +78,24 @@ class Scenario:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if not self.grid:
             raise ValueError("scenario grid must be non-empty")
         if list(self.grid) != sorted(self.grid):
             raise ValueError("scenario grid must be sorted")
+        if KINDS[self.kind].integer and not all(float(x).is_integer() for x in self.grid):
+            raise ValueError(f"{self.x_name} grid points must be whole numbers, got {list(self.grid)}")
         if self.slots < 1:
             raise ValueError(f"slots must be >= 1, got {self.slots}")
         bad = set(self.outputs) - set(OUTPUT_KINDS)
         if bad:
             raise ValueError(f"unknown outputs: {sorted(bad)}")
+
+    @property
+    def x_name(self) -> str:
+        """The swept variable, as named in the CSV."""
+        return KINDS[self.kind].x_name
 
 
 @dataclass(frozen=True)
@@ -142,19 +142,17 @@ class ScenarioResult:
 
     def _config_echo(self) -> list[str]:
         s = self.scenario
-        fields = {
-            "layers": str(s.num_layers),
-            "channels": str(s.num_channels),
-            "arrival_rate": _fmt(s.arrival_rate),
-            "rate": "optimized" if s.rate is None else _fmt(s.rate),
-            "gamma_db": _fmt(s.gamma_db),
-            "repetition": str(s.repetition),
+        fields = {  # Scenario field: (echoed name, value)
+            "num_layers": ("layers", str(s.num_layers)),
+            "num_channels": ("channels", str(s.num_channels)),
+            "arrival_rate": ("arrival_rate", _fmt(s.arrival_rate)),
+            "rate": ("rate", "optimized" if s.rate is None else _fmt(s.rate)),
+            "gamma_db": ("gamma_db", _fmt(s.gamma_db)),
+            "repetition": ("repetition", str(s.repetition)),
         }
-        swept = {"arrival": "arrival_rate", "layers": "layers", "channels": "channels",
-                 "rate": "rate", "gamma_db": "gamma_db", "copies": "repetition"}.get(s.x_name)
-        if swept:
-            fields[swept] = "sweep"
-        return [f"{k}={v}" for k, v in fields.items()]
+        swept = KINDS[s.kind].field
+        return [f"{name}={'sweep' if field == swept else value}"
+                for field, (name, value) in fields.items()]
 
     def _data_lines(self) -> list[str]:
         s = self.scenario
@@ -182,37 +180,31 @@ def _fmt(v: float) -> str:
     return f"{v:.9g}"
 
 
-def _rates_for(config: SystemConfig, common_rate: float | None) -> tuple[SystemConfig, tuple[int, ...]]:
-    """The config with optimized rates (unless `common_rate` is fixed) and
-    the layers whose rate optimum hit the search bound."""
-    if common_rate is not None:
-        return config, ()  # already built with the fixed rate
-    plan = optimize_rates(config, SearchSettings())
-    return config.with_rates(plan.optimal_rates), plan.bound_hits
+# --- row producers ------------------------------------------------------------
+#
+# Each takes (scenario, the SystemConfig at grid point x, x, seed, workers,
+# reopen_cleared_channels) and returns (rows, 1-based layers whose optimized
+# rate or arrival hit the search bound).
 
 
-def _build(s: Scenario, arrival: float, num_layers: int | None = None,
-           num_channels: int | None = None, gamma_db: float | None = None,
-           repetition: int | None = None) -> SystemConfig:
-    return design_config(
-        num_layers=num_layers if num_layers is not None else s.num_layers,
-        num_channels=num_channels if num_channels is not None else s.num_channels,
-        arrival_rate=arrival,
-        rate=s.rate if s.rate is not None else 0.0,
-        gamma=db_to_linear(gamma_db if gamma_db is not None else s.gamma_db),
-        repetition=repetition if repetition is not None else s.repetition,
-    )
-
-
-def _throughput_rows(s: Scenario, config: SystemConfig, x: float, seed: int, workers: int):
+def _throughput_rows(s: Scenario, config: SystemConfig, x: float, seed: int, workers: int,
+                     reopen: bool, captures: bool = False):
+    hits: tuple[int, ...] = ()
+    if s.rate is None and KINDS[s.kind].field != "rate":  # rates neither fixed nor swept
+        plan = optimize_rates(config, SearchSettings())
+        config, hits = config.with_rates(plan.optimal_rates), plan.bound_hits
     rows = []
     if "analytic" in s.outputs:
         report = throughput(config)
         for l in range(config.num_layers):
             rows.append(Row(x, str(l + 1), "analytic_throughput", report.layer_throughput[l]))
+            if captures:
+                rows.append(Row(x, str(l + 1), "capture_exact", report.capture_exact[l]))
+                rows.append(Row(x, str(l + 1), "capture_bound", report.capture_bound[l]))
         rows.append(Row(x, "total", "analytic_throughput", report.total_throughput))
     if "simulated" in s.outputs:
-        est = estimate_throughput(config, s.slots, seed, workers=workers)
+        est = estimate_throughput(config, s.slots, seed, workers=workers,
+                                  reopen_cleared_channels=reopen)
         for l, out in enumerate(est.per_layer):
             rows.append(
                 Row(x, str(l + 1), "simulated_throughput", out.value, out.stderr, s.slots, seed)
@@ -220,41 +212,92 @@ def _throughput_rows(s: Scenario, config: SystemConfig, x: float, seed: int, wor
         rows.append(
             Row(x, "total", "simulated_throughput", est.total.value, est.total.stderr, s.slots, seed)
         )
-    return rows
+    return rows, hits
 
 
-def _outage_rows(s: Scenario, config: SystemConfig, x: float, seed: int, workers: int):
+def _outage_rows(s: Scenario, config: SystemConfig, x: float, seed: int, workers: int,
+                 reopen: bool):
     rows = []
     if "analytic" in s.outputs:
         rep = outage(config)
         for l in range(config.num_layers):
             rows.append(Row(x, str(l + 1), "analytic_outage", rep.outage[l]))
     if "simulated" in s.outputs:
-        est = estimate_outage(config, s.slots, seed, workers=workers)
+        est = estimate_outage(config, s.slots, seed, workers=workers,
+                              reopen_cleared_channels=reopen)
         for l, out in enumerate(est.per_layer):
             rows.append(Row(x, str(l + 1), "simulated_outage", out.value, out.stderr, s.slots, seed))
-    return rows
+    return rows, ()
 
 
-def _packet_rows(s: Scenario, num_layers: int, num_channels: int, x: float):
+def _packet_rows(s: Scenario, config: SystemConfig, x: float, *_):
     gamma = db_to_linear(s.gamma_db)
-    plan = optimize_arrivals(num_layers, num_channels, s.rate, gamma)
-    contribs = sla_layer_contributions(num_channels, plan.optimal_tau, s.rate, gamma)
+    plan = optimize_arrivals(config.num_layers, config.num_channels, s.rate, gamma)
+    contribs = sla_layer_contributions(config.num_channels, plan.optimal_tau, s.rate, gamma)
     rows = [Row(x, str(l + 1), "bound_throughput", c) for l, c in enumerate(contribs)]
     rows.append(Row(x, "total", "bound_throughput", plan.value))
     if "baselines" in s.outputs:
-        rows.append(Row(x, "total", "baseline_aloha", baseline_aloha_max(num_channels)))
-        rows.append(Row(x, "total", "baseline_irsa", baseline_irsa(num_channels)))
+        rows.append(Row(x, "total", "baseline_aloha", baseline_aloha_max(config.num_channels)))
+        rows.append(Row(x, "total", "baseline_irsa", baseline_irsa(config.num_channels)))
     return rows, plan.bound_hits
+
+
+def _power_row(s: Scenario, config: SystemConfig, x: float, *_):
+    return [Row(x, "total", "power_mean", sum(config.powers) / config.num_layers)], ()
+
+
+class Kind(NamedTuple):
+    """What a scenario kind sweeps and which producer turns a grid point into rows."""
+
+    x_name: str  # swept variable, as named in the CSV
+    field: str  # the Scenario field it sets at each grid point
+    integer: bool  # grid points must be whole numbers
+    rows: Callable
+
+
+KINDS = {
+    "throughput": Kind("arrival", "arrival_rate", False, _throughput_rows),
+    "rate": Kind("rate", "rate", False, _throughput_rows),
+    "gamma": Kind("gamma_db", "gamma_db", False, _throughput_rows),
+    "layers": Kind("layers", "num_layers", True, _throughput_rows),
+    "power": Kind("arrival", "arrival_rate", False, _power_row),
+    "packets_layers": Kind("layers", "num_layers", True, _packet_rows),
+    "packets_channels": Kind("channels", "num_channels", True, _packet_rows),
+    "outage_rate": Kind("rate", "rate", False, _outage_rows),
+    "outage_copies": Kind("copies", "repetition", True, _outage_rows),
+    "outage_arrival": Kind("arrival", "arrival_rate", False, _outage_rows),
+    # one configuration, as the `simulate` command reports it: the throughput
+    # rows with each layer's capture probabilities after its analytic row
+    "simulate": Kind("arrival", "arrival_rate", False, partial(_throughput_rows, captures=True)),
+}
+
+
+def _point_config(s: Scenario, x: float) -> SystemConfig:
+    """The system at grid point x: the scenario's parameters with the swept one set to x."""
+    kind = KINDS[s.kind]
+    p = vars(s) | {kind.field: int(x) if kind.integer else x}
+    return design_config(p["num_layers"], p["num_channels"], p["arrival_rate"],
+                         0.0 if p["rate"] is None else p["rate"], db_to_linear(p["gamma_db"]),
+                         repetition=p["repetition"])
 
 
 def _bound_note(s: Scenario, x: float, hits: tuple[int, ...]) -> str:
     """Note for a grid point whose optimized rates or arrivals hit the search bound."""
     search = SearchSettings()
-    what, bound = (("arrival", search.arrival_max) if s.kind.startswith("packets")
+    what, bound = (("arrival", search.arrival_max) if KINDS[s.kind].rows is _packet_rows
                    else ("rate", search.rate_max))
     layers = ", ".join(map(str, hits))
     return f"{s.x_name}={_fmt(x)}: optimized {what} of layer(s) {layers} at the search bound {_fmt(bound)}"
+
+
+def run_point(s: Scenario, config: SystemConfig, x: float, seed: int, workers: int = 1,
+              reopen_cleared_channels: bool = False) -> tuple[list[Row], list[str]]:
+    """Rows of scenario `s` at grid point x, computed on `config`, and the
+    note for the point if its optimized rates or arrivals hit the search
+    bound.  Simulations use `seed`; `reopen_cleared_channels` selects the
+    alternative SIC semantics of the estimators."""
+    rows, hits = KINDS[s.kind].rows(s, config, x, seed, workers, reopen_cleared_channels)
+    return rows, [_bound_note(s, x, hits)] if hits else []
 
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
@@ -274,62 +317,10 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
     rows: list[Row] = []
     notes: list[str] = []
     for i, x in enumerate(s.grid):
-        seed = s.seed + i
-        hits: tuple[int, ...] = ()
-        if s.kind == "throughput":
-            config, hits = _rates_for(_build(s, arrival=x), s.rate)
-            rows.extend(_throughput_rows(s, config, x, seed, workers))
-        elif s.kind == "rate":
-            config = _build(s, arrival=s.arrival_rate)
-            config = config.with_rates([x] * s.num_layers)
-            rows.extend(_throughput_rows(s, config, x, seed, workers))
-        elif s.kind == "gamma":
-            config, hits = _rates_for(_build(s, arrival=s.arrival_rate, gamma_db=x), s.rate)
-            rows.extend(_throughput_rows(s, config, x, seed, workers))
-        elif s.kind == "layers":
-            config, hits = _rates_for(_build(s, arrival=s.arrival_rate, num_layers=int(x)), s.rate)
-            rows.extend(_throughput_rows(s, config, x, seed, workers))
-        elif s.kind == "power":
-            config = _build(s, arrival=x)
-            rows.append(Row(x, "total", "power_mean", sum(config.powers) / config.num_layers))
-        elif s.kind == "packets_layers":
-            point_rows, hits = _packet_rows(s, int(x), s.num_channels, x)
-            rows.extend(point_rows)
-        elif s.kind == "packets_channels":
-            point_rows, hits = _packet_rows(s, s.num_layers, int(x), x)
-            rows.extend(point_rows)
-        elif s.kind == "outage_rate":
-            config = _build(s, arrival=s.arrival_rate).with_rates([x] * s.num_layers)
-            rows.extend(_outage_rows(s, config, x, seed, workers))
-        elif s.kind == "outage_copies":
-            config = _build(s, arrival=s.arrival_rate, repetition=int(x))
-            rows.extend(_outage_rows(s, config, x, seed, workers))
-        elif s.kind == "outage_arrival":
-            config = _build(s, arrival=x)
-            rows.extend(_outage_rows(s, config, x, seed, workers))
-        else:  # pragma: no cover - guarded by Scenario validation
-            raise ValueError(f"unknown scenario kind {s.kind!r}")
-        if hits:
-            notes.append(_bound_note(s, x, hits))
+        point_rows, point_notes = run_point(s, _point_config(s, x), x, s.seed + i, workers)
+        rows.extend(point_rows)
+        notes.extend(point_notes)
     return ScenarioResult(scenario=s, rows=tuple(rows), notes=tuple(notes))
-
-
-def run_power_report(arrival_grid, num_layers: int, num_channels: int, gamma: float,
-                     channel_gain_mean: float = 1.0, noise_power: float = 1.0):
-    """Average allocated transmit power over an arrival-rate grid.
-
-    Returns (arrival, mean power) pairs; the mean grows with both the
-    arrival rate and the number of layers since lower layers must out-power
-    the accumulated upper-layer interference.
-    """
-    from .model import allocate_powers
-
-    out = []
-    for lam in arrival_grid:
-        powers = allocate_powers(gamma, [lam] * num_layers, num_channels,
-                                 channel_gain_mean, noise_power)
-        out.append((float(lam), sum(powers) / num_layers))
-    return out
 
 
 def _scenario(**kw) -> Scenario:
@@ -358,7 +349,7 @@ def build_registry() -> dict[str, Scenario]:
             name=f"throughput-vs-arrival{suffix}",
             description=f"per-layer and total throughput vs arrival rate; {L} layers, "
                         "10 channels, target SINR 3 dB, rates optimized per point",
-            kind="throughput", x_name="arrival", grid=_int_grid(1, 14),
+            kind="throughput", grid=_int_grid(1, 14),
             outputs=("analytic", "simulated"), slots=20000, seed=20230,
             num_layers=L, num_channels=10, arrival_rate=0.0, rate=None, gamma_db=3.0,
         ))
@@ -366,7 +357,7 @@ def build_registry() -> dict[str, Scenario]:
             name=f"power-vs-arrival{suffix}",
             description=f"average allocated transmit power vs arrival rate; {L} layers, "
                         "10 channels, target SINR 3 dB",
-            kind="power", x_name="arrival", grid=_int_grid(1, 14),
+            kind="power", grid=_int_grid(1, 14),
             outputs=("analytic",), slots=1, seed=0,
             num_layers=L, num_channels=10, arrival_rate=0.0, rate=None, gamma_db=3.0,
         ))
@@ -374,7 +365,7 @@ def build_registry() -> dict[str, Scenario]:
             name=f"throughput-vs-rate{suffix}",
             description=f"total throughput vs a common per-layer rate; {L} layers, "
                         "10 channels, arrival 10 per layer, target SINR 3 dB",
-            kind="rate", x_name="rate", grid=_float_grid(0.1, 6.0, 0.1),
+            kind="rate", grid=_float_grid(0.1, 6.0, 0.1),
             outputs=("analytic",), slots=1, seed=0,
             num_layers=L, num_channels=10, arrival_rate=10.0, rate=1.0, gamma_db=3.0,
         ))
@@ -382,7 +373,7 @@ def build_registry() -> dict[str, Scenario]:
             name=f"throughput-vs-gamma{suffix}",
             description=f"total throughput vs target SINR; {L} layers, 10 channels, "
                         "arrival 10 per layer, rates optimized per point",
-            kind="gamma", x_name="gamma_db", grid=_int_grid(0, 12),
+            kind="gamma", grid=_int_grid(0, 12),
             outputs=("analytic", "simulated"), slots=20000, seed=20600,
             num_layers=L, num_channels=10, arrival_rate=10.0, rate=None, gamma_db=3.0,
         ))
@@ -391,7 +382,7 @@ def build_registry() -> dict[str, Scenario]:
             name=f"throughput-vs-layers{suffix}",
             description="total throughput vs number of layers; 10 channels, "
                         f"arrival {lam:g} per layer, target SINR 3 dB, optimized rates",
-            kind="layers", x_name="layers", grid=_int_grid(1, 8),
+            kind="layers", grid=_int_grid(1, 8),
             outputs=("analytic", "simulated"), slots=20000, seed=20700,
             num_layers=1, num_channels=10, arrival_rate=lam, rate=None, gamma_db=3.0,
         ))
@@ -400,7 +391,7 @@ def build_registry() -> dict[str, Scenario]:
         description="decoded-packet lower bound vs number of layers, arrivals "
                     "optimized per layer, against multichannel-ALOHA and IRSA "
                     "reference constants; 10 channels, common rate 1",
-        kind="packets_layers", x_name="layers", grid=_int_grid(1, 8),
+        kind="packets_layers", grid=_int_grid(1, 8),
         outputs=("bound", "baselines"), slots=1, seed=0,
         num_layers=1, num_channels=10, arrival_rate=0.0, rate=1.0, gamma_db=10.0,
         notes=("target SINR 10 dB assumed for the layer sweep",),
@@ -410,7 +401,7 @@ def build_registry() -> dict[str, Scenario]:
             name=f"compare-irsa-scaling{suffix}",
             description=f"decoded-packet lower bound vs number of channels; {L} layers, "
                         "common rate 1, target SINR 10 dB, optimized arrivals",
-            kind="packets_channels", x_name="channels", grid=_int_grid(10, 100, 10),
+            kind="packets_channels", grid=_int_grid(10, 100, 10),
             outputs=("bound", "baselines"), slots=1, seed=0,
             num_layers=L, num_channels=10, arrival_rate=0.0, rate=1.0, gamma_db=10.0,
         ))
@@ -418,7 +409,7 @@ def build_registry() -> dict[str, Scenario]:
         name="outage-vs-rate",
         description="per-layer outage vs common rate under 4-copy repetition; "
                     "3 layers, 60 channels, arrival 3 per layer, target SINR 10 dB",
-        kind="outage_rate", x_name="rate", grid=_float_grid(0.2, 2.0, 0.2),
+        kind="outage_rate", grid=_float_grid(0.2, 2.0, 0.2),
         outputs=("analytic", "simulated"), slots=20000, seed=20900,
         num_layers=3, num_channels=60, arrival_rate=3.0, rate=1.0, gamma_db=10.0,
         repetition=4,
@@ -427,7 +418,7 @@ def build_registry() -> dict[str, Scenario]:
         name="outage-vs-copies",
         description="per-layer outage vs repetition factor; 3 layers, 60 channels, "
                     "arrival 3 per layer, common rate 1, target SINR 10 dB",
-        kind="outage_copies", x_name="copies", grid=_int_grid(1, 12),
+        kind="outage_copies", grid=_int_grid(1, 12),
         outputs=("analytic", "simulated"), slots=20000, seed=21000,
         num_layers=3, num_channels=60, arrival_rate=3.0, rate=1.0, gamma_db=10.0,
     ))
@@ -435,7 +426,7 @@ def build_registry() -> dict[str, Scenario]:
         name="outage-vs-arrival",
         description="per-layer outage vs arrival rate under 4-copy repetition; "
                     "3 layers, 60 channels, common rate 1, target SINR 10 dB",
-        kind="outage_arrival", x_name="arrival", grid=_int_grid(1, 10),
+        kind="outage_arrival", grid=_int_grid(1, 10),
         outputs=("analytic", "simulated"), slots=20000, seed=21100,
         num_layers=3, num_channels=60, arrival_rate=3.0, rate=1.0, gamma_db=10.0,
         repetition=4,

@@ -51,7 +51,6 @@ DECODED = 0
 COLLIDED = 1
 SINR_FAILURE = 2
 BLOCKED = 3
-OUTCOME_NAMES = ("decoded", "collided", "sinr_failure", "blocked")
 
 #: slots per estimator batch.  Part of the sampling contract: changing it
 #: changes which substream a slot draws from, hence the sample path.

@@ -208,3 +208,47 @@ def test_sweep_notes_grid_points_at_the_search_bound(capsys):
     # the note changes no data row
     rows_10 = [r for r in _parse_csv(text) if r["x_value"] == "10"]
     assert rows_10 == _parse_csv(alone)
+
+
+_ARRIVAL_SWEEP = ["sweep", "--var", "arrival", "--grid", "5", "--layers", "2", "--channels", "10",
+                  "--rate", "1", "--gamma-db", "3", "--out", "-"]
+
+
+@pytest.mark.parametrize("extra, key", [
+    (["--noise-power", "100"], "noise_power"),
+    (["--gain-mean", "0.2"], "gain_mean"),
+    (["--config", "powers.cfg"], "powers"),
+])
+def test_sweep_rejects_settings_it_cannot_apply(tmp_path, capsys, extra, key):
+    # a sweep builds every point from layers/channels/arrival/rate/gamma_db
+    # alone, so these used to be dropped without a word
+    (tmp_path / "powers.cfg").write_text("powers = 50, 1\n")
+    extra = [str(tmp_path / a) if a.endswith(".cfg") else a for a in extra]
+    assert main(_ARRIVAL_SWEEP + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert key in captured.err
+
+
+@pytest.mark.parametrize("var, grid", [("copies", "2.5"), ("layers", "2,2.7")])
+def test_sweep_rejects_fractional_points_of_an_integer_variable(capsys, var, grid):
+    code = main(["sweep", "--var", var, "--grid", grid, "--layers", "2", "--channels", "20",
+                 "--arrival", "3", "--rate", "1", "--gamma-db", "10", "--out", "-"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "whole numbers" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--layers", "2", "--channels", "8", "--arrival", "4", "--rate", "1",
+     "--gamma-db", "3"],
+    _ARRIVAL_SWEEP,
+    ["outage", "--layers", "3", "--channels", "60", "--arrival", "3", "--rate", "1",
+     "--gamma-db", "10", "--copies", "4"],
+], ids=["simulate", "sweep", "outage"])
+def test_zero_slots_exit_2(capsys, argv):
+    assert main(argv + ["--slots", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "slots must be >= 1" in captured.err

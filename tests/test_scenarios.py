@@ -7,10 +7,9 @@ from layered_aloha import (
     Scenario,
     db_to_linear,
     get_scenario,
-    run_power_report,
     run_scenario,
 )
-from layered_aloha.scenarios import CSV_HEADER, QUANTITIES, Row
+from layered_aloha.scenarios import CSV_HEADER, KINDS, QUANTITIES, Row
 from layered_aloha.simulate import SAMPLING_CONTRACT
 
 
@@ -19,7 +18,6 @@ def _tiny(kind="throughput", **over):
         name="tiny",
         description="test scenario",
         kind=kind,
-        x_name="arrival",
         grid=(2.0, 6.0),
         outputs=("analytic", "simulated"),
         slots=400,
@@ -65,6 +63,14 @@ def test_scenario_validation():
         Row(1.0, "1", "bogus_quantity", 0.5)
 
 
+@pytest.mark.parametrize("kind", sorted(k for k, v in KINDS.items() if v.integer))
+def test_integer_variables_reject_fractional_grid_points(kind):
+    # layers, channels and copies are set with int(x): 2.5 used to run as 2
+    with pytest.raises(ValueError, match="whole numbers"):
+        _tiny(kind=kind, grid=(2.0, 2.5))
+    assert _tiny(kind=kind, grid=(2.0, 3.0)).grid == (2.0, 3.0)
+
+
 def test_throughput_scenario_rows_and_csv():
     s = _tiny()
     result = run_scenario(s)
@@ -94,7 +100,7 @@ def test_throughput_scenario_rows_and_csv():
 
 
 def test_scenario_rerun_is_byte_identical():
-    s = _tiny(kind="outage_copies", x_name="copies", grid=(1.0, 4.0),
+    s = _tiny(kind="outage_copies", grid=(1.0, 4.0),
               num_layers=3, num_channels=20, arrival_rate=3.0, gamma_db=10.0)
     a = run_scenario(s).to_csv()
     b = run_scenario(s).to_csv()
@@ -104,7 +110,7 @@ def test_scenario_rerun_is_byte_identical():
 
 
 def test_rate_scenario_uses_common_rate():
-    s = _tiny(kind="rate", x_name="rate", grid=(0.5, 1.0, 2.0),
+    s = _tiny(kind="rate", grid=(0.5, 1.0, 2.0),
               outputs=("analytic",), arrival_rate=10.0)
     rows = run_scenario(s).rows
     assert len(rows) == 3 * 3  # 2 layers + total, analytic only
@@ -117,7 +123,7 @@ def test_rate_scenario_uses_common_rate():
 
 
 def test_optimized_rates_scenario_beats_fixed_rate():
-    fixed = _tiny(kind="rate", x_name="rate", grid=(1.0,), outputs=("analytic",),
+    fixed = _tiny(kind="rate", grid=(1.0,), outputs=("analytic",),
                   arrival_rate=10.0)
     best_fixed = run_scenario(fixed).rows[-1].value
     opt = _tiny(grid=(10.0,), outputs=("analytic",), rate=None, arrival_rate=10.0)
@@ -138,7 +144,7 @@ def test_packets_scenario_includes_baselines():
 
 
 def test_outage_scenario_layer_ordering():
-    s = _tiny(kind="outage_copies", x_name="copies", grid=(4.0,),
+    s = _tiny(kind="outage_copies", grid=(4.0,),
               num_layers=3, num_channels=60, arrival_rate=3.0, gamma_db=10.0,
               slots=2000)
     rows = run_scenario(s).rows
@@ -148,19 +154,21 @@ def test_outage_scenario_layer_ordering():
     assert ana == sorted(ana)
 
 
-def test_power_scenario_and_report():
-    s = _tiny(kind="power", x_name="arrival", grid=(0.0, 5.0, 10.0),
+def test_power_scenario_rows():
+    s = _tiny(kind="power", grid=(0.0, 5.0, 10.0),
               outputs=("analytic",), num_layers=2, gamma_db=None or 3.0)
     rows = run_scenario(s).rows
     assert [r.quantity for r in rows] == ["power_mean"] * 3
     assert rows[0].value <= rows[1].value <= rows[2].value
 
-    report = run_power_report([0.0], 1, 10, gamma=2.0)
-    assert report[0][1] == pytest.approx(2.0)  # no load: gamma * N0 / s2
-    report = run_power_report([10.0], 2, 10, gamma=2.0)
-    assert report[0][1] == pytest.approx(4.0)  # mean of (6, 2)
-    ladder = run_power_report([1.0, 5.0, 9.0, 13.0], 3, 10, gamma=2.0)
-    means = [m for _, m in ladder]
+    def power_means(grid, num_layers):  # target SINR gamma = 2
+        s = _tiny(kind="power", grid=grid, outputs=("analytic",),
+                  num_layers=num_layers, gamma_db=10 * math.log10(2.0))
+        return [r.value for r in run_scenario(s).rows]
+
+    assert power_means((0.0,), 1) == [pytest.approx(2.0)]  # no load: gamma * N0 / s2
+    assert power_means((10.0,), 2) == [pytest.approx(4.0)]  # mean of (6, 2)
+    means = power_means((1.0, 5.0, 9.0, 13.0), 3)
     assert means == sorted(means)
 
 
@@ -178,7 +186,7 @@ def test_every_registry_scenario_runs():
 
 
 def test_float_formatting_nine_significant_digits():
-    s = _tiny(kind="power", x_name="arrival", grid=(10.0,), outputs=("analytic",),
+    s = _tiny(kind="power", grid=(10.0,), outputs=("analytic",),
               num_layers=2)
     text = run_scenario(s).to_csv()
     line = [ln for ln in text.splitlines() if ln.startswith("tiny,")][0]
