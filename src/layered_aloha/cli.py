@@ -209,7 +209,7 @@ def _run_one_point(args, config: SystemConfig, gamma_db: float, x: float, **fiel
         **fields,
     )
     rows, notes = run_point(scenario, config, x, seed, args.workers, args.reopen_cleared_channels)
-    _write(ScenarioResult(scenario, tuple(rows), tuple(notes)).to_csv(), args.out)
+    _write(ScenarioResult(scenario, tuple(rows), tuple(notes), config).to_csv(), args.out)
     return 0
 
 

@@ -116,11 +116,16 @@ class Row:
 @dataclass(frozen=True)
 class ScenarioResult:
     """Rows of a run plus `notes` found while computing them (optimizer
-    bound hits), echoed as `# note:` header lines after the scenario's own."""
+    bound hits), echoed as `# note:` header lines after the scenario's own.
+
+    `config` is the system a one-point run simulated; when set, the
+    `# config:` line echoes it in place of the scenario's parameters.
+    """
 
     scenario: Scenario
     rows: tuple[Row, ...]
     notes: tuple[str, ...] = ()
+    config: SystemConfig | None = None
 
     def to_csv(self) -> str:
         s = self.scenario
@@ -141,6 +146,12 @@ class ScenarioResult:
         return "\n".join(lines) + "\n"
 
     def _config_echo(self) -> list[str]:
+        c = self.config
+        if c is not None:
+            return [f"layers={c.num_layers}", f"channels={c.num_channels}",
+                    f"arrival_rate={_fmt_all(c.arrival_rates)}", f"rate={_fmt_all(c.rates)}",
+                    f"power={_fmt_all(c.powers)}", f"noise_power={_fmt(c.noise_power)}",
+                    f"gain_mean={_fmt(c.channel_gain_mean)}", f"repetition={c.repetition}"]
         s = self.scenario
         fields = {  # Scenario field: (echoed name, value)
             "num_layers": ("layers", str(s.num_layers)),
@@ -178,6 +189,10 @@ class ScenarioResult:
 
 def _fmt(v: float) -> str:
     return f"{v:.9g}"
+
+
+def _fmt_all(values) -> str:
+    return ",".join(map(_fmt, values))
 
 
 # --- row producers ------------------------------------------------------------

@@ -34,6 +34,11 @@ Floyd's algorithm (Bentley & Floyd, CACM 1987), one bounded integer per
 user and copy, O(B) memory per user; then all exponential gains, in one
 draw or tile by tile alike.  With B = 1 the channel draw is one
 `integers(0, N)` call, so single-copy sample paths are those of contract 1.
+Channel indices are drawn as int32 (int64 only past N = 2^31), which
+yields the same values and stream position as an int64 draw, into one
+(B, T) array with a row per copy: about 4 bytes per copy per batch.  The
+sampler hands out its (T, B) transpose view; the batch decoder reads the
+rows as they are.
 """
 
 from __future__ import annotations
@@ -99,9 +104,9 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 class SlotRealization:
     """Sampled arrivals of one slot.
 
-    `channels[l]` is an (M_l, B) array of distinct channel indices per user
-    and `gains[l]` the matching (M_l, B) channel power gains, for 0-based
-    layer position l.
+    `channels[l]` is an (M_l, B) array of distinct int32 channel indices
+    per user (int64 past 2^31 channels) and `gains[l]` the matching
+    (M_l, B) channel power gains, for 0-based layer position l.
     """
 
     counts: np.ndarray
@@ -181,7 +186,8 @@ class JointCaptureEstimate:
 
 
 def _draw_channels(rng, total: int, num_channels: int, copies: int) -> np.ndarray:
-    """Distinct channel sets for `total` users, one (B,) row per user.
+    """Distinct channel sets for `total` users: a (T, B) view, one row per
+    user, of a C-contiguous (B, T) array with one row per copy.
 
     A vectorized Floyd sampler: for j = N-B .. N-1 each user draws t
     uniform on [0, j] and keeps t, or j if t is already in its row.  Each
@@ -189,18 +195,24 @@ def _draw_channels(rng, total: int, num_channels: int, copies: int) -> np.ndarra
     copies within a row is not uniformly random (late columns favour high
     channel indices); the decoders treat copies symmetrically, so the order
     carries no meaning.  For B = 1 the loop is one plain `integers(0, N)`
-    draw, returned as a column view.
+    draw.  Indices are int32 up to N = 2^31 (int64 beyond): for ranges
+    below 2^31 an int32 `integers` draw returns the int64 draw's values and
+    leaves the stream where the int64 draw does.  Each column is drawn into
+    its row of the (B, T) array and tested against the earlier rows in two
+    preallocated boolean buffers, so the peak is about T*(4B + 6) bytes.
     """
-    cols = []
-    for j in range(num_channels - copies, num_channels):
-        t = rng.integers(0, j + 1, size=total)
-        if cols:
-            taken = cols[0] == t
-            for c in cols[1:]:
-                taken |= c == t
+    dtype = np.int32 if num_channels <= 2 ** 31 else np.int64
+    rows = np.empty((copies, total), dtype=dtype)
+    taken, hit = np.empty(total, dtype=bool), np.empty(total, dtype=bool)
+    for k, j in enumerate(range(num_channels - copies, num_channels)):
+        t = rows[k]
+        t[:] = rng.integers(0, j + 1, size=total, dtype=dtype)
+        if k:
+            np.equal(rows[0], t, out=taken)
+            for c in rows[1:k]:
+                taken |= np.equal(c, t, out=hit)
             t[taken] = j
-        cols.append(t)
-    return cols[0][:, None] if copies == 1 else np.stack(cols, axis=1)
+    return rows.T
 
 
 def _draw_copies(rng, total: int, num_channels: int, copies: int, gain_mean: float):
@@ -303,8 +315,10 @@ def _sample_batch(config: SystemConfig, seed: int, batch_index: int, size: int):
     """Sample `size` slots from the batch substream.
 
     Returns (counts (S, L), channels (T, B), rng), copy rows slot-major,
-    layer-major within a slot.  `rng` is positioned at the gains, which
-    `_decode_batch` draws tile by tile, so a batch decodes only once.
+    layer-major within a slot.  The channels are the (T, B) view of
+    `_draw_channels`' (B, T) int32 array, the batch's only copy-sized array.
+    `rng` is positioned at the gains, which `_decode_batch` draws tile by
+    tile, so a batch decodes only once.
     """
     rng = _batch_rng(seed, batch_index)
     counts = rng.poisson(lam=config.arrival_rates, size=(size, config.num_layers))
@@ -326,8 +340,10 @@ def _decode_batch(
     generator, which fills arrays in row-major order, each value continuing
     the stream, so the tiles' draws are the one-shot (T, B) draw.  Each
     copy's cell key, layer*(C*N) + (slot in tile)*N + channel, comes from a
-    per-(slot, layer) table.  One bincount gives every cell's occupancy and
-    one weighted bincount its received power P_l*g; a running sum of the
+    per-(slot, layer) table; the keys are formed (B, rows) straight from the
+    rows of the sampler's (B, T) channel array, then copied once row-major
+    for the bincounts.  One bincount gives every cell's occupancy and one
+    weighted bincount its received power P_l*g; a running sum of the
     power rows from layer L down gives the interference each layer sees.
     The sweep then works on tile-wide boolean rows: a cell decodes when it
     is open, holds one copy and clears the SINR test, and a user decodes
@@ -346,6 +362,7 @@ def _decode_batch(
     counts, ch, rng = batch
     S, L = counts.shape
     N, B = config.num_channels, ch.shape[1]
+    copy_rows = ch.T  # (B, T); C-contiguous as `_draw_channels` lays it out
     copies = B * sum(config.arrival_rates)
     C = min(S, _TILE_CELLS // (L * N), _TILE_COPIES // copies if copies else S)
     C = max(1, int(C))
@@ -364,11 +381,12 @@ def _decode_batch(
         users = counts[s0:s1].ravel()
         r0, r1 = row_start[s0], row_start[s1]
         gains = rng.exponential(scale=config.channel_gain_mean, size=(r1 - r0, B))
-        key = ch[r0:r1] + np.repeat(group_cell[: users.size], users)[:, None]
-        flat_key = key.ravel()
+        # (B, rows) keys: any-copy reductions run along contiguous rows
+        key_t = copy_rows[:, r0:r1] + np.repeat(group_cell[: users.size], users)
+        # row-major (rows, B) order, that of the gains: each cell adds its
+        # copies' powers in row order
+        flat_key = key_t.T.ravel()
         group = np.repeat(np.arange(users.size), users)
-        # (B, rows) layout: any-copy reductions run along contiguous rows
-        key_t = np.ascontiguousarray(key.T)
         occ = np.bincount(flat_key, minlength=L * CN).reshape(L, CN)
         weights = (gains * np.repeat(group_power[: users.size], users)[:, None]).ravel()
         power = np.bincount(flat_key, weights=weights, minlength=L * CN).reshape(L, CN)

@@ -83,6 +83,23 @@ def test_outage_command(tmp_path, capsys):
     assert any(r["quantity"] == "simulated_outage" for r in rows)
 
 
+@pytest.mark.parametrize("command", ["simulate", "outage"])
+def test_one_point_header_echoes_the_simulated_config(tmp_path, capsys, command):
+    # per-layer lists, noise power, gain mean, B and config-file powers all
+    # reach the `# config:` line, not just the first layer's values
+    cfg = tmp_path / "system.cfg"
+    cfg.write_text("powers = 5, 2.5, 1\n")
+    code = main([
+        command, "--config", str(cfg), "--layers", "3", "--channels", "12",
+        "--arrival", "2,3,4", "--rate", "1.5,1,0.5", "--noise-power", "0.6",
+        "--gain-mean", "1.7", "--copies", "2", "--slots", "200", "--out", "-",
+    ])
+    assert code == 0
+    header = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("# config:")]
+    assert header == ["# config: layers=3 channels=12 arrival_rate=2,3,4 rate=1.5,1,0.5 "
+                      "power=5,2.5,1 noise_power=0.6 gain_mean=1.7 repetition=2"]
+
+
 def test_optimize_rates_command(capsys):
     code = main([
         "optimize-rates", "--layers", "3", "--channels", "10", "--arrival", "10",

@@ -141,9 +141,49 @@ def test_draw_copies_rows_are_distinct_channels(shape, users, seed):
     n_channels, copies = shape
     ch, gains = _draw_copies(np.random.default_rng(seed), users, n_channels, copies, 1.0)
     assert ch.shape == gains.shape == (users, copies)
-    assert ch.dtype == np.int64
+    assert ch.dtype == np.int32
     assert ((ch >= 0) & (ch < n_channels)).all()
     assert (np.diff(np.sort(ch, axis=1), axis=1) > 0).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2 ** 31), st.integers(0, 64), st.integers(0, 2 ** 64 - 1))
+@example(2 ** 31, 64, 0)
+@example(2 ** 31 - 1, 64, 1)
+@example(1, 64, 2)
+def test_int32_draw_is_the_int64_draw(high, size, seed):
+    # below 2^31 the sampler's int32 draws are the contract's int64 draws,
+    # and they leave the Philox stream at the same place
+    a, b = simulate._philox(seed, 3), simulate._philox(seed, 3)
+    assert np.array_equal(a.integers(0, high, size=size, dtype=np.int32),
+                          b.integers(0, high, size=size))
+    assert np.array_equal(a.integers(0, 7, size=3), b.integers(0, 7, size=3))
+    assert a.random() == b.random()
+
+
+def test_draw_channels_falls_back_to_int64_past_2_31_channels():
+    # an int32 draw cannot take these ranges (numpy rejects the bound)
+    n_channels, users, copies = 2 ** 31 + 10, 1000, 3
+    ch = simulate._draw_channels(np.random.default_rng(6), users, n_channels, copies)
+    assert ch.dtype == np.int64 and ch.shape == (users, copies)
+    assert ((ch >= 0) & (ch < n_channels)).all()
+    assert (np.diff(np.sort(ch, axis=1), axis=1) > 0).all()
+
+
+@pytest.mark.parametrize("copies", [1, 4, 12])
+def test_draw_channels_peak_is_the_int32_rows_plus_one_column(copies):
+    # the (B, T) int32 result, one int32 draw and two boolean buffers: no
+    # per-pair temporaries and no second copy-sized array
+    users = 20_000
+    rng = np.random.default_rng(8)
+    tracemalloc.start()
+    try:
+        ch = simulate._draw_channels(rng, users, 60, copies)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ch.shape == (users, copies)
+    assert peak <= users * (4 * copies + 8) + 4096
 
 
 def test_draw_copies_memory_scales_with_copies_not_channels():
@@ -503,18 +543,36 @@ def test_batch_decode_memory_scales_with_tile_not_batch():
 def test_batch_worker_holds_one_copy_sized_array(reopen):
     # the (T, B) channel draw is the only array as long as the batch's
     # copies; beside it sit the (S, L) counts and decoded counts, the slot
-    # offsets, and a fixed number of tile-sized temporaries
-    cfg = _tile_configs()[1]
-    channels = _sample_batch(cfg, 5, 0, BATCH_SLOTS)[1]
+    # offsets, and a fixed number of tile-sized temporaries.  Points: the
+    # lambda = 14 throughput-vs-arrival point and the B = 12
+    # outage-vs-copies point
+    points = [("throughput", _tile_configs()[1]),
+              ("outage", design_config(3, 60, 3.0, 1.0, db_to_linear(10.0), repetition=12))]
     tile_bytes = max(simulate._TILE_CELLS, simulate._TILE_COPIES) * 8
-    batch_bytes = (2 * cfg.num_layers + 1) * BATCH_SLOTS * 8
+    for mode, cfg in points:
+        channels = _sample_batch(cfg, 5, 0, BATCH_SLOTS)[1]
+        batch_bytes = (2 * cfg.num_layers + 1) * BATCH_SLOTS * 8
+        tracemalloc.start()
+        try:
+            simulate._batch_worker((mode, cfg, 5, 0, BATCH_SLOTS, reopen))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= channels.nbytes + batch_bytes + 16 * tile_bytes, mode
+
+
+def test_batch_worker_peak_is_about_four_bytes_per_copy():
+    # one 4096-slot batch at N = 400, lambda = 40, B = 30 (14.7M copies):
+    # the int32 (B, T) channel draw, 4 bytes per copy, dominates the peak
+    cfg = design_config(3, 400, 40.0, 1.0, db_to_linear(10.0), repetition=30)
+    copies = _sample_batch(cfg, 5, 0, BATCH_SLOTS)[1].size
     tracemalloc.start()
     try:
-        simulate._batch_worker(("throughput", cfg, 5, 0, BATCH_SLOTS, reopen))
+        simulate._batch_worker(("outage", cfg, 5, 0, BATCH_SLOTS, False))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= channels.nbytes + batch_bytes + 16 * tile_bytes
+    assert peak <= 5 * copies
 
 
 def test_estimators_deterministic_across_workers():

@@ -11,6 +11,9 @@ Runs the `layered_aloha` package of the checkout this script sits in
   `--noise-power` and `--gain-mean`, with and without
   `--reopen-cleared-channels` (the only way to reach the alternative SIC
   semantics from the command line);
+* `outage` at the channel sampler's edges: B = N = 6, where every later
+  Floyd column takes the replacement path, B = N - 1 = 5, and one large
+  point (N = 400, lambda = 40, B = 30) over a full 4096-slot batch;
 * `optimize-rates` for 3 and 8 layers at 10 dB, each with and without
   `--use-bound`, and for 3 layers at 60 dB, where two layers' rate
   optima sit at the search bound and the output carries `note:` lines;
@@ -55,6 +58,12 @@ PER_LAYER = ["--layers", "3", "--channels", "12", "--arrival", "2,3,4",
              "--gain-mean", "1.7", "--slots", "20000", "--seed", "11"]
 SIMULATE_LISTS = ["simulate"] + PER_LAYER + ["--copies", "2"]
 OUTAGE_LISTS = ["outage"] + PER_LAYER + ["--copies", "3"]
+SAMPLER_EDGES = {  # file stem: outage flags at the channel sampler's edges
+    "outage-b-eq-n": ["--channels", "6", "--arrival", "2", "--copies", "6", "--slots", "20000"],
+    "outage-b-eq-n-minus-1": ["--channels", "6", "--arrival", "2", "--copies", "5",
+                              "--slots", "20000"],
+    "outage-large": ["--channels", "400", "--arrival", "40", "--copies", "30", "--slots", "4096"],
+}
 SYSTEM = ["--channels", "10", "--arrival", "10"]
 GAMMA_SWEEP = ["sweep", "--var", "gamma-db", "--grid=-10:30:5", "--layers", "8",
                "--outputs", "analytic,bound"] + SYSTEM
@@ -76,6 +85,9 @@ def invocations():
                        ("simulate-lists", SIMULATE_LISTS), ("outage-lists", OUTAGE_LISTS)):
         yield f"{stem}.csv", argv + ["--workers", "2"]
         yield f"{stem}-reopen.csv", argv + ["--workers", "2", "--reopen-cleared-channels"]
+    for stem, flags in SAMPLER_EDGES.items():
+        yield f"{stem}.csv", ["outage", "--layers", "3", "--rate", "1", "--gamma-db", "10",
+                              "--seed", "13"] + flags
     for layers in ("3", "8"):
         argv = ["optimize-rates", "--layers", layers, "--gamma-db", "10"] + SYSTEM
         yield f"optimize-rates-l{layers}.txt", argv
