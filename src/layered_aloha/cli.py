@@ -19,6 +19,7 @@ from .scenarios import (
     SCENARIOS,
     Scenario,
     ScenarioResult,
+    _float_grid,
     get_scenario,
     run_point,
     run_scenario,
@@ -98,8 +99,7 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
         if step <= 0 or stop < start:
             raise ValueError(f"bad grid range {spec!r}")
-        n = int(round((stop - start) / step))
-        return tuple(round(start + k * step, 10) for k in range(n + 1))
+        return _float_grid(start, stop, step)
     vals = tuple(float(v) for v in spec.split(",") if v.strip())
     if not vals:
         raise ValueError("empty grid")

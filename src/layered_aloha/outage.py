@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .model import SystemConfig, collision_prob, snr_gap
-from .throughput import capture_prob_exact
+from .throughput import capture_exponent
 
 # The alternating finite form of the collision moments cancels
 # catastrophically for deep moments or omega near 1; past these guards the
@@ -57,14 +57,8 @@ def beta_crrd(l: int, config: SystemConfig) -> float:
     """
     if not 1 <= l <= config.num_layers:
         raise ValueError(f"layer index must be in 1..{config.num_layers}, got {l}")
-    lp = config.layers[l - 1]
-    nu = snr_gap(lp.rate)
-    B = config.repetition
-    expo = nu * config.noise_power / (lp.power * config.channel_gain_mean)
-    for i in range(l, config.num_layers):
-        up = config.layers[i]
-        expo += (up.arrival_rate * B / config.num_channels) * nu * up.power / (lp.power + nu * up.power)
-    return 1.0 - math.exp(-expo)
+    nu = snr_gap(config.layers[l - 1].rate)
+    return 1.0 - math.exp(-capture_exponent(l, config, nu, copies=config.repetition))
 
 
 def _conditional_pmf_terms(arrival_rate: float, tail_tol: float):

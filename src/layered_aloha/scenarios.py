@@ -338,12 +338,6 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
     return ScenarioResult(scenario=s, rows=tuple(rows), notes=tuple(notes))
 
 
-def _scenario(**kw) -> Scenario:
-    kw.setdefault("repetition", 1)
-    kw.setdefault("notes", ())
-    return Scenario(**kw)
-
-
 def _int_grid(lo, hi, step=1):
     return tuple(float(v) for v in range(lo, hi + 1, step))
 
@@ -360,7 +354,7 @@ def build_registry() -> dict[str, Scenario]:
         reg[s.name] = s
 
     for suffix, L in (("", 3), ("-l6", 6)):
-        add(_scenario(
+        add(Scenario(
             name=f"throughput-vs-arrival{suffix}",
             description=f"per-layer and total throughput vs arrival rate; {L} layers, "
                         "10 channels, target SINR 3 dB, rates optimized per point",
@@ -368,7 +362,7 @@ def build_registry() -> dict[str, Scenario]:
             outputs=("analytic", "simulated"), slots=20000, seed=20230,
             num_layers=L, num_channels=10, arrival_rate=0.0, rate=None, gamma_db=3.0,
         ))
-        add(_scenario(
+        add(Scenario(
             name=f"power-vs-arrival{suffix}",
             description=f"average allocated transmit power vs arrival rate; {L} layers, "
                         "10 channels, target SINR 3 dB",
@@ -376,7 +370,7 @@ def build_registry() -> dict[str, Scenario]:
             outputs=("analytic",), slots=1, seed=0,
             num_layers=L, num_channels=10, arrival_rate=0.0, rate=None, gamma_db=3.0,
         ))
-        add(_scenario(
+        add(Scenario(
             name=f"throughput-vs-rate{suffix}",
             description=f"total throughput vs a common per-layer rate; {L} layers, "
                         "10 channels, arrival 10 per layer, target SINR 3 dB",
@@ -384,7 +378,7 @@ def build_registry() -> dict[str, Scenario]:
             outputs=("analytic",), slots=1, seed=0,
             num_layers=L, num_channels=10, arrival_rate=10.0, rate=1.0, gamma_db=3.0,
         ))
-        add(_scenario(
+        add(Scenario(
             name=f"throughput-vs-gamma{suffix}",
             description=f"total throughput vs target SINR; {L} layers, 10 channels, "
                         "arrival 10 per layer, rates optimized per point",
@@ -393,7 +387,7 @@ def build_registry() -> dict[str, Scenario]:
             num_layers=L, num_channels=10, arrival_rate=10.0, rate=None, gamma_db=3.0,
         ))
     for suffix, lam in (("", 5.0), ("-full", 10.0)):
-        add(_scenario(
+        add(Scenario(
             name=f"throughput-vs-layers{suffix}",
             description="total throughput vs number of layers; 10 channels, "
                         f"arrival {lam:g} per layer, target SINR 3 dB, optimized rates",
@@ -401,7 +395,7 @@ def build_registry() -> dict[str, Scenario]:
             outputs=("analytic", "simulated"), slots=20000, seed=20700,
             num_layers=1, num_channels=10, arrival_rate=lam, rate=None, gamma_db=3.0,
         ))
-    add(_scenario(
+    add(Scenario(
         name="compare-irsa",
         description="decoded-packet lower bound vs number of layers, arrivals "
                     "optimized per layer, against multichannel-ALOHA and IRSA "
@@ -412,7 +406,7 @@ def build_registry() -> dict[str, Scenario]:
         notes=("target SINR 10 dB assumed for the layer sweep",),
     ))
     for suffix, L in (("", 3), ("-l4", 4)):
-        add(_scenario(
+        add(Scenario(
             name=f"compare-irsa-scaling{suffix}",
             description=f"decoded-packet lower bound vs number of channels; {L} layers, "
                         "common rate 1, target SINR 10 dB, optimized arrivals",
@@ -420,7 +414,7 @@ def build_registry() -> dict[str, Scenario]:
             outputs=("bound", "baselines"), slots=1, seed=0,
             num_layers=L, num_channels=10, arrival_rate=0.0, rate=1.0, gamma_db=10.0,
         ))
-    add(_scenario(
+    add(Scenario(
         name="outage-vs-rate",
         description="per-layer outage vs common rate under 4-copy repetition; "
                     "3 layers, 60 channels, arrival 3 per layer, target SINR 10 dB",
@@ -429,7 +423,7 @@ def build_registry() -> dict[str, Scenario]:
         num_layers=3, num_channels=60, arrival_rate=3.0, rate=1.0, gamma_db=10.0,
         repetition=4,
     ))
-    add(_scenario(
+    add(Scenario(
         name="outage-vs-copies",
         description="per-layer outage vs repetition factor; 3 layers, 60 channels, "
                     "arrival 3 per layer, common rate 1, target SINR 10 dB",
@@ -437,7 +431,7 @@ def build_registry() -> dict[str, Scenario]:
         outputs=("analytic", "simulated"), slots=20000, seed=21000,
         num_layers=3, num_channels=60, arrival_rate=3.0, rate=1.0, gamma_db=10.0,
     ))
-    add(_scenario(
+    add(Scenario(
         name="outage-vs-arrival",
         description="per-layer outage vs arrival rate under 4-copy repetition; "
                     "3 layers, 60 channels, common rate 1, target SINR 10 dB",

@@ -17,8 +17,10 @@ same-layer collisions.
 Randomness is counter-based (Philox).  Single slots draw from a stream
 keyed by (seed, slot index); the estimators consume fixed-size batches of
 slots, each batch keyed by (seed, batch index), so results are
-bit-identical for any worker count.  Batch reductions go through
-math.fsum, which is exactly rounded and hence order-independent.
+bit-identical for any worker count.  Every estimator reduces a batch to
+one flat float64 vector of sums (its statistic in `_STATS`), adds the
+batches' vectors column by column with math.fsum, which is exactly
+rounded and hence order-independent, and reads named slices of the total.
 
 The estimators decode a batch in channel space, a tile of slots at a time:
 each tile draws its gains from the batch generator, then one bincount
@@ -26,7 +28,9 @@ counts the copies and one weighted bincount sums the received power of
 every (layer, channel) cell.  The tile size bounds the tile's arrays; it
 is not part of the sampling contract, and the output cannot depend on it:
 slots never share a cell, and each cell's sums are formed in the same
-order whatever the tile.  `sic_decode` is the per-slot reference.
+order whatever the tile.  The joint-capture statistic counts its channels
+through a per-tile callback, so no estimator holds an array over all S*N
+channels of a batch.  `sic_decode` is the per-slot reference.
 
 Sampling contract 2 fixes the sample path.  Each stream draws, in order:
 the Poisson user counts of every layer; the channel sets of all users by
@@ -326,12 +330,7 @@ def _sample_batch(config: SystemConfig, seed: int, batch_index: int, size: int):
     return counts, ch, rng
 
 
-def _decode_batch(
-    batch,
-    config: SystemConfig,
-    reopen_cleared_channels: bool = False,
-    want_channel_flags: bool = False,
-):
+def _decode_batch(batch, config: SystemConfig, reopen_cleared_channels: bool = False, on_tile=None):
     """Vectorized SIC sweep over a batch of slots, in channel space.
 
     A tile is C slots, a contiguous range of the slot-major copy rows: the
@@ -355,9 +354,9 @@ def _decode_batch(
     order; the interference adds whole layer rows from L down, an empty
     layer adding an exact 0.0, then the noise; and the SINR test is `>=`.
 
-    Returns per-slot decoded counts (S, L); with `want_channel_flags` also
-    the (L, S*N) channel occupancy and singleton-decode flags of the whole
-    batch, column slot*N + q (used by the joint-capture estimator).
+    Returns per-slot decoded counts (S, L).  `on_tile(s0, s1, occ, ok)`, if
+    given, sees each tile of slots s0..s1-1: the (L, (s1-s0)*N) copy counts
+    and singleton-decode flags of its cells, column (slot - s0)*N + q.
     """
     counts, ch, rng = batch
     S, L = counts.shape
@@ -372,9 +371,6 @@ def _decode_batch(
     group_power = np.tile(np.asarray(config.powers, dtype=np.float64), C)
     row_start = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
     decoded = np.zeros((S, L))
-    if want_channel_flags:
-        occ_flags = np.zeros((L, S * N), dtype=np.int64)
-        dec_flags = np.zeros((L, S * N), dtype=bool)
 
     for s0 in range(0, S, C):
         s1 = min(s0 + C, S)
@@ -416,53 +412,51 @@ def _decode_batch(
                 blocked |= stalls[l]
         user_decoded = flat_ok[key_t].any(axis=0)
         decoded[s0:s1] = np.bincount(group[user_decoded], minlength=users.size).reshape(-1, L)
-        if want_channel_flags:
-            occ_flags[:, s0 * N: s1 * N] = occ[:, : (s1 - s0) * N]
-            dec_flags[:, s0 * N: s1 * N] = ok[:, : (s1 - s0) * N]
-
-    if want_channel_flags:
-        return decoded, occ_flags, dec_flags
+        if on_tile is not None:
+            on_tile(s0, s1, occ[:, : (s1 - s0) * N], ok[:, : (s1 - s0) * N])
     return decoded
 
 
 # --- estimators ----------------------------------------------------------------
 
 
+def _throughput_stat(batch, config, reopen):
+    """[bits per layer (L), their squares (L), total bits, its square]."""
+    bits = _decode_batch(batch, config, reopen) * np.asarray(config.rates)
+    tot = bits.sum(axis=1)
+    return np.concatenate((bits.sum(axis=0), (bits * bits).sum(axis=0), [tot.sum(), tot @ tot]))
+
+
+def _outage_stat(batch, config, reopen):
+    """[undecoded u, users c, u*u, u*c, c*c], each an L-block of per-layer sums."""
+    counts = batch[0]
+    und = counts - _decode_batch(batch, config, reopen)
+    return np.concatenate((und.sum(axis=0), counts.sum(axis=0), (und * und).sum(axis=0),
+                           (und * counts).sum(axis=0), (counts * counts).sum(axis=0)))
+
+
+def _joint_stat(batch, config, reopen):
+    """[channels with one user per layer, and of those: layer 1, layer 2
+    and both decoded], counted tile by tile."""
+    sums = np.zeros(4)
+
+    def count(s0, s1, occ, ok):
+        lone = (occ == 1).all(axis=0)
+        a, b = ok[:, lone]
+        sums[:] += (lone.sum(), a.sum(), b.sum(), (a & b).sum())
+
+    _decode_batch(batch, config, reopen, on_tile=count)
+    return sums
+
+
+_STATS = {"throughput": _throughput_stat, "outage": _outage_stat, "joint": _joint_stat}
+
+
 def _batch_worker(args):
     mode, config, seed, batch_index, size, reopen = args
-    batch = _sample_batch(config, seed, batch_index, size)
-    counts = batch[0]
-    if mode == "throughput":
-        dec = _decode_batch(batch, config, reopen)
-        bits = dec * np.asarray(config.rates)
-        tot = bits.sum(axis=1)
-        return (
-            bits.sum(axis=0),
-            (bits * bits).sum(axis=0),
-            float(tot.sum()),
-            float(tot @ tot),
-        )
-    if mode == "outage":
-        dec = _decode_batch(batch, config, reopen)
-        und = counts - dec
-        return (
-            und.sum(axis=0),
-            counts.sum(axis=0).astype(np.float64),
-            (und * und).sum(axis=0),
-            (und * counts).sum(axis=0),
-            (counts * counts).sum(axis=0).astype(np.float64),
-        )
-    if mode == "joint":
-        _, occ_flags, dec_flags = _decode_batch(batch, config, reopen, want_channel_flags=True)
-        mask = (occ_flags == 1).all(axis=0)
-        a, b = dec_flags[:, mask]
-        return (
-            float(mask.sum()),
-            float(a.sum()),
-            float(b.sum()),
-            float((a & b).sum()),
-        )
-    raise ValueError(f"unknown estimator mode {mode!r}")
+    if mode not in _STATS:
+        raise ValueError(f"unknown estimator mode {mode!r}")
+    return _STATS[mode](_sample_batch(config, seed, batch_index, size), config, reopen)
 
 
 def _map_batches(mode, config, num_slots, seed, workers, reopen):
@@ -479,10 +473,10 @@ def _map_batches(mode, config, num_slots, seed, workers, reopen):
         return pool.map(_batch_worker, tasks, chunksize=1)
 
 
-def _fsum_field(partials, idx, layer=None):
-    if layer is None:
-        return math.fsum(p[idx] for p in partials)
-    return math.fsum(float(p[idx][layer]) for p in partials)
+def _fsum(partials) -> list[float]:
+    """Column sums of the batch vectors, each exactly rounded, so the total
+    does not depend on how batches were spread over workers."""
+    return [math.fsum(column) for column in zip(*partials)]
 
 
 def _mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
@@ -505,12 +499,13 @@ def estimate_throughput(
     One sample per slot: the sum over decoded users of their layer rate.
     Deterministic for fixed (config, num_slots, seed) whatever `workers`.
     """
-    partials = _map_batches("throughput", config, num_slots, seed, workers, reopen_cleared_channels)
+    s = _fsum(_map_batches("throughput", config, num_slots, seed, workers, reopen_cleared_channels))
+    L = config.num_layers
     per_layer = []
-    for l in range(config.num_layers):
-        mean, se = _mean_se(_fsum_field(partials, 0, l), _fsum_field(partials, 1, l), num_slots)
+    for l in range(L):
+        mean, se = _mean_se(s[l], s[L + l], num_slots)
         per_layer.append(EstimatorOutput(mean, se, num_slots, seed))
-    mean, se = _mean_se(_fsum_field(partials, 2), _fsum_field(partials, 3), num_slots)
+    mean, se = _mean_se(*s[2 * L:], num_slots)
     return ThroughputEstimate(per_layer=tuple(per_layer), total=EstimatorOutput(mean, se, num_slots, seed))
 
 
@@ -529,14 +524,11 @@ def estimate_outage(
     """
     if any(lam <= 0 for lam in config.arrival_rates):
         raise ValueError("outage estimation needs a positive arrival rate in every layer")
-    partials = _map_batches("outage", config, num_slots, seed, workers, reopen_cleared_channels)
+    s = _fsum(_map_batches("outage", config, num_slots, seed, workers, reopen_cleared_channels))
+    L = config.num_layers
     per_layer = []
-    for l in range(config.num_layers):
-        u = _fsum_field(partials, 0, l)
-        c = _fsum_field(partials, 1, l)
-        u2 = _fsum_field(partials, 2, l)
-        uc = _fsum_field(partials, 3, l)
-        c2 = _fsum_field(partials, 4, l)
+    for l in range(L):
+        u, c, u2, uc, c2 = s[l::L]
         if c == 0:
             per_layer.append(EstimatorOutput(float("nan"), float("nan"), num_slots, seed))
             continue
@@ -561,11 +553,7 @@ def estimate_joint_capture(
         raise ValueError(f"joint capture is defined for exactly 2 layers, got {config.num_layers}")
     if config.repetition != 1:
         raise ValueError("joint capture is defined for single-copy transmission (repetition = 1)")
-    partials = _map_batches("joint", config, num_slots, seed, workers, False)
-    n = _fsum_field(partials, 0)
-    sa = _fsum_field(partials, 1)
-    sb = _fsum_field(partials, 2)
-    sab = _fsum_field(partials, 3)
+    n, sa, sb, sab = _fsum(_map_batches("joint", config, num_slots, seed, workers, False))
     if n == 0:
         nan = EstimatorOutput(float("nan"), float("nan"), num_slots, seed)
         return JointCaptureEstimate(nan, nan, nan, float("nan"), float("nan"), 0)

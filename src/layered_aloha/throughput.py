@@ -46,17 +46,18 @@ def _check_layer(l: int, config: SystemConfig):
         raise ValueError(f"layer index must be in 1..{config.num_layers}, got {l}")
 
 
-def capture_exponent(l: int, config: SystemConfig, nu, bound: bool = False):
+def capture_exponent(l: int, config: SystemConfig, nu, bound: bool = False, copies: int = 1):
     """Minus the log of layer l's capture probability at SINR threshold nu.
 
     The exact form is
 
-        nu N_0 / (P_l s2) + sum_{i>l} (lambda_i/N) nu P_i / (P_l + nu P_i)
+        nu N_0 / (P_l s2) + sum_{i>l} (lambda_i B/N) nu P_i / (P_l + nu P_i)
 
-    and the Jensen bound (`bound`) is nu / gamma_l.  `nu` is a float or an
-    ndarray of thresholds; the same expression serves the scalar capture
-    probabilities below and the optimizer's whole-grid evaluation.
-    ``l`` is 1-based and not checked here.
+    with B = `copies` copies per upper-layer user, and the Jensen bound
+    (`bound`) is nu / gamma_l.  `nu` is a float or an ndarray of
+    thresholds; the same expression serves the scalar capture
+    probabilities below, the optimizer's whole-grid evaluation and
+    `outage.beta_crrd`.  ``l`` is 1-based and not checked here.
     """
     lp = config.layers[l - 1]
     if bound:
@@ -65,7 +66,7 @@ def capture_exponent(l: int, config: SystemConfig, nu, bound: bool = False):
     expo = nu * config.noise_power / (lp.power * config.channel_gain_mean)
     for i in range(l, config.num_layers):
         up = config.layers[i]
-        expo += (up.arrival_rate / config.num_channels) * nu * up.power / (lp.power + nu * up.power)
+        expo += (up.arrival_rate * copies / config.num_channels) * nu * up.power / (lp.power + nu * up.power)
     return expo
 
 

@@ -495,7 +495,11 @@ def test_batch_decode_independent_of_tile_size(monkeypatch, reopen):
             monkeypatch.setattr(simulate, "_TILE_COPIES", tile_copies)
             counts, ch, rng = _sample_batch(cfg, 40 + k, 0, BATCH_SLOTS)
             spy = _GainSpy(rng)
-            results.append(_decode_batch((counts, ch, spy), cfg, reopen, want_channel_flags=True))
+            tiles = []
+            decoded = _decode_batch((counts, ch, spy), cfg, reopen,
+                                    on_tile=lambda s0, s1, occ, ok: tiles.append((occ, ok)))
+            occ_flags, dec_flags = (np.hstack(flags) for flags in zip(*tiles))
+            results.append((decoded, occ_flags, dec_flags))
             assert len(spy.draws) == -(-BATCH_SLOTS // tile_slots)
         decoded, occ_flags, dec_flags = results[0]
         assert decoded.sum() > 0
@@ -544,10 +548,11 @@ def test_batch_worker_holds_one_copy_sized_array(reopen):
     # the (T, B) channel draw is the only array as long as the batch's
     # copies; beside it sit the (S, L) counts and decoded counts, the slot
     # offsets, and a fixed number of tile-sized temporaries.  Points: the
-    # lambda = 14 throughput-vs-arrival point and the B = 12
-    # outage-vs-copies point
+    # lambda = 14 throughput-vs-arrival point, the B = 12 outage-vs-copies
+    # point and a joint-capture point, whose channel counts stay tile-sized
     points = [("throughput", _tile_configs()[1]),
-              ("outage", design_config(3, 60, 3.0, 1.0, db_to_linear(10.0), repetition=12))]
+              ("outage", design_config(3, 60, 3.0, 1.0, db_to_linear(10.0), repetition=12)),
+              ("joint", design_config(2, 500, 20.0, 1.0, 2.0))]
     tile_bytes = max(simulate._TILE_CELLS, simulate._TILE_COPIES) * 8
     for mode, cfg in points:
         channels = _sample_batch(cfg, 5, 0, BATCH_SLOTS)[1]
