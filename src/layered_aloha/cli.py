@@ -3,7 +3,8 @@
 Subcommands: `scenario` (named sweeps to CSV), `sweep` (free-form single
 -variable sweep), `optimize-rates`, `outage`, `simulate`.  System
 parameters come from flags, optionally seeded from a `key = value` config
-file (flags win).  Exit codes: 0 ok, 2 bad input, 1 runtime failure.
+file (flags win); a flag's value parses exactly as its config key's would
+(`model.parse_setting`).  Exit codes: 0 ok, 2 bad input, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .model import SystemConfig, load_config_file
+from . import model
 from .optimize import SearchSettings, optimize_rates
 from .outage import outage  # noqa: F401  (unused; bench/tracing.py patches it here)
 from .scenarios import (
@@ -27,60 +28,48 @@ from .scenarios import (
 from .simulate import estimate_throughput  # noqa: F401  (unused; bench/tracing.py patches it here)
 from .throughput import throughput  # noqa: F401  (unused; bench/tracing.py patches it here)
 
+#: system flag -> (config-file key, help); the key is the flag's argparse dest,
+#: and the flag's value parses as that key's would in a config file
+_SYSTEM_FLAGS = {
+    "--channels": ("channels", "number of channels per layer"),
+    "--layers": ("layers", "number of layers"),
+    "--arrival": ("arrival_rate", "arrival rate per layer (scalar or comma list)"),
+    "--rate": ("rate", "code rate per layer (scalar or comma list)"),
+    "--gamma-db": ("gamma_db", "target SINR in dB for power allocation"),
+    "--copies": ("repetition", "copies per packet (repetition factor B)"),
+    "--noise-power": ("noise_power", "noise power (linear), default 1"),
+    "--gain-mean": ("gain_mean", "mean channel power gain, default 1"),
+}
+
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", metavar="FILE", help="key = value config file")
-    p.add_argument("--channels", type=int, help="number of channels per layer")
-    p.add_argument("--layers", type=int, help="number of layers")
-    p.add_argument("--arrival", type=str, help="arrival rate per layer (scalar or comma list)")
-    p.add_argument("--rate", type=str, help="code rate per layer (scalar or comma list)")
-    p.add_argument("--gamma-db", type=float, help="target SINR in dB for power allocation")
-    p.add_argument("--copies", type=int, help="copies per packet (repetition factor B)")
-    p.add_argument("--noise-power", type=float, help="noise power (linear), default 1")
-    p.add_argument("--gain-mean", type=float, help="mean channel power gain, default 1")
+    for flag, (key, help_) in _SYSTEM_FLAGS.items():
+        p.add_argument(flag, dest=key, help=help_)
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--slots", type=int, help="Monte Carlo slots")
-    p.add_argument("--seed", type=int, default=None,
-                   help="base RNG seed (default: the scenario's own, else 1)")
+    p.add_argument("--seed", type=int, help="base RNG seed (default: the scenario's own, else 1)")
     p.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
     p.add_argument("--out", default="-", metavar="PATH", help="output path, '-' for stdout")
 
 
-def _parse_comma(text: str):
-    vals = [float(v) for v in text.split(",") if v.strip()]
-    return vals[0] if len(vals) == 1 else vals
-
-
 def _settings_from_args(args) -> dict:
-    settings = dict(load_config_file(args.config)) if args.config else {}
-    if args.layers is not None:
-        settings["layers"] = args.layers
-    if args.channels is not None:
-        settings["channels"] = args.channels
-    if args.arrival is not None:
-        settings["arrival_rate"] = _parse_comma(args.arrival)
-    if args.rate is not None:
-        settings["rate"] = _parse_comma(args.rate)
-    if getattr(args, "gamma_db", None) is not None:
-        settings["gamma_db"] = args.gamma_db
-    if args.copies is not None:
-        settings["repetition"] = args.copies
-    if args.noise_power is not None:
-        settings["noise_power"] = args.noise_power
-    if args.gain_mean is not None:
-        settings["gain_mean"] = args.gain_mean
+    settings = dict(model.load_config_file(args.config)) if args.config else {}
+    for flag, (key, _) in _SYSTEM_FLAGS.items():
+        text = getattr(args, key)
+        if text is not None:
+            try:
+                settings[key] = model.parse_setting(key, text)
+            except ValueError as exc:
+                raise ValueError(f"{flag}: {exc}") from None
     return settings
 
 
-def _config_from_args(args) -> tuple[SystemConfig, float]:
-    from .model import config_from_settings
-
-    settings = _settings_from_args(args)
-    config = config_from_settings(settings)
-    gamma_db = settings.get("gamma_db", 0.0)
-    return config, gamma_db
+def _config_from_args(args) -> model.SystemConfig:
+    # looked up on the module at call time, where bench/tracing.py patches it
+    return model.config_from_settings(_settings_from_args(args))
 
 
 def _write(text: str, out: str):
@@ -141,21 +130,19 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"sweep does not take {', '.join(unsupported)}: a sweep uses unit "
                          "noise power and gain mean and powers allocated from gamma_db")
     arrival = settings.get("arrival_rate", 0.0)
-    if isinstance(arrival, (list, tuple)):
+    if isinstance(arrival, tuple):
         raise ValueError("sweep uses a single per-layer arrival rate")
     rate = settings.get("rate")
-    if isinstance(rate, (list, tuple)):
+    if isinstance(rate, tuple):
         raise ValueError("sweep uses a single common rate (or none, for optimized rates)")
-    outputs = tuple(args.outputs.split(","))
-    seed = 1 if args.seed is None else args.seed
     scenario = Scenario(
         name="sweep",
         description=f"ad-hoc sweep over {KINDS[kind].x_name}",
         kind=kind,
         grid=_parse_grid(args.grid),
-        outputs=outputs,
-        slots=10000 if args.slots is None else args.slots,
-        seed=seed,
+        outputs=tuple(args.outputs.split(",")),
+        slots=args.slots,
+        seed=args.seed,
         num_layers=settings["layers"],
         num_channels=settings["channels"],
         arrival_rate=float(arrival),
@@ -170,7 +157,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimize_rates(args) -> int:
-    config, _ = _config_from_args(args)
+    config = _config_from_args(args)
     try:
         settings = SearchSettings(
             rate_max=args.rate_max, grid_points=args.grid_points, refine_tol=args.refine_tol
@@ -194,47 +181,47 @@ def _cmd_optimize_rates(args) -> int:
     return 0
 
 
-def _run_one_point(args, config: SystemConfig, gamma_db: float, x: float, **fields) -> int:
+def _run_one_point(args, config: model.SystemConfig, x: float, **fields) -> int:
     """Write the CSV of `config` as the one-point scenario that `fields` describe."""
-    seed = 1 if args.seed is None else args.seed
     scenario = Scenario(
         grid=(x,),
-        seed=seed,
+        seed=args.seed,
         num_layers=config.num_layers,
         num_channels=config.num_channels,
         arrival_rate=config.layers[0].arrival_rate,
         rate=config.layers[0].rate,
-        gamma_db=gamma_db,
+        gamma_db=0.0,  # unread: the header echoes `config`, which holds the powers
         repetition=config.repetition,
         **fields,
     )
-    rows, notes = run_point(scenario, config, x, seed, args.workers, args.reopen_cleared_channels)
+    rows, notes = run_point(scenario, config, x, args.seed, args.workers,
+                            args.reopen_cleared_channels)
     _write(ScenarioResult(scenario, tuple(rows), tuple(notes), config).to_csv(), args.out)
     return 0
 
 
 def _cmd_outage(args) -> int:
-    config, gamma_db = _config_from_args(args)
-    analytic_only = args.slots is None
+    config = _config_from_args(args)
+    simulated = args.slots is not None
     return _run_one_point(
-        args, config, gamma_db, float(config.repetition),
+        args, config, float(config.repetition),
         name="outage",
         description="per-layer outage for one configuration",
         kind="outage_copies",
-        outputs=("analytic",) if analytic_only else ("analytic", "simulated"),
-        slots=1 if analytic_only else args.slots,
+        outputs=("analytic", "simulated") if simulated else ("analytic",),
+        slots=args.slots if simulated else 1,
     )
 
 
 def _cmd_simulate(args) -> int:
-    config, gamma_db = _config_from_args(args)
+    config = _config_from_args(args)
     return _run_one_point(
-        args, config, gamma_db, config.layers[0].arrival_rate,
+        args, config, config.layers[0].arrival_rate,
         name="simulate",
         description="simulated and analytic throughput for one configuration",
         kind="simulate",
         outputs=("analytic", "simulated"),
-        slots=10000 if args.slots is None else args.slots,
+        slots=args.slots,
     )
 
 
@@ -254,10 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="free-form single-variable sweep")
     p.add_argument("--var", required=True, choices=sorted(_SWEEP_KIND))
     p.add_argument("--grid", required=True, help="comma list or start:stop:step")
-    p.add_argument("--outputs", default="analytic", help="comma list from: analytic,simulated,bound,baselines")
+    p.add_argument("--outputs", default="analytic", help="comma list from: analytic,simulated")
     _add_config_flags(p)
     _add_run_flags(p)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, slots=10000, seed=1)
 
     p = sub.add_parser("optimize-rates", help="recursively optimized per-layer rates")
     _add_config_flags(p)
@@ -268,19 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", metavar="PATH")
     p.set_defaults(func=_cmd_optimize_rates)
 
-    p = sub.add_parser("outage", help="per-layer outage (analytic, plus simulated with --slots)")
-    _add_config_flags(p)
-    _add_run_flags(p)
-    p.add_argument("--reopen-cleared-channels", action="store_true",
-                   help="alternative SIC semantics: fully cancelled channels reopen")
-    p.set_defaults(func=_cmd_outage)
-
-    p = sub.add_parser("simulate", help="simulated vs analytic throughput for one config")
-    _add_config_flags(p)
-    _add_run_flags(p)
-    p.add_argument("--reopen-cleared-channels", action="store_true",
-                   help="alternative SIC semantics: fully cancelled channels reopen")
-    p.set_defaults(func=_cmd_simulate)
+    for name, help_, func, slots in (
+        ("outage", "per-layer outage (analytic, plus simulated with --slots)", _cmd_outage, None),
+        ("simulate", "simulated vs analytic throughput for one config", _cmd_simulate, 10000),
+    ):
+        p = sub.add_parser(name, help=help_)
+        _add_config_flags(p)
+        _add_run_flags(p)
+        p.add_argument("--reopen-cleared-channels", action="store_true",
+                       help="alternative SIC semantics: fully cancelled channels reopen")
+        p.set_defaults(func=func, slots=slots, seed=1)
 
     return parser
 

@@ -1,9 +1,11 @@
-"""System parameters, validation, and the descending power rule.
+"""System parameters, validation, the descending power rule, and the
+`key = value` settings format.
 
 All powers, gains and noise are linear-scale quantities; decibels only
-appear at the CLI boundary (see :func:`db_to_linear`).  Layer indices in
-every public signature are 1-based: layer 1 is the highest-power layer and
-is decoded first.
+appear at the CLI boundary (see :func:`db_to_linear`).  A setting's text
+is typed by :func:`parse_setting`, for config-file lines and CLI flag
+values alike.  Layer indices in every public signature are 1-based:
+layer 1 is the highest-power layer and is decoded first.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ class LayerParams:
             raise ValueError(f"arrival_rate must be >= 0, got {self.arrival_rate}")
         if self.power <= 0:
             raise ValueError(f"power must be > 0, got {self.power}")
-        if self.rate < 0:
-            raise ValueError(f"rate must be >= 0, got {self.rate}")
+        if not 0 <= self.rate < 1024:
+            raise ValueError(f"rate must be >= 0 and < 1024 (2**rate must fit a double), "
+                             f"got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,10 @@ class SystemConfig:
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{x_db} dB overflows a double in linear scale") from None
 
 
 def snr_gap(rate: float) -> float:
@@ -230,36 +236,37 @@ def _per_layer(value, num_layers: int, name: str) -> tuple[float, ...]:
 # Line-oriented `key = value` text.  Keys: layers, channels, arrival_rate,
 # rate (scalar or comma-separated per-layer list), gamma_db, noise_power,
 # gain_mean, repetition, powers (optional comma list, overrides gamma_db).
-# Blank lines and lines starting with '#' are ignored.
+# A '#' starts a comment that runs to the end of the line.
 
 _SCALAR_KEYS = {"gamma_db", "noise_power", "gain_mean"}
 _INT_KEYS = {"layers", "channels", "repetition"}
 _LIST_KEYS = {"arrival_rate", "rate", "powers"}
 
 
+def parse_setting(key: str, text: str):
+    """Typed value of setting `key` from its text, on a config line or in a CLI flag."""
+    if key in _INT_KEYS:
+        return int(text)
+    if key in _SCALAR_KEYS:
+        return float(text)
+    if key in _LIST_KEYS:
+        vals = tuple(float(p) for p in text.split(",") if p.strip())
+        return vals[0] if len(vals) == 1 and key != "powers" else vals
+    raise ValueError(f"unknown key {key!r}")
+
+
 def parse_config_text(text: str) -> dict:
     """Parse `key = value` config text into a dict of typed settings."""
     settings = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
         try:
-            if key in _INT_KEYS:
-                settings[key] = int(value)
-            elif key in _SCALAR_KEYS:
-                settings[key] = float(value)
-            elif key in _LIST_KEYS:
-                parts = [p for p in value.split(",") if p.strip()]
-                vals = tuple(float(p) for p in parts)
-                settings[key] = vals[0] if len(vals) == 1 and key != "powers" else vals
-            else:
-                raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            settings[key.strip()] = parse_setting(key.strip(), value.strip())
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from None
     return settings

@@ -51,9 +51,6 @@ QUANTITIES = frozenset(
     }
 )
 
-OUTPUT_KINDS = ("analytic", "simulated", "bound", "baselines")
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One sweep: fixed system family, grid over a single variable.
@@ -88,9 +85,10 @@ class Scenario:
             raise ValueError(f"{self.x_name} grid points must be whole numbers, got {list(self.grid)}")
         if self.slots < 1:
             raise ValueError(f"slots must be >= 1, got {self.slots}")
-        bad = set(self.outputs) - set(OUTPUT_KINDS)
+        made = KINDS[self.kind].outputs
+        bad = [o for o in self.outputs if o not in made]
         if bad:
-            raise ValueError(f"unknown outputs: {sorted(bad)}")
+            raise ValueError(f"outputs {','.join(bad)}: kind {self.kind} makes only {','.join(made)}")
 
     @property
     def x_name(self) -> str:
@@ -119,7 +117,8 @@ class ScenarioResult:
     bound hits), echoed as `# note:` header lines after the scenario's own.
 
     `config` is the system a one-point run simulated; when set, the
-    `# config:` line echoes it in place of the scenario's parameters.
+    `# config:` line echoes it in place of the scenario's parameters, and
+    there is no `# sweep:` line.
     """
 
     scenario: Scenario
@@ -129,6 +128,7 @@ class ScenarioResult:
 
     def to_csv(self) -> str:
         s = self.scenario
+        sweep = f"# sweep: {s.x_name} over {_fmt(s.grid[0])}..{_fmt(s.grid[-1])} ({len(s.grid)} points)"
         lines = [
             f"# scenario: {s.name}",
             f"# description: {s.description}",
@@ -137,7 +137,7 @@ class ScenarioResult:
             f"# seed: {s.seed}",
             f"# slots: {s.slots}",
             f"# outputs: {','.join(s.outputs)}",
-            f"# sweep: {s.x_name} over {_fmt(s.grid[0])}..{_fmt(s.grid[-1])} ({len(s.grid)} points)",
+            *([sweep] if self.config is None else []),
             "# config: " + " ".join(self._config_echo()),
         ]
         lines.extend(f"# note: {n}" for n in s.notes + self.notes)
@@ -262,28 +262,34 @@ def _power_row(s: Scenario, config: SystemConfig, x: float, *_):
 
 
 class Kind(NamedTuple):
-    """What a scenario kind sweeps and which producer turns a grid point into rows."""
+    """What a scenario kind sweeps, which producer turns a grid point into
+    rows, and the outputs that producer can make."""
 
     x_name: str  # swept variable, as named in the CSV
     field: str  # the Scenario field it sets at each grid point
     integer: bool  # grid points must be whole numbers
     rows: Callable
+    outputs: tuple[str, ...]
 
+
+_SIMULATED = ("analytic", "simulated")
+_PACKETS = ("bound", "baselines")
 
 KINDS = {
-    "throughput": Kind("arrival", "arrival_rate", False, _throughput_rows),
-    "rate": Kind("rate", "rate", False, _throughput_rows),
-    "gamma": Kind("gamma_db", "gamma_db", False, _throughput_rows),
-    "layers": Kind("layers", "num_layers", True, _throughput_rows),
-    "power": Kind("arrival", "arrival_rate", False, _power_row),
-    "packets_layers": Kind("layers", "num_layers", True, _packet_rows),
-    "packets_channels": Kind("channels", "num_channels", True, _packet_rows),
-    "outage_rate": Kind("rate", "rate", False, _outage_rows),
-    "outage_copies": Kind("copies", "repetition", True, _outage_rows),
-    "outage_arrival": Kind("arrival", "arrival_rate", False, _outage_rows),
+    "throughput": Kind("arrival", "arrival_rate", False, _throughput_rows, _SIMULATED),
+    "rate": Kind("rate", "rate", False, _throughput_rows, _SIMULATED),
+    "gamma": Kind("gamma_db", "gamma_db", False, _throughput_rows, _SIMULATED),
+    "layers": Kind("layers", "num_layers", True, _throughput_rows, _SIMULATED),
+    "power": Kind("arrival", "arrival_rate", False, _power_row, ("analytic",)),
+    "packets_layers": Kind("layers", "num_layers", True, _packet_rows, _PACKETS),
+    "packets_channels": Kind("channels", "num_channels", True, _packet_rows, _PACKETS),
+    "outage_rate": Kind("rate", "rate", False, _outage_rows, _SIMULATED),
+    "outage_copies": Kind("copies", "repetition", True, _outage_rows, _SIMULATED),
+    "outage_arrival": Kind("arrival", "arrival_rate", False, _outage_rows, _SIMULATED),
     # one configuration, as the `simulate` command reports it: the throughput
     # rows with each layer's capture probabilities after its analytic row
-    "simulate": Kind("arrival", "arrival_rate", False, partial(_throughput_rows, captures=True)),
+    "simulate": Kind("arrival", "arrival_rate", False, partial(_throughput_rows, captures=True),
+                     _SIMULATED),
 }
 
 

@@ -1,8 +1,8 @@
 import pytest
 
-from layered_aloha import design_config, estimate_throughput, throughput
-from layered_aloha.cli import main
-from layered_aloha.scenarios import CSV_HEADER
+from layered_aloha import design_config, estimate_throughput, parse_config_text, throughput
+from layered_aloha.cli import _settings_from_args, build_parser, main
+from layered_aloha.scenarios import CSV_HEADER, SCENARIOS
 
 
 def _parse_csv(text):
@@ -95,9 +95,12 @@ def test_one_point_header_echoes_the_simulated_config(tmp_path, capsys, command)
         "--gain-mean", "1.7", "--copies", "2", "--slots", "200", "--out", "-",
     ])
     assert code == 0
-    header = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("# config:")]
+    lines = capsys.readouterr().out.splitlines()
+    header = [ln for ln in lines if ln.startswith("# config:")]
     assert header == ["# config: layers=3 channels=12 arrival_rate=2,3,4 rate=1.5,1,0.5 "
                       "power=5,2.5,1 noise_power=0.6 gain_mean=1.7 repetition=2"]
+    # one configuration is not a sweep over layer 1's arrival rate or B
+    assert not any(ln.startswith("# sweep:") for ln in lines)
 
 
 def test_optimize_rates_command(capsys):
@@ -269,3 +272,98 @@ def test_zero_slots_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "slots must be >= 1" in captured.err
+
+
+_PER_LAYER_FLAGS = ["--layers", "3", "--channels", "12", "--arrival", "2,3,4", "--rate", "1.5,1,0.5",
+                    "--gamma-db", "6", "--noise-power", "0.6", "--gain-mean", "1.7", "--copies", "2"]
+_PER_LAYER_FILE = ("layers = 3\nchannels = 12\narrival_rate = 2,3,4\nrate = 1.5,1,0.5\n"
+                   "gamma_db = 6\nnoise_power = 0.6\ngain_mean = 1.7\nrepetition = 2\n")
+
+
+def test_flags_parse_like_config_keys(tmp_path, capsys):
+    args = build_parser().parse_args(["simulate"] + _PER_LAYER_FLAGS)
+    assert _settings_from_args(args) == parse_config_text(_PER_LAYER_FILE)
+    cfg = tmp_path / "system.cfg"
+    cfg.write_text(_PER_LAYER_FILE)
+    run = ["simulate", "--slots", "300", "--seed", "3", "--out", "-"]
+    assert main(run + _PER_LAYER_FLAGS) == 0
+    from_flags = capsys.readouterr().out
+    assert main(run + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == from_flags
+
+
+@pytest.mark.parametrize("flag, value", [("--channels", "abc"), ("--copies", "2.5"),
+                                         ("--arrival", "1,x")])
+def test_bad_system_flag_values_exit_2(capsys, flag, value):
+    argv = ["simulate", "--layers", "2", "--channels", "8", "--arrival", "4", "--gamma-db", "3"]
+    assert main(argv + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}:")
+
+
+def test_unknown_config_key_is_reported_once(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("layers = 2\n\nmystery = 1\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: config line 3: unknown key 'mystery'\n"
+
+
+_TINY_SYSTEM = ["--layers", "1", "--channels", "4", "--arrival", "1", "--rate", "1",
+                "--gamma-db", "3", "--out", "-"]
+
+
+@pytest.mark.parametrize("argv, header, quantities", [
+    (["simulate"], ["# seed: 1", "# slots: 10000"],
+     {"analytic_throughput", "capture_exact", "capture_bound", "simulated_throughput"}),
+    (["sweep", "--var", "arrival", "--grid", "1"], ["# seed: 1", "# slots: 10000"],
+     {"analytic_throughput"}),
+    (["outage"], ["# seed: 1", "# slots: 1", "# outputs: analytic"], {"analytic_outage"}),
+], ids=["simulate", "sweep", "outage"])
+def test_per_command_defaults(capsys, argv, header, quantities):
+    assert main(argv + _TINY_SYSTEM) == 0
+    text = capsys.readouterr().out
+    assert set(header) <= set(text.splitlines())
+    rows = _parse_csv(text)
+    assert {r["quantity"] for r in rows} == quantities
+    assert {r["seed"] for r in rows if r["seed"]} <= {"1"}
+    assert {r["slots"] for r in rows if r["slots"]} <= {"10000"}
+
+
+def test_scenario_keeps_its_registry_seed(capsys):
+    assert main(["scenario", "outage-vs-copies", "--slots", "1", "--out", "-"]) == 0
+    text = capsys.readouterr().out
+    seed = SCENARIOS["outage-vs-copies"].seed
+    assert f"# seed: {seed}" in text.splitlines()
+    assert min(int(r["seed"]) for r in _parse_csv(text) if r["seed"]) == seed
+
+
+@pytest.mark.parametrize("var, outputs", [
+    ("arrival", "analytic,bound"), ("rate", "baselines"), ("gamma-db", "analytic,bound"),
+    ("layers", "bound"), ("copies", "baselines"),
+])
+def test_sweep_rejects_outputs_its_kind_cannot_make(capsys, var, outputs):
+    code = main(["sweep", "--var", var, "--grid", "1,2", "--layers", "2", "--channels", "10",
+                 "--arrival", "3", "--rate", "1", "--gamma-db", "3", "--outputs", outputs,
+                 "--out", "-"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: outputs ")
+    assert "makes only analytic,simulated" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--layers", "2", "--channels", "8", "--arrival", "4", "--gamma-db", "3",
+     "--rate", "2000"],
+    ["outage", *_THREE_LAYERS, "--rate", "1", "--gamma-db", "4000"],
+    ["optimize-rates", *_THREE_LAYERS, "--gamma-db", "4000"],
+    ["sweep", "--var", "rate", "--grid", "1,2000", "--layers", "2", "--channels", "10",
+     "--arrival", "6", "--gamma-db", "3"],
+], ids=["simulate-rate", "outage-gamma", "optimize-rates-gamma", "sweep-rate"])
+def test_values_that_overflow_a_double_exit_2(capsys, argv):
+    # 2**rate and 10**(dB/10) used to raise OverflowError and exit 1
+    assert main(argv + ["--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")

@@ -225,3 +225,13 @@ def test_config_file_round_trip(tmp_path):
     cfg = config_from_settings(load_config_file(path))
     assert cfg.num_channels == 10
     assert math.isclose(cfg.powers[-1], db_to_linear(3.0))
+
+
+def test_config_comments_run_to_the_end_of_the_line():
+    # the example in README's "Config files" section
+    settings = parse_config_text(
+        "layers = 3\narrival_rate = 10        # scalar, or per-layer: 10, 8, 6\n"
+        "rate = 1                 # same convention\n"
+        "# powers = 18, 6, 2      # optional explicit override of the power rule\n"
+    )
+    assert settings == {"layers": 3, "arrival_rate": 10.0, "rate": 1.0}

@@ -57,6 +57,8 @@ def test_scenario_validation():
         _tiny(slots=0)
     with pytest.raises(ValueError):
         _tiny(outputs=("analytic", "bogus"))
+    with pytest.raises(ValueError, match="makes only analytic,simulated"):
+        _tiny(outputs=("bound",))  # a packet output from a throughput kind
     with pytest.raises(ValueError):
         _tiny(kind="bogus")
     with pytest.raises(ValueError):
@@ -66,9 +68,10 @@ def test_scenario_validation():
 @pytest.mark.parametrize("kind", sorted(k for k, v in KINDS.items() if v.integer))
 def test_integer_variables_reject_fractional_grid_points(kind):
     # layers, channels and copies are set with int(x): 2.5 used to run as 2
+    outputs = KINDS[kind].outputs
     with pytest.raises(ValueError, match="whole numbers"):
-        _tiny(kind=kind, grid=(2.0, 2.5))
-    assert _tiny(kind=kind, grid=(2.0, 3.0)).grid == (2.0, 3.0)
+        _tiny(kind=kind, grid=(2.0, 2.5), outputs=outputs)
+    assert _tiny(kind=kind, grid=(2.0, 3.0), outputs=outputs).grid == (2.0, 3.0)
 
 
 def test_throughput_scenario_rows_and_csv():

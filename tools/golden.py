@@ -17,7 +17,7 @@ Runs the `layered_aloha` package of the checkout this script sits in
 * `optimize-rates` for 3 and 8 layers at 10 dB, each with and without
   `--use-bound`, and for 3 layers at 60 dB, where two layers' rate
   optima sit at the search bound and the output carries `note:` lines;
-* `sweep --var gamma-db --outputs analytic,bound` for 8 layers, which
+* `sweep --var gamma-db --outputs analytic` for 8 layers, which
   optimizes rates at every grid point;
 * `sweep --var copies`, `--var rate` (fixed rates) and `--var layers`
   (optimized rates), each with `--outputs analytic,simulated`;
@@ -66,7 +66,7 @@ SAMPLER_EDGES = {  # file stem: outage flags at the channel sampler's edges
 }
 SYSTEM = ["--channels", "10", "--arrival", "10"]
 GAMMA_SWEEP = ["sweep", "--var", "gamma-db", "--grid=-10:30:5", "--layers", "8",
-               "--outputs", "analytic,bound"] + SYSTEM
+               "--outputs", "analytic"] + SYSTEM
 SIMULATED_SWEEPS = {
     "copies": ["--grid", "1:4:1", "--layers", "3", "--channels", "20", "--arrival", "3",
                "--rate", "1", "--gamma-db", "10", "--seed", "3"],
