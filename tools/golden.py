@@ -1,6 +1,6 @@
 """Write the simulator's golden CSV outputs into a directory.
 
-Usage: python tools/golden.py OUTDIR
+Usage: python tools/golden.py OUTDIR [MANIFEST]
 
 Runs the `layered_aloha` package of the checkout this script sits in
 (its `src/` directory) and writes one CSV per invocation:
@@ -25,15 +25,25 @@ Runs the `layered_aloha` package of the checkout this script sits in
   configuration and seed of `demos/decoding_dependence.py` with fewer
   slots, as the `repr` of its result (floats in full precision).
 
-Every file is deterministic for a given checkout.  Running the script in
-two checkouts and comparing with `diff -r DIR_A DIR_B` shows whether a
-change altered any output byte.  Exits 1 if any invocation fails.
+Every file is deterministic for a given checkout and numpy version.
+Running the script in two checkouts and comparing with
+`diff -r DIR_A DIR_B` shows whether a change altered any output byte.
+With MANIFEST, the script also writes the outputs' sha256 manifest
+there: one `sha256sum` line per file, after `#` lines naming the numpy
+version and sampling contract that made them.  The checked-in
+`tools/golden.sha256` is that manifest; `tests/test_golden.py`
+regenerates the outputs and compares them with it, and a change that
+alters outputs on purpose regenerates it.  Exits 1 if any invocation
+fails.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -46,6 +56,9 @@ from layered_aloha import (  # noqa: E402
 )
 from layered_aloha.cli import main as cli_main  # noqa: E402
 from layered_aloha.scenarios import SCENARIOS  # noqa: E402
+from layered_aloha.simulate import SAMPLING_CONTRACT  # noqa: E402
+
+JOINT_CAPTURE = "joint-capture.txt"
 
 SIMULATE = ["simulate", "--layers", "2", "--channels", "10", "--arrival", "8",
             "--rate", "1", "--gamma-db", "3", "--copies", "2", "--slots", "50000",
@@ -106,8 +119,17 @@ def joint_capture() -> str:
     return repr(estimate_joint_capture(cfg, 50_000, seed=7, workers=2)) + "\n"
 
 
+def manifest(outdir) -> str:
+    """sha256 manifest of the golden outputs in `outdir`, in file-name order."""
+    lines = [f"# numpy {np.__version__}", f"# sampling_contract {SAMPLING_CONTRACT}"]
+    for name in sorted([name for name, _ in invocations()] + [JOINT_CAPTURE]):
+        with open(os.path.join(outdir, name), "rb") as fh:
+            lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
+    return "\n".join(lines) + "\n"
+
+
 def main(argv) -> int:
-    if len(argv) != 1:
+    if len(argv) not in (1, 2):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     outdir = argv[0]
@@ -118,11 +140,14 @@ def main(argv) -> int:
         print(f"{filename}: exit {code}", file=sys.stderr)
         if code != 0:
             failed.append(filename)
-    with open(os.path.join(outdir, "joint-capture.txt"), "w") as f:
+    with open(os.path.join(outdir, JOINT_CAPTURE), "w") as f:
         f.write(joint_capture())
     if failed:
         print(f"failed: {', '.join(failed)}", file=sys.stderr)
         return 1
+    if len(argv) == 2:
+        with open(argv[1], "w", encoding="utf-8", newline="") as f:
+            f.write(manifest(outdir))
     return 0
 
 
