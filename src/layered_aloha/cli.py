@@ -4,7 +4,10 @@ Subcommands: `scenario` (named sweeps to CSV), `sweep` (free-form single
 -variable sweep), `optimize-rates`, `outage`, `simulate`.  System
 parameters come from flags, optionally seeded from a `key = value` config
 file (flags win); a flag's value parses exactly as its config key's would
-(`model.parse_setting`).  Exit codes: 0 ok, 2 bad input, 1 runtime failure.
+(`model.parse_setting`).  Every command passes the resulting settings on
+as they are: `sweep` as its scenario's settings, `outage` and `simulate`
+as a one-point scenario's.  Exit codes: 0 ok, 2 bad input, 1 runtime
+failure.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ def _add_run_flags(p: argparse.ArgumentParser):
 
 
 def _settings_from_args(args) -> dict:
+    """The config file's settings, with the system flags' over them."""
     settings = dict(model.load_config_file(args.config)) if args.config else {}
     for flag, (key, _) in _SYSTEM_FLAGS.items():
         text = getattr(args, key)
@@ -65,11 +69,6 @@ def _settings_from_args(args) -> dict:
             except ValueError as exc:
                 raise ValueError(f"{flag}: {exc}") from None
     return settings
-
-
-def _config_from_args(args) -> model.SystemConfig:
-    # looked up on the module at call time, where bench/tracing.py patches it
-    return model.config_from_settings(_settings_from_args(args))
 
 
 def _write(text: str, out: str):
@@ -118,23 +117,9 @@ def _cmd_scenario(args) -> int:
 
 def _cmd_sweep(args) -> int:
     kind = _SWEEP_KIND[args.var]
-    settings = _settings_from_args(args)
-    required = {"layers", "channels"}
-    if kind != "throughput":
-        required.add("arrival_rate")
-    missing = sorted(required - settings.keys())
-    if missing:
-        raise ValueError(f"sweep needs {', '.join(missing)} (flags or config file)")
-    unsupported = sorted({"noise_power", "gain_mean", "powers"} & settings.keys())
-    if unsupported:
-        raise ValueError(f"sweep does not take {', '.join(unsupported)}: a sweep uses unit "
-                         "noise power and gain mean and powers allocated from gamma_db")
-    arrival = settings.get("arrival_rate", 0.0)
-    if isinstance(arrival, tuple):
-        raise ValueError("sweep uses a single per-layer arrival rate")
-    rate = settings.get("rate")
-    if isinstance(rate, tuple):
-        raise ValueError("sweep uses a single common rate (or none, for optimized rates)")
+    settings = {"gamma_db": 10.0} | _settings_from_args(args)
+    if args.var == "copies":  # outage rows read a fixed rate
+        settings = {"rate": 1.0} | settings
     scenario = Scenario(
         name="sweep",
         description=f"ad-hoc sweep over {KINDS[kind].x_name}",
@@ -143,13 +128,7 @@ def _cmd_sweep(args) -> int:
         outputs=tuple(args.outputs.split(",")),
         slots=args.slots,
         seed=args.seed,
-        num_layers=settings["layers"],
-        num_channels=settings["channels"],
-        arrival_rate=float(arrival),
-        rate=None if rate is None and kind in ("throughput", "gamma", "layers") else
-             float(rate if rate is not None else 1.0),
-        gamma_db=settings.get("gamma_db", 10.0),
-        repetition=settings.get("repetition", 1),
+        settings=settings,
     )
     result = run_scenario(scenario, workers=args.workers)
     _write(result.to_csv(), args.out)
@@ -157,7 +136,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimize_rates(args) -> int:
-    config = _config_from_args(args)
+    # looked up on the module at call time, where bench/tracing.py patches it
+    config = model.config_from_settings(_settings_from_args(args))
     try:
         settings = SearchSettings(
             rate_max=args.rate_max, grid_points=args.grid_points, refine_tol=args.refine_tol
@@ -181,19 +161,13 @@ def _cmd_optimize_rates(args) -> int:
     return 0
 
 
-def _run_one_point(args, config: model.SystemConfig, x: float, **fields) -> int:
-    """Write the CSV of `config` as the one-point scenario that `fields` describe."""
-    scenario = Scenario(
-        grid=(x,),
-        seed=args.seed,
-        num_layers=config.num_layers,
-        num_channels=config.num_channels,
-        arrival_rate=config.layers[0].arrival_rate,
-        rate=config.layers[0].rate,
-        gamma_db=0.0,  # unread: the header echoes `config`, which holds the powers
-        repetition=config.repetition,
-        **fields,
-    )
+def _run_one_point(args, x_of, **fields) -> int:
+    """Write the CSV of the system the flags describe as the one-point
+    scenario that `fields` describe, at grid point `x_of(config)`."""
+    settings = {"rate": 1.0} | _settings_from_args(args)  # one point never optimizes rates
+    config = model.config_from_settings(settings)
+    x = x_of(config)
+    scenario = Scenario(grid=(x,), seed=args.seed, settings=settings, **fields)
     rows, notes = run_point(scenario, config, x, args.seed, args.workers,
                             args.reopen_cleared_channels)
     _write(ScenarioResult(scenario, tuple(rows), tuple(notes), config).to_csv(), args.out)
@@ -201,10 +175,9 @@ def _run_one_point(args, config: model.SystemConfig, x: float, **fields) -> int:
 
 
 def _cmd_outage(args) -> int:
-    config = _config_from_args(args)
     simulated = args.slots is not None
     return _run_one_point(
-        args, config, float(config.repetition),
+        args, lambda config: float(config.repetition),
         name="outage",
         description="per-layer outage for one configuration",
         kind="outage_copies",
@@ -214,9 +187,8 @@ def _cmd_outage(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _config_from_args(args)
     return _run_one_point(
-        args, config, config.layers[0].arrival_rate,
+        args, lambda config: config.layers[0].arrival_rate,
         name="simulate",
         description="simulated and analytic throughput for one configuration",
         kind="simulate",
@@ -273,6 +245,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:  # every command but optimize-rates takes --workers
+            raise ValueError(f"--workers: must be >= 1, got {args.workers}")
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -277,8 +277,8 @@ def load_config_file(path) -> dict:
         return parse_config_text(fh.read())
 
 
-def config_from_settings(settings: dict) -> SystemConfig:
-    """Build a SystemConfig from parsed config-file settings.
+def design_args(settings: dict) -> dict:
+    """The `design_config` arguments that parsed config-file settings give.
 
     Powers come from the `powers` key when present, otherwise they are
     allocated from `gamma_db` via the descending power rule.
@@ -287,18 +287,21 @@ def config_from_settings(settings: dict) -> SystemConfig:
     if missing:
         raise ValueError(f"config missing required keys: {', '.join(missing)}")
     powers = settings.get("powers")
-    gamma_db = settings.get("gamma_db")
-    if powers is None and gamma_db is None:
+    if powers is None and "gamma_db" not in settings:
         raise ValueError("config needs either gamma_db or an explicit powers list")
-    gamma = db_to_linear(gamma_db) if gamma_db is not None else None
-    return design_config(
+    return dict(
         num_layers=settings["layers"],
         num_channels=settings["channels"],
         arrival_rate=settings["arrival_rate"],
         rate=settings.get("rate", 1.0),
-        gamma=gamma if powers is None else 1.0,
+        gamma=1.0 if powers is not None else db_to_linear(settings["gamma_db"]),
         channel_gain_mean=settings.get("gain_mean", 1.0),
         noise_power=settings.get("noise_power", 1.0),
         repetition=settings.get("repetition", 1),
         powers=powers,
     )
+
+
+def config_from_settings(settings: dict) -> SystemConfig:
+    """Build a SystemConfig from parsed config-file settings (see `design_args`)."""
+    return design_config(**design_args(settings))

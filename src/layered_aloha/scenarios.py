@@ -2,9 +2,12 @@
 
 Each scenario fixes a system family, sweeps one variable over a grid, and
 emits one CSV row per (grid point, layer) plus a total row where the
-quantity has a meaningful total.  Output is fully reproducible: rows carry
-the per-point seed, the header comments echo the configuration, and
-re-running a scenario with the same seed yields byte-identical text.
+quantity has a meaningful total.  The system is held as the settings a
+config file gives (`layers`, `channels`, `arrival_rate`, `rate`,
+`gamma_db`, `repetition`, ...); a grid point sets the swept one.  Output
+is fully reproducible: rows carry the per-point seed, the header comments
+echo the configuration, and re-running a scenario with the same seed
+yields byte-identical text.
 
 CSV schema (column order is part of the format):
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
-from .model import SystemConfig, db_to_linear, design_config
+from .model import SystemConfig, db_to_linear, design_args, design_config
 from .optimize import SearchSettings, optimize_arrivals, optimize_rates
 from .outage import outage
 from .simulate import SAMPLING_CONTRACT, estimate_outage, estimate_throughput
@@ -56,7 +59,9 @@ class Scenario:
     """One sweep: fixed system family, grid over a single variable.
 
     `kind` names an entry of `KINDS`, which fixes the swept variable and
-    how each grid point becomes rows.
+    how each grid point becomes rows.  `settings` holds the system as
+    config-file settings (see `model.parse_config_text`); without a `rate`,
+    throughput kinds optimize the rates at every grid point.
     """
 
     name: str
@@ -66,26 +71,30 @@ class Scenario:
     outputs: tuple[str, ...]
     slots: int
     seed: int
-    num_layers: int
-    num_channels: int
-    arrival_rate: float
-    rate: float | None  # None means rates are optimized at every grid point
-    gamma_db: float
-    repetition: int = 1
+    settings: dict
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
+        kind = KINDS[self.kind]
+        power_rule = () if "powers" in self.settings else ("gamma_db",)
+        missing = sorted({"layers", "channels", "arrival_rate", *kind.reads, *power_rule}
+                         - self.settings.keys() - {kind.field})
+        if missing:
+            raise ValueError(f"{self.name} needs {', '.join(missing)} (flags or config file)")
+        if kind.field == "gamma_db" and "powers" in self.settings:
+            raise ValueError(f"{self.name}: powers would override the power rule at every "
+                             "gamma_db grid point")
         if not self.grid:
             raise ValueError("scenario grid must be non-empty")
         if list(self.grid) != sorted(self.grid):
             raise ValueError("scenario grid must be sorted")
-        if KINDS[self.kind].integer and not all(float(x).is_integer() for x in self.grid):
+        if kind.integer and not all(float(x).is_integer() for x in self.grid):
             raise ValueError(f"{self.x_name} grid points must be whole numbers, got {list(self.grid)}")
         if self.slots < 1:
             raise ValueError(f"slots must be >= 1, got {self.slots}")
-        made = KINDS[self.kind].outputs
+        made = kind.outputs
         bad = [o for o in self.outputs if o not in made]
         if bad:
             raise ValueError(f"outputs {','.join(bad)}: kind {self.kind} makes only {','.join(made)}")
@@ -153,17 +162,10 @@ class ScenarioResult:
                     f"power={_fmt_all(c.powers)}", f"noise_power={_fmt(c.noise_power)}",
                     f"gain_mean={_fmt(c.channel_gain_mean)}", f"repetition={c.repetition}"]
         s = self.scenario
-        fields = {  # Scenario field: (echoed name, value)
-            "num_layers": ("layers", str(s.num_layers)),
-            "num_channels": ("channels", str(s.num_channels)),
-            "arrival_rate": ("arrival_rate", _fmt(s.arrival_rate)),
-            "rate": ("rate", "optimized" if s.rate is None else _fmt(s.rate)),
-            "gamma_db": ("gamma_db", _fmt(s.gamma_db)),
-            "repetition": ("repetition", str(s.repetition)),
-        }
-        swept = KINDS[s.kind].field
-        return [f"{name}={'sweep' if field == swept else value}"
-                for field, (name, value) in fields.items()]
+        shown = ({"rate": "optimized", "repetition": "1"}
+                 | {k: _fmt_setting(v) for k, v in s.settings.items()}
+                 | {KINDS[s.kind].field: "sweep"})
+        return [f"{k}={shown[k]}" for k in _ECHOED if k in shown]
 
     def _data_lines(self) -> list[str]:
         s = self.scenario
@@ -195,6 +197,15 @@ def _fmt_all(values) -> str:
     return ",".join(map(_fmt, values))
 
 
+def _fmt_setting(v) -> str:
+    return _fmt_all(v) if isinstance(v, tuple) else str(v) if isinstance(v, int) else _fmt(v)
+
+
+#: settings a sweep's `# config:` line echoes, in this order
+_ECHOED = ("layers", "channels", "arrival_rate", "rate", "gamma_db", "repetition",
+           "powers", "noise_power", "gain_mean")
+
+
 # --- row producers ------------------------------------------------------------
 #
 # Each takes (scenario, the SystemConfig at grid point x, x, seed, workers,
@@ -205,7 +216,7 @@ def _fmt_all(values) -> str:
 def _throughput_rows(s: Scenario, config: SystemConfig, x: float, seed: int, workers: int,
                      reopen: bool, captures: bool = False):
     hits: tuple[int, ...] = ()
-    if s.rate is None and KINDS[s.kind].field != "rate":  # rates neither fixed nor swept
+    if "rate" not in s.settings and KINDS[s.kind].field != "rate":  # rates neither fixed nor swept
         plan = optimize_rates(config, SearchSettings())
         config, hits = config.with_rates(plan.optimal_rates), plan.bound_hits
     rows = []
@@ -246,15 +257,18 @@ def _outage_rows(s: Scenario, config: SystemConfig, x: float, seed: int, workers
 
 
 def _packet_rows(s: Scenario, config: SystemConfig, x: float, *_):
-    gamma = db_to_linear(s.gamma_db)
-    plan = optimize_arrivals(config.num_layers, config.num_channels, s.rate, gamma)
-    contribs = sla_layer_contributions(config.num_channels, plan.optimal_tau, s.rate, gamma)
-    rows = [Row(x, str(l + 1), "bound_throughput", c) for l, c in enumerate(contribs)]
-    rows.append(Row(x, "total", "bound_throughput", plan.value))
+    rows, hits = [], ()
+    if "bound" in s.outputs:
+        rate, gamma = s.settings["rate"], db_to_linear(s.settings["gamma_db"])
+        plan = optimize_arrivals(config.num_layers, config.num_channels, rate, gamma)
+        contribs = sla_layer_contributions(config.num_channels, plan.optimal_tau, rate, gamma)
+        rows = [Row(x, str(l + 1), "bound_throughput", c) for l, c in enumerate(contribs)]
+        rows.append(Row(x, "total", "bound_throughput", plan.value))
+        hits = plan.bound_hits
     if "baselines" in s.outputs:
         rows.append(Row(x, "total", "baseline_aloha", baseline_aloha_max(config.num_channels)))
         rows.append(Row(x, "total", "baseline_irsa", baseline_irsa(config.num_channels)))
-    return rows, plan.bound_hits
+    return rows, hits
 
 
 def _power_row(s: Scenario, config: SystemConfig, x: float, *_):
@@ -263,13 +277,14 @@ def _power_row(s: Scenario, config: SystemConfig, x: float, *_):
 
 class Kind(NamedTuple):
     """What a scenario kind sweeps, which producer turns a grid point into
-    rows, and the outputs that producer can make."""
+    rows, the outputs that producer can make, and the settings it reads."""
 
     x_name: str  # swept variable, as named in the CSV
-    field: str  # the Scenario field it sets at each grid point
+    field: str  # the setting it sets at each grid point
     integer: bool  # grid points must be whole numbers
     rows: Callable
     outputs: tuple[str, ...]
+    reads: tuple[str, ...] = ()  # settings needed besides the system's, e.g. a fixed rate
 
 
 _SIMULATED = ("analytic", "simulated")
@@ -279,13 +294,14 @@ KINDS = {
     "throughput": Kind("arrival", "arrival_rate", False, _throughput_rows, _SIMULATED),
     "rate": Kind("rate", "rate", False, _throughput_rows, _SIMULATED),
     "gamma": Kind("gamma_db", "gamma_db", False, _throughput_rows, _SIMULATED),
-    "layers": Kind("layers", "num_layers", True, _throughput_rows, _SIMULATED),
+    "layers": Kind("layers", "layers", True, _throughput_rows, _SIMULATED),
     "power": Kind("arrival", "arrival_rate", False, _power_row, ("analytic",)),
-    "packets_layers": Kind("layers", "num_layers", True, _packet_rows, _PACKETS),
-    "packets_channels": Kind("channels", "num_channels", True, _packet_rows, _PACKETS),
+    "packets_layers": Kind("layers", "layers", True, _packet_rows, _PACKETS, ("rate", "gamma_db")),
+    "packets_channels": Kind("channels", "channels", True, _packet_rows, _PACKETS,
+                             ("rate", "gamma_db")),
     "outage_rate": Kind("rate", "rate", False, _outage_rows, _SIMULATED),
-    "outage_copies": Kind("copies", "repetition", True, _outage_rows, _SIMULATED),
-    "outage_arrival": Kind("arrival", "arrival_rate", False, _outage_rows, _SIMULATED),
+    "outage_copies": Kind("copies", "repetition", True, _outage_rows, _SIMULATED, ("rate",)),
+    "outage_arrival": Kind("arrival", "arrival_rate", False, _outage_rows, _SIMULATED, ("rate",)),
     # one configuration, as the `simulate` command reports it: the throughput
     # rows with each layer's capture probabilities after its analytic row
     "simulate": Kind("arrival", "arrival_rate", False, partial(_throughput_rows, captures=True),
@@ -294,12 +310,11 @@ KINDS = {
 
 
 def _point_config(s: Scenario, x: float) -> SystemConfig:
-    """The system at grid point x: the scenario's parameters with the swept one set to x."""
+    """The system at grid point x: the scenario's settings with the swept one set to x.
+    A missing rate stands at 0 until the throughput rows optimize it."""
     kind = KINDS[s.kind]
-    p = vars(s) | {kind.field: int(x) if kind.integer else x}
-    return design_config(p["num_layers"], p["num_channels"], p["arrival_rate"],
-                         0.0 if p["rate"] is None else p["rate"], db_to_linear(p["gamma_db"]),
-                         repetition=p["repetition"])
+    p = {"rate": 0.0} | s.settings | {kind.field: int(x) if kind.integer else x}
+    return design_config(**design_args(p))
 
 
 def _bound_note(s: Scenario, x: float, hits: tuple[int, ...]) -> str:
@@ -366,7 +381,7 @@ def build_registry() -> dict[str, Scenario]:
                         "10 channels, target SINR 3 dB, rates optimized per point",
             kind="throughput", grid=_int_grid(1, 14),
             outputs=("analytic", "simulated"), slots=20000, seed=20230,
-            num_layers=L, num_channels=10, arrival_rate=0.0, rate=None, gamma_db=3.0,
+            settings=dict(layers=L, channels=10, gamma_db=3.0),
         ))
         add(Scenario(
             name=f"power-vs-arrival{suffix}",
@@ -374,7 +389,7 @@ def build_registry() -> dict[str, Scenario]:
                         "10 channels, target SINR 3 dB",
             kind="power", grid=_int_grid(1, 14),
             outputs=("analytic",), slots=1, seed=0,
-            num_layers=L, num_channels=10, arrival_rate=0.0, rate=None, gamma_db=3.0,
+            settings=dict(layers=L, channels=10, gamma_db=3.0),
         ))
         add(Scenario(
             name=f"throughput-vs-rate{suffix}",
@@ -382,7 +397,7 @@ def build_registry() -> dict[str, Scenario]:
                         "10 channels, arrival 10 per layer, target SINR 3 dB",
             kind="rate", grid=_float_grid(0.1, 6.0, 0.1),
             outputs=("analytic",), slots=1, seed=0,
-            num_layers=L, num_channels=10, arrival_rate=10.0, rate=1.0, gamma_db=3.0,
+            settings=dict(layers=L, channels=10, arrival_rate=10.0, gamma_db=3.0),
         ))
         add(Scenario(
             name=f"throughput-vs-gamma{suffix}",
@@ -390,7 +405,7 @@ def build_registry() -> dict[str, Scenario]:
                         "arrival 10 per layer, rates optimized per point",
             kind="gamma", grid=_int_grid(0, 12),
             outputs=("analytic", "simulated"), slots=20000, seed=20600,
-            num_layers=L, num_channels=10, arrival_rate=10.0, rate=None, gamma_db=3.0,
+            settings=dict(layers=L, channels=10, arrival_rate=10.0),
         ))
     for suffix, lam in (("", 5.0), ("-full", 10.0)):
         add(Scenario(
@@ -399,7 +414,7 @@ def build_registry() -> dict[str, Scenario]:
                         f"arrival {lam:g} per layer, target SINR 3 dB, optimized rates",
             kind="layers", grid=_int_grid(1, 8),
             outputs=("analytic", "simulated"), slots=20000, seed=20700,
-            num_layers=1, num_channels=10, arrival_rate=lam, rate=None, gamma_db=3.0,
+            settings=dict(channels=10, arrival_rate=lam, gamma_db=3.0),
         ))
     add(Scenario(
         name="compare-irsa",
@@ -408,7 +423,7 @@ def build_registry() -> dict[str, Scenario]:
                     "reference constants; 10 channels, common rate 1",
         kind="packets_layers", grid=_int_grid(1, 8),
         outputs=("bound", "baselines"), slots=1, seed=0,
-        num_layers=1, num_channels=10, arrival_rate=0.0, rate=1.0, gamma_db=10.0,
+        settings=dict(channels=10, arrival_rate=0.0, rate=1.0, gamma_db=10.0),
         notes=("target SINR 10 dB assumed for the layer sweep",),
     ))
     for suffix, L in (("", 3), ("-l4", 4)):
@@ -418,7 +433,7 @@ def build_registry() -> dict[str, Scenario]:
                         "common rate 1, target SINR 10 dB, optimized arrivals",
             kind="packets_channels", grid=_int_grid(10, 100, 10),
             outputs=("bound", "baselines"), slots=1, seed=0,
-            num_layers=L, num_channels=10, arrival_rate=0.0, rate=1.0, gamma_db=10.0,
+            settings=dict(layers=L, arrival_rate=0.0, rate=1.0, gamma_db=10.0),
         ))
     add(Scenario(
         name="outage-vs-rate",
@@ -426,8 +441,7 @@ def build_registry() -> dict[str, Scenario]:
                     "3 layers, 60 channels, arrival 3 per layer, target SINR 10 dB",
         kind="outage_rate", grid=_float_grid(0.2, 2.0, 0.2),
         outputs=("analytic", "simulated"), slots=20000, seed=20900,
-        num_layers=3, num_channels=60, arrival_rate=3.0, rate=1.0, gamma_db=10.0,
-        repetition=4,
+        settings=dict(layers=3, channels=60, arrival_rate=3.0, gamma_db=10.0, repetition=4),
     ))
     add(Scenario(
         name="outage-vs-copies",
@@ -435,7 +449,7 @@ def build_registry() -> dict[str, Scenario]:
                     "arrival 3 per layer, common rate 1, target SINR 10 dB",
         kind="outage_copies", grid=_int_grid(1, 12),
         outputs=("analytic", "simulated"), slots=20000, seed=21000,
-        num_layers=3, num_channels=60, arrival_rate=3.0, rate=1.0, gamma_db=10.0,
+        settings=dict(layers=3, channels=60, arrival_rate=3.0, rate=1.0, gamma_db=10.0),
     ))
     add(Scenario(
         name="outage-vs-arrival",
@@ -443,8 +457,7 @@ def build_registry() -> dict[str, Scenario]:
                     "3 layers, 60 channels, common rate 1, target SINR 10 dB",
         kind="outage_arrival", grid=_int_grid(1, 10),
         outputs=("analytic", "simulated"), slots=20000, seed=21100,
-        num_layers=3, num_channels=60, arrival_rate=3.0, rate=1.0, gamma_db=10.0,
-        repetition=4,
+        settings=dict(layers=3, channels=60, rate=1.0, gamma_db=10.0, repetition=4),
     ))
     return reg
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -462,14 +463,17 @@ def _batch_worker(args):
 def _map_batches(mode, config, num_slots, seed, workers, reopen):
     if num_slots < 1:
         raise ValueError(f"num_slots must be >= 1, got {num_slots}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     _check_seed(seed)
     tasks = []
     for bi in range(0, (num_slots + BATCH_SLOTS - 1) // BATCH_SLOTS):
         size = min(BATCH_SLOTS, num_slots - bi * BATCH_SLOTS)
         tasks.append((mode, config, seed, bi, size, reopen))
-    if workers <= 1 or len(tasks) == 1:
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    if processes == 1:
         return [_batch_worker(t) for t in tasks]
-    with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
+    with multiprocessing.Pool(processes=processes) as pool:
         return pool.map(_batch_worker, tasks, chunksize=1)
 
 

@@ -234,20 +234,54 @@ _ARRIVAL_SWEEP = ["sweep", "--var", "arrival", "--grid", "5", "--layers", "2", "
                   "--rate", "1", "--gamma-db", "3", "--out", "-"]
 
 
-@pytest.mark.parametrize("extra, key", [
-    (["--noise-power", "100"], "noise_power"),
-    (["--gain-mean", "0.2"], "gain_mean"),
-    (["--config", "powers.cfg"], "powers"),
-])
-def test_sweep_rejects_settings_it_cannot_apply(tmp_path, capsys, extra, key):
-    # a sweep builds every point from layers/channels/arrival/rate/gamma_db
-    # alone, so these used to be dropped without a word
+_SYSTEM = ["--layers", "2", "--channels", "10", "--rate", "1", "--gamma-db", "3",
+           "--slots", "2000"]
+
+
+@pytest.mark.parametrize("extra, echo", [
+    (["--noise-power", "100", "--gain-mean", "0.2"],
+     "rate=1 gamma_db=3 repetition=1 noise_power=100 gain_mean=0.2"),
+    (["--rate", "1.5,0.5", "--copies", "2"], "rate=1.5,0.5 gamma_db=3 repetition=2"),
+    (["--config", "powers.cfg"], "rate=1 gamma_db=3 repetition=1 powers=50,1"),
+], ids=["noise-gain", "per-layer-rate", "powers"])
+def test_sweep_applies_every_system_setting(tmp_path, capsys, extra, echo):
+    # these used to be rejected; a one-point sweep now gives simulate's rows
+    # and echoes the settings
     (tmp_path / "powers.cfg").write_text("powers = 50, 1\n")
     extra = [str(tmp_path / a) if a.endswith(".cfg") else a for a in extra]
-    assert main(_ARRIVAL_SWEEP + extra) == 2
+    assert main(["sweep", "--var", "arrival", "--grid", "5", "--outputs", "analytic,simulated",
+                 "--out", "-"] + _SYSTEM + extra) == 0
+    out = capsys.readouterr().out
+    assert f"# config: layers=2 channels=10 arrival_rate=sweep {echo}\n" in out
+    swept = _parse_csv(out)
+    assert main(["simulate", "--arrival", "5", "--out", "-"] + _SYSTEM + extra) == 0
+    one = [r for r in _parse_csv(capsys.readouterr().out) if not r["quantity"].startswith("capture")]
+
+    def data(rows):
+        return [{k: v for k, v in r.items() if k != "scenario"} for r in rows]
+
+    assert data(swept) == data(one)
+    assert any(r["quantity"] == "simulated_throughput" for r in swept)
+
+
+def test_sweep_rejects_powers_over_a_swept_gamma(tmp_path, capsys):
+    # explicit powers would override the power rule at every gamma_db point
+    cfg = tmp_path / "powers.cfg"
+    cfg.write_text("powers = 50, 1\n")
+    assert main(["sweep", "--var", "gamma-db", "--grid", "0,3", "--layers", "2", "--channels",
+                 "10", "--arrival", "5", "--config", str(cfg), "--out", "-"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert key in captured.err
+    assert "powers" in captured.err
+
+
+def test_sweep_does_not_need_the_swept_setting(capsys):
+    assert main(["sweep", "--var", "layers", "--grid", "1,2", "--channels", "10",
+                 "--arrival", "2", "--gamma-db", "3", "--out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "# config: layers=sweep channels=10 arrival_rate=2 rate=optimized gamma_db=3 " \
+           "repetition=1\n" in out
+    assert {r["x_value"] for r in _parse_csv(out)} == {"1", "2"}
 
 
 @pytest.mark.parametrize("var, grid", [("copies", "2.5"), ("layers", "2,2.7")])
@@ -367,3 +401,20 @@ def test_values_that_overflow_a_double_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "power-vs-arrival"],
+    ["sweep", "--var", "arrival", "--grid", "1,2", "--layers", "2", "--channels", "10",
+     "--gamma-db", "3"],
+    ["outage", "--layers", "2", "--channels", "10", "--arrival", "2", "--gamma-db", "3"],
+    ["simulate", "--layers", "2", "--channels", "10", "--arrival", "2", "--gamma-db", "3",
+     "--slots", "10"],
+], ids=["scenario", "sweep", "outage", "simulate"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exit_2(capsys, argv, workers):
+    # analytic-only runs too: the first three simulate nothing
+    assert main(argv + ["--workers", workers, "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--workers" in captured.err

@@ -13,7 +13,14 @@ from layered_aloha.scenarios import CSV_HEADER, KINDS, QUANTITIES, Row
 from layered_aloha.simulate import SAMPLING_CONTRACT
 
 
+#: system keyword of `_tiny` -> the setting it gives
+_SETTING = {"num_layers": "layers", "num_channels": "channels", "arrival_rate": "arrival_rate",
+            "rate": "rate", "gamma_db": "gamma_db", "repetition": "repetition"}
+
+
 def _tiny(kind="throughput", **over):
+    system = dict(num_layers=2, num_channels=10, arrival_rate=5.0, rate=1.0, gamma_db=3.0)
+    system.update({k: over.pop(k) for k in _SETTING if k in over})
     base = dict(
         name="tiny",
         description="test scenario",
@@ -22,11 +29,8 @@ def _tiny(kind="throughput", **over):
         outputs=("analytic", "simulated"),
         slots=400,
         seed=5,
-        num_layers=2,
-        num_channels=10,
-        arrival_rate=5.0,
-        rate=1.0,
-        gamma_db=3.0,
+        # rate=None leaves the rate out: optimized per point
+        settings={_SETTING[k]: v for k, v in system.items() if v is not None},
     )
     base.update(over)
     return Scenario(**base)
@@ -200,3 +204,27 @@ def test_float_formatting_nine_significant_digits():
 def test_csv_header_declares_sampling_contract():
     lines = run_scenario(_tiny(outputs=("analytic",))).to_csv().splitlines()
     assert f"# sampling_contract: {SAMPLING_CONTRACT}" in lines
+
+
+@pytest.mark.parametrize("kind", ["outage_copies", "outage_arrival",
+                                  "packets_layers", "packets_channels"])
+def test_kinds_that_read_the_rate_need_one(kind):
+    # outage_copies without a rate used to run at rate 0 and echo rate=optimized
+    with pytest.raises(ValueError, match="tiny needs rate"):
+        _tiny(kind=kind, rate=None, outputs=KINDS[kind].outputs)
+
+
+def test_scenario_needs_every_setting_but_the_swept_one():
+    system = {"channels": 10, "arrival_rate": 2.0, "gamma_db": 3.0}
+    assert _tiny(kind="layers", grid=(1.0, 2.0), settings=system).settings == system
+    with pytest.raises(ValueError, match="tiny needs channels, gamma_db"):
+        _tiny(settings={"layers": 2, "arrival_rate": 2.0})
+
+
+@pytest.mark.parametrize("outputs, quantities", [
+    (("baselines",), {"baseline_aloha", "baseline_irsa"}),
+    (("bound",), {"bound_throughput"}),
+])
+def test_packet_rows_follow_outputs(outputs, quantities):
+    s = _tiny(kind="packets_layers", grid=(1.0, 2.0), outputs=outputs)
+    assert {r.quantity for r in run_scenario(s).rows} == quantities

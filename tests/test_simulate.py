@@ -596,6 +596,35 @@ def test_estimators_deterministic_across_workers():
     assert j1 == j4
 
 
+def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
+    started = []
+
+    class StandInPool:  # records the pool size, runs the tasks here, starts no process
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(simulate, "multiprocessing", type("StandIn", (), {"Pool": StandInPool}))
+    cfg = design_config(1, 4, 0.5, 1.0, 2.0)
+    serial = estimate_throughput(cfg, 3 * BATCH_SLOTS, 3)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    assert estimate_throughput(cfg, 3 * BATCH_SLOTS, 3, workers=10 ** 6) == serial
+    assert started == [2]
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)  # unknown: run serially
+    assert estimate_throughput(cfg, 3 * BATCH_SLOTS, 3, workers=10 ** 6) == serial
+    assert started == [2]
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        estimate_throughput(cfg, 3 * BATCH_SLOTS, 3, workers=0)
+
+
 def test_estimator_reruns_identically():
     cfg = design_config(2, 10, 5.0, 1.0, 2.0)
     a = estimate_throughput(cfg, 3000, 9)
