@@ -281,8 +281,12 @@ def design_args(settings: dict) -> dict:
     """The `design_config` arguments that parsed config-file settings give.
 
     Powers come from the `powers` key when present, otherwise they are
-    allocated from `gamma_db` via the descending power rule.
+    allocated from `gamma_db` via the descending power rule.  A key outside
+    the config-file key set is an error, however the settings were built.
     """
+    unknown = sorted(settings.keys() - (_SCALAR_KEYS | _INT_KEYS | _LIST_KEYS))
+    if unknown:
+        raise ValueError(f"unknown settings keys: {', '.join(unknown)}")
     missing = [k for k in ("layers", "channels", "arrival_rate") if k not in settings]
     if missing:
         raise ValueError(f"config missing required keys: {', '.join(missing)}")

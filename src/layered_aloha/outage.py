@@ -11,6 +11,11 @@ This is exact for B = 1 and an approximation otherwise (copies of one user
 can share interferers).  The infinite series has an equivalent finite form
 obtained by binomial expansion; both are implemented here and must agree,
 which is how each re-verifies the other.
+
+The finite form needs the moments g(b) = E[p_c(M)^b | M >= 1].  Each is
+summed in alternating closed form while the rounding bound that sum computes
+from its own terms stays within `_ROUNDING_TOL`, and taken from the series
+otherwise: at omega = 0 (N = 1), past the float range, or where it cancels.
 """
 
 from __future__ import annotations
@@ -21,11 +26,8 @@ from dataclasses import dataclass
 from .model import SystemConfig, collision_prob, snr_gap
 from .throughput import capture_exponent
 
-# The alternating finite form of the collision moments cancels
-# catastrophically for deep moments or omega near 1; past these guards the
-# direct conditional summation is used instead (same quantity).
-_ALTERNATING_MAX_ORDER = 20
-_ALTERNATING_BLOWUP = 1e6
+# Largest rounding error a collision moment may carry in alternating form
+_ROUNDING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,19 +67,20 @@ def _conditional_pmf_terms(arrival_rate: float, tail_tol: float):
     """Yield (m, P(m | m >= 1)) until the conditional tail drops below tail_tol.
 
     Hard cap at max(50, ceil(lam + 10 sqrt(lam) + 30)) terms; the Poisson
-    tail there is far below any practical tolerance.
+    tail there is far below any practical tolerance.  Terms are formed from
+    logs: lam * e^-lam alone underflows past lam ~ 745.
     """
     lam = arrival_rate
     cap = max(50, math.ceil(lam + 10.0 * math.sqrt(lam) + 30.0))
     denom = -math.expm1(-lam)  # 1 - e^-lam, accurate for small lam
-    pmf = lam * math.exp(-lam)  # P(M = 1)
+    log_lam = math.log(lam)
     remaining = denom
     for m in range(1, cap + 1):
+        pmf = math.exp(m * log_lam - lam - math.lgamma(m + 1))
         yield m, pmf / denom
         remaining -= pmf
         if remaining / denom < tail_tol:
             return
-        pmf *= lam / (m + 1)
 
 
 def psi_series(
@@ -120,39 +123,32 @@ def conditional_collision_moment(
     return total
 
 
-def _collision_moment_alternating(b: int, lam: float, omega: float) -> float:
-    """Finite alternating form of E[p_c(M)^b | M >= 1].
-
-    g(b) = sum_j C(b,j) (-1)^j omega^-j (e^{-lam(1-omega^j)} - e^-lam)
-           / (1 - e^-lam)
-
-    Falls back to the direct summation when the partial sums dwarf the
-    result (cancellation) or the order is deep.
-    """
-    denom = -math.expm1(-lam)
-    total = 0.0
-    max_abs = 0.0
-    e_lam = math.exp(-lam)
-    for j in range(b + 1):
-        term = math.comb(b, j) * (-1.0) ** j * omega ** (-j) * (
-            math.exp(-lam * (1.0 - omega ** j)) - e_lam
-        )
-        total += term
-        max_abs = max(max_abs, abs(total))
-    g = total / denom
-    if max_abs > _ALTERNATING_BLOWUP * abs(g) * denom:
-        return float("nan")  # caller falls back to the direct summation
-    return g
-
-
 def _collision_moment(b: int, lam: float, num_channels: int, copies: int) -> float:
-    omega = (1.0 - 1.0 / num_channels) ** copies
+    """E[p_c(M)^b | M >= 1], in finite alternating form when its rounding allows:
+
+    g(b) = sum_j C(b,j) (-1)^j omega^-j (e^{-lam(1-omega^j)} - e^-lam) / (1 - e^-lam)
+
+    It rounds by at most (b+1) eps sum_j C(b,j) omega^-j (e^{-lam(1-omega^j)} + e^-lam)
+    (eps sum |terms| is no bound: each difference cancels when omega^j << 1).
+    Past `_ROUNDING_TOL`, at omega = 0 or past the float range, the series is used.
+    """
     if b == 0:
         return 1.0
-    if b <= _ALTERNATING_MAX_ORDER:
-        g = _collision_moment_alternating(b, lam, omega)
-        if not math.isnan(g):
-            return g
+    omega = (1.0 - 1.0 / num_channels) ** copies
+    if omega > 0.0 and b * math.log(2.0 / omega) < 700.0:
+        denom = -math.expm1(-lam)
+        e_lam = math.exp(-lam)
+        total = scale = 0.0
+        for j in range(b + 1):
+            e_j = math.exp(-lam * (1.0 - omega ** j))
+            total += math.comb(b, j) * (-1.0) ** j * omega ** (-j) * (e_j - e_lam)
+            scale += math.comb(b, j) * omega ** (-j) * (e_j + e_lam)
+            bound = (b + 1) * math.ulp(1.0) * scale
+            if bound > _ROUNDING_TOL * denom:
+                break  # the scale only grows
+        else:
+            if bound < total:  # a sum below its bound has no known digit, not even its sign
+                return total / denom
     return conditional_collision_moment(b, lam, num_channels, copies)
 
 
@@ -164,19 +160,22 @@ def psi_closed_form(l: int, config: SystemConfig) -> float:
 
         Psi_l = sum_{b=0}^B C(B,b) (1-beta)^b beta^{B-b} g(b)
 
-    with g(b) = E[p_c(M)^b | M >= 1] in closed form.  Agrees with
-    :func:`psi_series` to near machine precision.
+    with g(b) = E[p_c(M)^b | M >= 1], each in closed form when its rounding
+    bound allows and from the series otherwise (:func:`_collision_moment`).
+    The weights are formed from logs, as C(B, b) leaves the float range past
+    B = 1029, and divided by their sum, so Psi_l <= 1 while every g(b) <= 1.
+    Agrees with :func:`psi_series` to about 1e-12.
     """
     lam = _positive_arrival(l, config)
     beta = beta_crrd(l, config)
     N, B = config.num_channels, config.repetition
-    total = 0.0
-    for b in range(B + 1):
-        weight = math.comb(B, b) * (1.0 - beta) ** b * beta ** (B - b)
-        if weight == 0.0:
-            continue
-        total += weight * _collision_moment(b, lam, N, B)
-    return total
+    if beta in (0.0, 1.0):  # every copy decodes or none does: one order holds all the weight
+        return _collision_moment(0 if beta else B, lam, N, B)
+    log_q, log_beta, log_fact = math.log1p(-beta), math.log(beta), math.lgamma(B + 1)
+    weights = [math.exp(log_fact - math.lgamma(b + 1) - math.lgamma(B - b + 1)
+                        + b * log_q + (B - b) * log_beta) for b in range(B + 1)]
+    terms = (w * _collision_moment(b, lam, N, B) for b, w in enumerate(weights) if w)
+    return math.fsum(terms) / math.fsum(weights)
 
 
 def outage(config: SystemConfig) -> OutageReport:

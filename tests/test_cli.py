@@ -1,6 +1,14 @@
 import pytest
 
-from layered_aloha import design_config, estimate_throughput, parse_config_text, throughput
+from layered_aloha import (
+    config_from_settings,
+    design_config,
+    estimate_throughput,
+    outage,
+    parse_config_text,
+    psi_series,
+    throughput,
+)
 from layered_aloha.cli import _settings_from_args, build_parser, main
 from layered_aloha.scenarios import CSV_HEADER, SCENARIOS
 
@@ -81,6 +89,23 @@ def test_outage_command(tmp_path, capsys):
     assert code == 0
     rows = _parse_csv(capsys.readouterr().out)
     assert any(r["quantity"] == "simulated_outage" for r in rows)
+
+
+@pytest.mark.parametrize("channels, copies", [
+    ("1", "1"),  # omega = 0: the alternating form's omega^-j does not exist
+    ("2000", "1100"),  # C(B, b) past the float range
+])
+def test_outage_command_at_the_domain_edges(capsys, channels, copies):
+    flags = ["--channels", channels, "--layers", "1", "--arrival", "2", "--rate", "1",
+             "--gamma-db", "10", "--copies", copies]
+    assert main(["outage", *flags, "--out", "-"]) == 0
+    rows = _parse_csv(capsys.readouterr().out)
+    [value] = [r["value"] for r in rows if r["quantity"] == "analytic_outage"]
+    args = build_parser().parse_args(["outage", *flags])
+    config = config_from_settings(_settings_from_args(args))
+    series = psi_series(1, config)
+    assert value == f"{series:.9g}"
+    assert outage(config).psi[0] == pytest.approx(series, abs=1e-10)
 
 
 @pytest.mark.parametrize("command", ["simulate", "outage"])

@@ -217,6 +217,12 @@ def test_config_errors():
         config_from_settings({"layers": 2, "channels": 8, "arrival_rate": 1.0})  # no gamma/powers
 
 
+def test_settings_keys_outside_the_config_file_set_are_named():
+    with pytest.raises(ValueError, match="unknown settings keys: gain, powr"):
+        config_from_settings({"layers": 2, "channels": 8, "arrival_rate": 1.0, "gamma_db": 3.0,
+                              "powr": 2.0, "gain": 1.0})
+
+
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "system.cfg"
     path.write_text(CONFIG_TEXT)

@@ -1,7 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import poisson
 
 from layered_aloha import (
     LayerParams,
@@ -14,7 +18,7 @@ from layered_aloha import (
     psi_closed_form,
     psi_series,
 )
-from layered_aloha.outage import _collision_moment
+from layered_aloha.outage import _collision_moment, _conditional_pmf_terms
 
 
 def _crrd_config(copies=4, arrival=3.0, rate=1.0, num_channels=60, num_layers=3, gamma=10.0):
@@ -189,3 +193,94 @@ def test_alternating_form_guard_kicks_in_for_large_arrivals():
     a = psi_series(1, cfg)
     b = psi_closed_form(1, cfg)
     assert abs(a - b) < 1e-10
+
+
+# 50-digit mpmath values of the series for one layer, P = 1, R = 0.5, N = 4000,
+# where lam * e^-lam underflows (lam > 745)
+@pytest.mark.parametrize("copies, arrival, psi", [
+    (30, 745.0, 0.9265397448),
+    (30, 800.0, 0.9506726523),
+    (1, 800.0, 0.4587984567),
+])
+def test_psi_past_the_exp_underflow(copies, arrival, psi):
+    cfg = design_config(1, 4000, arrival, 0.5, 1.0, repetition=copies, powers=(1.0,))
+    assert psi_series(1, cfg) == pytest.approx(psi, abs=1e-10)
+    assert outage(cfg).psi[0] == pytest.approx(psi, abs=1e-10)
+
+
+def test_closed_form_matches_50_digit_series():
+    # B near N: the alternating sum cancels ~8 digits here, so its moments
+    # must come from the series
+    mpmath = pytest.importorskip("mpmath")
+    cfg = design_config(1, 28, 4.22, 1.0, 10.0, repetition=24)
+    lp, B = cfg.layers[0], cfg.repetition
+    with mpmath.workdps(50):
+        lam, nu = mpmath.mpf(lp.arrival_rate), 2 ** mpmath.mpf(lp.rate) - 1
+        beta = -mpmath.expm1(-nu * cfg.noise_power / (lp.power * cfg.channel_gain_mean))
+        omega = (1 - mpmath.mpf(1) / cfg.num_channels) ** B
+        exact = mpmath.nsum(lambda m: (1 - omega ** (m - 1) * (1 - beta)) ** B
+                            * lam ** m / mpmath.factorial(m), [1, mpmath.inf]) / mpmath.expm1(lam)
+    assert float(exact) == pytest.approx(0.3419811974, abs=1e-10)
+    assert psi_closed_form(1, cfg) == pytest.approx(float(exact), abs=1e-10)
+
+
+_ARRIVALS = st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e)  # 1e-3 .. 1e4, log-uniform
+
+
+@st.composite
+def _systems(draw, powers=False):
+    L = draw(st.integers(1, 4))
+    N = draw(st.integers(1, 10_000))
+    B = draw(st.integers(1, min(N, 64)))
+    arrivals = draw(st.lists(_ARRIVALS, min_size=L, max_size=L))
+    rates = draw(st.lists(st.floats(0.0, 6.0), min_size=L, max_size=L))
+    pw = draw(st.lists(st.floats(0.1, 100.0), min_size=L, max_size=L)) if powers else None
+    return design_config(L, N, arrivals, rates, draw(st.floats(0.5, 20.0)), repetition=B,
+                         powers=pw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_systems())
+@example(design_config(1, 1, 2.0, 1.0, 10.0))  # omega = 0
+@example(design_config(1, 28, 4.22, 1.0, 10.0, repetition=24))
+@example(design_config(2, 10, 3.0, 0.0, 10.0, repetition=3))  # beta = 0
+@example(design_config(2, 10, 3.0, 60.0, 10.0, repetition=3))  # beta = 1
+@example(design_config(1, 3037, 1.0, 0.0, 10.0, repetition=7))  # psi = g(7), below its bound
+def test_closed_form_matches_series_over_the_domain(cfg):
+    for l in range(1, cfg.num_layers + 1):
+        psi = psi_closed_form(l, cfg)
+        assert psi == pytest.approx(psi_series(l, cfg), abs=1e-10)
+        # sums near 1 may land a few ulps above it; they are not clipped
+        assert 0.0 <= psi <= 1.0 + 4 * math.ulp(1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_systems(powers=True), st.data())
+def test_psi_grows_with_its_layer_arrival(cfg, data):
+    l = data.draw(st.integers(1, cfg.num_layers))
+    lo, hi = sorted(data.draw(st.lists(_ARRIVALS, min_size=2, max_size=2)))
+
+    def psi_at(lam):
+        layers = list(cfg.layers)
+        layers[l - 1] = replace(layers[l - 1], arrival_rate=lam)
+        return psi_closed_form(l, replace(cfg, layers=layers))
+
+    # up to the 1e-10 the closed form is held to: the series it falls back on
+    # truncates a tail of about 1e-12, more at large lam
+    assert psi_at(lo) <= psi_at(hi) + 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ARRIVALS)
+@example(745.0)
+@example(800.0)
+def test_conditional_pmf_terms_match_scipy(lam):
+    ms, pbar = map(np.array, zip(*_conditional_pmf_terms(lam, 1e-12)))
+    ref = poisson.pmf(ms, lam)
+    keep = ref > 1e-300
+    # both evaluate exp(m ln lam - lam - ln m!): each rounds that argument to
+    # a few ulps of its largest part, which passes 1e-12 of the pmf past lam ~ 600
+    log_parts = ms * abs(math.log(lam)) + lam + np.array([math.lgamma(m + 1) for m in ms])
+    rel = 1e-12 + 4 * math.ulp(1.0) * log_parts
+    expected = ref / -math.expm1(-lam)
+    assert np.all(np.abs(pbar - expected)[keep] <= (rel * expected)[keep])

@@ -221,6 +221,13 @@ def test_scenario_needs_every_setting_but_the_swept_one():
         _tiny(settings={"layers": 2, "arrival_rate": 2.0})
 
 
+def test_unknown_setting_is_named():
+    # a misspelt optional key used to be dropped: this ran with unit noise power
+    system = {"layers": 2, "channels": 10, "arrival_rate": 5.0, "rate": 1.0, "gamma_db": 3.0}
+    with pytest.raises(ValueError, match="noise_powr"):
+        run_scenario(_tiny(settings=system | {"noise_powr": 100.0}))
+
+
 @pytest.mark.parametrize("outputs, quantities", [
     (("baselines",), {"baseline_aloha", "baseline_irsa"}),
     (("bound",), {"bound_throughput"}),
