@@ -49,9 +49,8 @@ from .simulate import (
     estimate_joint_capture,
     estimate_outage,
     estimate_throughput,
-    sample_slot,
+    sample_slots,
     sic_decode,
-    slot_rng,
 )
 from .throughput import (
     AnalyticReport,

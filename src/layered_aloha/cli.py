@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import model
@@ -85,7 +86,7 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"grid must be 'start:stop:step' or a comma list, got {spec!r}")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise ValueError(f"bad grid range {spec!r}")
         return _float_grid(start, stop, step)
     vals = tuple(float(v) for v in spec.split(",") if v.strip())

@@ -20,6 +20,7 @@ otherwise: at omega = 0 (N = 1), past the float range, or where it cancels.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,23 +64,27 @@ def beta_crrd(l: int, config: SystemConfig) -> float:
     return 1.0 - math.exp(-capture_exponent(l, config, nu, copies=config.repetition))
 
 
-def _conditional_pmf_terms(arrival_rate: float, tail_tol: float):
-    """Yield (m, P(m | m >= 1)) until the conditional tail drops below tail_tol.
+def _conditional_pmf_terms(arrival_rate: float, tail_tol: float, weight):
+    """Yield (m, weight(m) P(m | m >= 1)) for m = 1, 2, ..., each weight in
+    [0, 1], until the rest of the weighted sum is known to be at most
+    tail_tol times the part summed so far.
 
-    Hard cap at max(50, ceil(lam + 10 sqrt(lam) + 30)) terms; the Poisson
-    tail there is far below any practical tolerance.  Terms are formed from
-    logs: lam * e^-lam alone underflows past lam ~ 745.
+    Past the mode, q = lam / (m + 1) < 1 bounds the ratio of successive
+    terms, so the conditional mass beyond term m is at most
+    P(m | m >= 1) q / (1 - q), and that bound is what the stop rule tests.
+    Terms are formed from logs: lam * e^-lam alone underflows past lam ~ 745.
     """
     lam = arrival_rate
-    cap = max(50, math.ceil(lam + 10.0 * math.sqrt(lam) + 30.0))
     denom = -math.expm1(-lam)  # 1 - e^-lam, accurate for small lam
     log_lam = math.log(lam)
-    remaining = denom
-    for m in range(1, cap + 1):
-        pmf = math.exp(m * log_lam - lam - math.lgamma(m + 1))
-        yield m, pmf / denom
-        remaining -= pmf
-        if remaining / denom < tail_tol:
+    total = 0.0
+    for m in itertools.count(1):
+        pbar = math.exp(m * log_lam - lam - math.lgamma(m + 1)) / denom
+        term = weight(m) * pbar
+        yield m, term
+        total += term
+        q = lam / (m + 1)
+        if q < 1.0 and pbar * q / (1.0 - q) <= tail_tol * total:
             return
 
 
@@ -91,7 +96,8 @@ def psi_series(
     This is the brute-force evaluation of the conditional expectation
     E[alpha(M)^B | M >= 1] and serves as the oracle for the finite form in
     :func:`psi_closed_form`.  `beta` overrides the layer's single-copy error
-    probability (useful for isolating the collision part).
+    probability (useful for isolating the collision part).  The sum stops
+    once its tail is bounded by `tail_tol` relative to it.
     """
     lam = _positive_arrival(l, config)
     if tail_tol <= 0:
@@ -99,18 +105,22 @@ def psi_series(
     if beta is None:
         beta = beta_crrd(l, config)
     N, B = config.num_channels, config.repetition
-    total = 0.0
-    for m, pbar in _conditional_pmf_terms(lam, tail_tol):
+
+    def alpha_b(m):
         pc = collision_prob(m, N, B)
-        alpha = pc + (1.0 - pc) * beta
-        total += (alpha ** B) * pbar
+        return (pc + (1.0 - pc) * beta) ** B
+
+    total = 0.0
+    for _, term in _conditional_pmf_terms(lam, tail_tol, alpha_b):
+        total += term
     return total
 
 
 def conditional_collision_moment(
     b: int, arrival_rate: float, num_channels: int, copies: int, tail_tol: float = 1e-12
 ) -> float:
-    """E[p_c(M)^b | M >= 1] by direct conditional-Poisson summation."""
+    """E[p_c(M)^b | M >= 1] by direct conditional-Poisson summation, to
+    `tail_tol` relative."""
     if b < 0:
         raise ValueError(f"moment order must be >= 0, got {b}")
     if arrival_rate <= 0:
@@ -118,8 +128,9 @@ def conditional_collision_moment(
     if b == 0:
         return 1.0
     total = 0.0
-    for m, pbar in _conditional_pmf_terms(arrival_rate, tail_tol):
-        total += collision_prob(m, num_channels, copies) ** b * pbar
+    for _, term in _conditional_pmf_terms(
+            arrival_rate, tail_tol, lambda m: collision_prob(m, num_channels, copies) ** b):
+        total += term
     return total
 
 

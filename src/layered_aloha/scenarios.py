@@ -19,6 +19,7 @@ empty for closed-form rows.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import partial
@@ -364,7 +365,8 @@ def _int_grid(lo, hi, step=1):
 
 
 def _float_grid(lo, hi, step):
-    n = int(round((hi - lo) / step))
+    """lo, lo + step, ... up to the last point at most hi (to 1e-9 steps)."""
+    n = math.floor((hi - lo) / step + 1e-9)
     return tuple(round(lo + k * step, 10) for k in range(n + 1))
 
 

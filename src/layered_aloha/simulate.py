@@ -14,13 +14,13 @@ After each layer pass, every copy of every user decoded in that layer is
 cancelled before the next layer is evaluated.  Cancellation never revisits
 same-layer collisions.
 
-Randomness is counter-based (Philox).  Single slots draw from a stream
-keyed by (seed, slot index); the estimators consume fixed-size batches of
-slots, each batch keyed by (seed, batch index), so results are
-bit-identical for any worker count.  Every estimator reduces a batch to
-one flat float64 vector of sums (its statistic in `_STATS`), adds the
-batches' vectors column by column with math.fsum, which is exactly
-rounded and hence order-independent, and reads named slices of the total.
+Randomness is counter-based (Philox).  The estimators consume fixed-size
+batches of slots, each batch keyed by (seed, batch index), so results are
+bit-identical for any worker count; `sample_slots` hands out the very
+slots they decode.  Every estimator reduces a batch to one flat float64
+vector of sums (its statistic in `_STATS`), adds the batches' vectors
+column by column with math.fsum, which is exactly rounded and hence
+order-independent, and reads named slices of the total.
 
 The estimators decode a batch in channel space, a tile of slots at a time:
 each tile draws its gains from the batch generator, then one bincount
@@ -77,13 +77,7 @@ SAMPLING_CONTRACT = 2
 _TILE_CELLS = 12288
 _TILE_COPIES = 12288
 
-_KEY_SLOT = 0
 _KEY_BATCH = 1 << 63
-
-
-def _check_seed(seed: int):
-    if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
@@ -91,14 +85,6 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     # coerced through float64 and silently truncate large stream ids
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def slot_rng(seed: int, slot_index: int) -> np.random.Generator:
-    """Independent substream for one slot, keyed by (seed, slot index)."""
-    _check_seed(seed)
-    if not 0 <= slot_index < _KEY_BATCH:
-        raise ValueError(f"slot_index out of range: {slot_index!r}")
-    return _philox(seed, _KEY_SLOT + slot_index)
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
@@ -220,24 +206,6 @@ def _draw_channels(rng, total: int, num_channels: int, copies: int) -> np.ndarra
     return rows.T
 
 
-def _draw_copies(rng, total: int, num_channels: int, copies: int, gain_mean: float):
-    """Channel sets, then exponential gains, for `total` users."""
-    ch = _draw_channels(rng, total, num_channels, copies)
-    return ch, rng.exponential(scale=gain_mean, size=(total, copies))
-
-
-def sample_slot(config: SystemConfig, rng: np.random.Generator) -> SlotRealization:
-    """Draw one slot: Poisson user counts, then channels and gains for all
-    users in layer order.  Deterministic given the generator state."""
-    counts = rng.poisson(config.arrival_rates)
-    total = int(counts.sum())
-    ch, gains = _draw_copies(rng, total, config.num_channels, config.repetition, config.channel_gain_mean)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    channels_per_layer = [ch[offsets[l]: offsets[l + 1]] for l in range(config.num_layers)]
-    gains_per_layer = [gains[offsets[l]: offsets[l + 1]] for l in range(config.num_layers)]
-    return SlotRealization(counts=counts, channels=channels_per_layer, gains=gains_per_layer)
-
-
 # --- per-slot decoding --------------------------------------------------------
 
 
@@ -316,6 +284,18 @@ def sic_decode(
 # --- batched sampling + decoding (estimator fast path) -------------------------
 
 
+def _batch_sizes(num_slots: int, seed: int) -> list[int]:
+    """Sizes of the batches holding slots 0..num_slots-1, by batch index:
+    full batches of BATCH_SLOTS, then the rest.  Part of the sampling
+    contract: it fixes the substream each slot draws from."""
+    if num_slots < 1:
+        raise ValueError(f"num_slots must be >= 1, got {num_slots}")
+    if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    full, rest = divmod(num_slots, BATCH_SLOTS)
+    return [BATCH_SLOTS] * full + ([rest] if rest else [])
+
+
 def _sample_batch(config: SystemConfig, seed: int, batch_index: int, size: int):
     """Sample `size` slots from the batch substream.
 
@@ -329,6 +309,26 @@ def _sample_batch(config: SystemConfig, seed: int, batch_index: int, size: int):
     counts = rng.poisson(lam=config.arrival_rates, size=(size, config.num_layers))
     ch = _draw_channels(rng, int(counts.sum()), config.num_channels, config.repetition)
     return counts, ch, rng
+
+
+def sample_slots(config: SystemConfig, num_slots: int, seed: int) -> list[SlotRealization]:
+    """The first `num_slots` slots that `estimate_*(config, num_slots, seed)`
+    decodes, for inspection with `sic_decode`.
+
+    Each batch is sampled by `_sample_batch` and its gains drawn in one
+    shot, the very values the batch decoder draws tile by tile; the slots'
+    arrays are views into their batch's arrays.
+    """
+    L = config.num_layers
+    slots = []
+    for bi, size in enumerate(_batch_sizes(num_slots, seed)):
+        counts, ch, rng = _sample_batch(config, seed, bi, size)
+        gains = rng.exponential(scale=config.channel_gain_mean, size=ch.shape)
+        cuts = np.cumsum(counts.ravel())[:-1]
+        ch_parts, gain_parts = np.split(ch, cuts), np.split(gains, cuts)
+        slots.extend(SlotRealization(counts[s], ch_parts[s * L: s * L + L], gain_parts[s * L: s * L + L])
+                     for s in range(size))
+    return slots
 
 
 def _decode_batch(batch, config: SystemConfig, reopen_cleared_channels: bool = False, on_tile=None):
@@ -461,15 +461,10 @@ def _batch_worker(args):
 
 
 def _map_batches(mode, config, num_slots, seed, workers, reopen):
-    if num_slots < 1:
-        raise ValueError(f"num_slots must be >= 1, got {num_slots}")
+    sizes = _batch_sizes(num_slots, seed)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _check_seed(seed)
-    tasks = []
-    for bi in range(0, (num_slots + BATCH_SLOTS - 1) // BATCH_SLOTS):
-        size = min(BATCH_SLOTS, num_slots - bi * BATCH_SLOTS)
-        tasks.append((mode, config, seed, bi, size, reopen))
+    tasks = [(mode, config, seed, bi, size, reopen) for bi, size in enumerate(sizes)]
     processes = min(workers, len(tasks), os.cpu_count() or 1)
     if processes == 1:
         return [_batch_worker(t) for t in tasks]

@@ -9,7 +9,7 @@ from layered_aloha import (
     psi_series,
     throughput,
 )
-from layered_aloha.cli import _settings_from_args, build_parser, main
+from layered_aloha.cli import _parse_grid, _settings_from_args, build_parser, main
 from layered_aloha.scenarios import CSV_HEADER, SCENARIOS
 
 
@@ -161,6 +161,32 @@ def test_sweep_grid_spec(capsys):
     assert code == 0
     rows = _parse_csv(capsys.readouterr().out)
     assert {r["x_value"] for r in rows} == {"1", "2", "3"}
+
+
+@pytest.mark.parametrize("spec, points", [
+    ("0:1:0.6", (0.0, 0.6)),
+    ("1:10:6", (1.0, 7.0)),
+    ("0:0.9:0.3", (0.0, 0.3, 0.6, 0.9)),
+    ("0.1:6.0:0.1", tuple(k / 10 for k in range(1, 61))),
+])
+def test_grid_range_stops_at_or_below_stop(spec, points):
+    assert _parse_grid(spec) == points
+
+
+def test_sweep_grid_range_never_passes_the_channel_count(capsys):
+    # the last point is the largest 1 + 6k <= 10, so B never passes N = 10
+    code = main(["sweep", "--var", "copies", "--grid", "1:10:6", "--layers", "1",
+                 "--channels", "10", "--arrival", "2", "--gamma-db", "3", "--out", "-"])
+    assert code == 0
+    assert {r["x_value"] for r in _parse_csv(capsys.readouterr().out)} == {"1", "7"}
+
+
+@pytest.mark.parametrize("spec", ["1:inf:1", "0:1:inf", "-inf:1:1", "nan:1:1", "0:nan:1"])
+def test_sweep_rejects_non_finite_grid_ranges(capsys, spec):
+    code = main(["sweep", "--var", "arrival", f"--grid={spec}", "--layers", "1",
+                 "--channels", "10", "--gamma-db", "3", "--out", "-"])
+    assert code == 2
+    assert "bad grid range" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -208,6 +208,16 @@ def test_psi_past_the_exp_underflow(copies, arrival, psi):
     assert outage(cfg).psi[0] == pytest.approx(psi, abs=1e-10)
 
 
+def test_psi_deep_in_the_poisson_tail_is_relatively_accurate():
+    # layer 3 of a design-closed-form point has psi ~ 2e-10, so stopping once
+    # the Poisson mass left is below 1e-12 costs it five digits: the series
+    # must stop relative to its own sum (40-digit value)
+    cfg = design_config(3, 400, 3.0, 1.0, 10.0, repetition=40)
+    exact = 1.92915362636972e-10
+    assert psi_series(3, cfg) == pytest.approx(exact, rel=1e-10)
+    assert outage(cfg).psi[2] == pytest.approx(exact, rel=1e-10)
+
+
 def test_closed_form_matches_50_digit_series():
     # B near N: the alternating sum cancels ~8 digits here, so its moments
     # must come from the series
@@ -275,7 +285,7 @@ def test_psi_grows_with_its_layer_arrival(cfg, data):
 @example(745.0)
 @example(800.0)
 def test_conditional_pmf_terms_match_scipy(lam):
-    ms, pbar = map(np.array, zip(*_conditional_pmf_terms(lam, 1e-12)))
+    ms, pbar = map(np.array, zip(*_conditional_pmf_terms(lam, 1e-12, lambda m: 1.0)))
     ref = poisson.pmf(ms, lam)
     keep = ref > 1e-300
     # both evaluate exp(m ln lam - lam - ln m!): each rounds that argument to

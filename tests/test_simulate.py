@@ -23,16 +23,15 @@ from layered_aloha import (
     estimate_outage,
     estimate_throughput,
     optimize_rates,
-    sample_slot,
+    sample_slots,
     sic_decode,
-    slot_rng,
     throughput,
 )
 from layered_aloha import simulate
 from layered_aloha.simulate import (
     BATCH_SLOTS,
     _decode_batch,
-    _draw_copies,
+    _draw_channels,
     _sample_batch,
 )
 
@@ -49,17 +48,15 @@ def _slot(counts, channels, gains):
 
 def test_sample_slot_deterministic():
     cfg = design_config(3, 10, 7.0, 1.0, 2.0, repetition=2)
-    a = sample_slot(cfg, slot_rng(99, 5))
-    b = sample_slot(cfg, slot_rng(99, 5))
+    a = sample_slots(cfg, 7, 99)
+    b = sample_slots(cfg, 7, 99)
     assert a == b
-    c = sample_slot(cfg, slot_rng(99, 6))
-    assert a != c
+    assert a[5] != a[6]
 
 
 def test_sample_slot_shapes_and_distinct_channels():
     cfg = design_config(2, 12, 6.0, 1.0, 2.0, repetition=4)
-    for i in range(50):
-        slot = sample_slot(cfg, slot_rng(3, i))
+    for slot in sample_slots(cfg, 50, 3):
         for l in range(2):
             m = slot.counts[l]
             assert slot.channels[l].shape == (m, 4)
@@ -73,8 +70,8 @@ def test_sample_slot_poisson_moments():
     cfg = design_config(2, 10, [10.0, 3.0], 1.0, 2.0)
     n = 100_000
     totals = np.zeros(2)
-    for i in range(n):
-        totals += sample_slot(cfg, slot_rng(12, i)).counts
+    for slot in sample_slots(cfg, n, 12):
+        totals += slot.counts
     for lam, tot in zip((10.0, 3.0), totals):
         assert abs(tot / n - lam) < 4.0 * math.sqrt(lam / n)
 
@@ -109,7 +106,7 @@ def test_draw_copies_subsets_exactly_uniform(copies):
     # every B-subset of N channels must be equally likely: chi-square
     # goodness of fit over all C(N, B) subsets, scipy as the oracle
     n_channels, users = 6, 60_000
-    ch, _ = _draw_copies(np.random.default_rng(17), users, n_channels, copies, 1.0)
+    ch = _draw_channels(np.random.default_rng(17), users, n_channels, copies)
     subsets = list(itertools.combinations(range(n_channels), copies))
     index = {c: i for i, c in enumerate(subsets)}
     freq = np.bincount([index[tuple(row)] for row in np.sort(ch, axis=1).tolist()],
@@ -122,7 +119,8 @@ def test_draw_copies_subsets_exactly_uniform(copies):
 
 def test_draw_copies_single_copy_is_one_integers_draw():
     # B = 1 keeps the contract-1 sample path: one integers(0, N) per user
-    ch, gains = _draw_copies(np.random.default_rng(4), 1000, 60, 1, 2.0)
+    drawn = np.random.default_rng(4)
+    ch, gains = _draw_channels(drawn, 1000, 60, 1), drawn.exponential(scale=2.0, size=(1000, 1))
     rng = np.random.default_rng(4)
     assert np.array_equal(ch[:, 0], rng.integers(0, 60, size=1000))
     assert np.array_equal(gains, rng.exponential(scale=2.0, size=(1000, 1)))
@@ -139,8 +137,8 @@ def test_draw_copies_single_copy_is_one_integers_draw():
 @example((1, 1), 50, 2)
 def test_draw_copies_rows_are_distinct_channels(shape, users, seed):
     n_channels, copies = shape
-    ch, gains = _draw_copies(np.random.default_rng(seed), users, n_channels, copies, 1.0)
-    assert ch.shape == gains.shape == (users, copies)
+    ch = _draw_channels(np.random.default_rng(seed), users, n_channels, copies)
+    assert ch.shape == (users, copies)
     assert ch.dtype == np.int32
     assert ((ch >= 0) & (ch < n_channels)).all()
     assert (np.diff(np.sort(ch, axis=1), axis=1) > 0).all()
@@ -193,7 +191,7 @@ def test_draw_copies_memory_scales_with_copies_not_channels():
     rng = np.random.default_rng(5)
     tracemalloc.start()
     try:
-        _draw_copies(rng, users, n_channels, copies, 1.0)
+        _draw_channels(rng, users, n_channels, copies)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -218,7 +216,7 @@ def test_decoding_ignores_copy_order():
         design_config(2, 12, 5.0, 0.8, 10.0, repetition=4),
     ]
     for k, cfg in enumerate(configs):
-        slots = [sample_slot(cfg, slot_rng(70 + k, i)) for i in range(80)]
+        slots = sample_slots(cfg, 80, 70 + k)
         shuffled = [_shuffle_copies(s, rng) for s in slots]
         for reopen in (False, True):
             for a, b in zip(slots, shuffled):
@@ -289,8 +287,7 @@ def test_interference_uses_upper_layer_power():
 
 def test_conservation_and_decoded_implication():
     cfg = design_config(3, 8, 5.0, 0.8, 2.0, repetition=2)
-    for i in range(120):
-        slot = sample_slot(cfg, slot_rng(21, i))
+    for slot in sample_slots(cfg, 120, 21):
         rep = sic_decode(slot, cfg)
         for l in range(3):
             out = rep.outcomes[l]
@@ -322,8 +319,7 @@ def test_monotone_blocking_under_injection():
     # adding one user anywhere never lets any channel survive more layers
     rng = np.random.default_rng(13)
     cfg = design_config(3, 8, 4.0, 1.0, 2.0, repetition=2)
-    for i in range(100):
-        slot = sample_slot(cfg, slot_rng(31, i))
+    for slot in sample_slots(cfg, 100, 31):
         before = sic_decode(slot, cfg).stop_layer
         layer = int(rng.integers(0, 3))
         bigger = _inject_user(slot, layer, 8, 2, rng)
@@ -407,7 +403,7 @@ def test_batch_decode_matches_per_slot_decoder():
         design_config(1, 10, 10.0, 1.0, 2.0),
     ]
     for k, cfg in enumerate(configs):
-        slots = [sample_slot(cfg, slot_rng(1000 + k, i)) for i in range(60)]
+        slots = sample_slots(cfg, 60, 1000 + k)
         for reopen in (False, True):
             per_slot = np.array(
                 [sic_decode(s, cfg, reopen).decoded_per_layer for s in slots], dtype=float
@@ -448,7 +444,7 @@ def _small_batches(draw):
     cfg = design_config(L, N, arrival, rate, db_to_linear(draw(st.floats(-5.0, 25.0))),
                         repetition=B)
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return cfg, [sample_slot(cfg, slot_rng(seed, i)) for i in range(draw(st.integers(1, 12)))]
+    return cfg, sample_slots(cfg, draw(st.integers(1, 12)), seed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -512,7 +508,7 @@ def test_batch_decode_independent_of_tile_size(monkeypatch, reopen):
 @pytest.mark.parametrize("copies", [1, 4, 12])
 def test_tile_gain_draws_equal_one_shot_draw(copies):
     # the decoder's per-tile gain blocks, concatenated, are the (T, B) gains
-    # `_draw_copies` draws in one call from the same batch substream
+    # drawn in one call from the same batch substream after the channels
     cfg = design_config(3, 60, 3.0, 1.0, db_to_linear(10.0), repetition=copies)
     counts, ch, rng = _sample_batch(cfg, 9, 2, BATCH_SLOTS)
     spy = _GainSpy(rng)
@@ -521,8 +517,9 @@ def test_tile_gain_draws_equal_one_shot_draw(copies):
 
     one_shot = simulate._batch_rng(9, 2)
     assert np.array_equal(one_shot.poisson(cfg.arrival_rates, size=counts.shape), counts)
-    ch_ref, gains_ref = _draw_copies(one_shot, int(counts.sum()), 60, copies, cfg.channel_gain_mean)
+    ch_ref = _draw_channels(one_shot, int(counts.sum()), 60, copies)
     assert np.array_equal(ch, ch_ref)
+    gains_ref = one_shot.exponential(scale=cfg.channel_gain_mean, size=ch_ref.shape)
     assert np.array_equal(np.concatenate(spy.draws), gains_ref)
 
 
@@ -648,8 +645,7 @@ def test_collision_fraction_matches_conditional_moment():
     cfg = design_config(1, 10, 5.0, 0.0, 2.0)
     n = 20000
     fracs = []
-    for i in range(n):
-        slot = sample_slot(cfg, slot_rng(7, i))
+    for slot in sample_slots(cfg, n, 7):
         m = int(slot.counts[0])
         if m:
             rep = sic_decode(slot, cfg)
@@ -750,8 +746,8 @@ def test_channel_clear_fraction_matches_rho():
     cfg = design_config(2, 10, 8.0, 1.0, 4.0)
     n = 4000
     cleared = 0
-    for i in range(n):
-        rep = sic_decode(sample_slot(cfg, slot_rng(55, i)), cfg)
+    for slot in sample_slots(cfg, n, 55):
+        rep = sic_decode(slot, cfg)
         cleared += int((rep.stop_layer >= 1).sum())
     frac = cleared / (n * 10)
     expected = rho(1, cfg, capture_prob_exact(1, cfg))
@@ -759,27 +755,51 @@ def test_channel_clear_fraction_matches_rho():
     assert abs(frac - expected) < 4.0 * se
 
 
-def test_batch_and_slot_paths_agree_statistically():
-    # the estimators draw from batch substreams, sample_slot from per-slot
-    # substreams; both must estimate the same mean
-    cfg = design_config(2, 10, 8.0, 1.0, 4.0)
-    est = estimate_throughput(cfg, 20000, 3)
-    n = 4000
-    vals = np.zeros(n)
-    rates = np.asarray(cfg.rates)
-    for i in range(n):
-        rep = sic_decode(sample_slot(cfg, slot_rng(900, i)), cfg)
-        vals[i] = float(np.dot(rep.decoded_per_layer, rates))
-    slot_mean = vals.mean()
-    slot_se = vals.std(ddof=1) / math.sqrt(n)
-    assert abs(est.total.value - slot_mean) < 5.0 * (est.total.stderr + slot_se)
+def test_estimates_equal_sic_decode_over_sample_slots():
+    # `sample_slots` returns the slots the estimators decode: the per-slot
+    # reference decoder over them gives the outage estimate bit for bit,
+    # over two full batches and a partial one, under both semantics
+    cfg = design_config(3, 20, 3.0, [0.8, 1.0, 1.5], 10.0, repetition=3)
+    n = 2 * BATCH_SLOTS + 300
+    slots = sample_slots(cfg, n, 3)
+    assert len(slots) == n
+    users = np.sum([s.counts for s in slots], axis=0)
+    for reopen in (False, True):
+        decoded = np.sum([sic_decode(s, cfg, reopen).decoded_per_layer for s in slots], axis=0)
+        assert 0 < decoded.sum() < users.sum()
+        est = estimate_outage(cfg, n, 3, reopen_cleared_channels=reopen)
+        assert [o.value for o in est.per_layer] == ((users - decoded) / users).tolist()
+        bits = estimate_throughput(cfg, n, 3, reopen_cleared_channels=reopen)
+        assert bits.total.value == pytest.approx(decoded @ np.asarray(cfg.rates) / n, rel=1e-12)
+
+
+def test_joint_capture_counts_equal_sic_decode_over_sample_slots():
+    # the two-layer system of demos/decoding_dependence.py: count the
+    # channels with one user per layer, and which of those users decode
+    base = design_config(2, 10, 10.0, 0.0, db_to_linear(3.0))
+    cfg = base.with_rates(optimize_rates(base).optimal_rates)
+    n = 2 * BATCH_SLOTS + 500
+    tally = np.zeros(4, dtype=np.int64)  # lone pairs; of those layer 1, layer 2, both decoded
+    for slot in sample_slots(cfg, n, 7):
+        outcomes = sic_decode(slot, cfg).outcomes
+        occ = [np.bincount(ch[:, 0], minlength=10) for ch in slot.channels]
+        pair = (occ[0] == 1) & (occ[1] == 1)
+        a, b = (np.isin(np.arange(10), ch[out == DECODED, 0]) & pair
+                for ch, out in zip(slot.channels, outcomes))
+        tally += (pair.sum(), a.sum(), b.sum(), (a & b).sum())
+    lone, first, second, both = tally.tolist()
+    est = estimate_joint_capture(cfg, n, 7)
+    assert est.samples == lone > 10_000
+    assert est.joint.value == both / lone
+    assert est.marginal_first.value == first / lone
+    assert est.marginal_second.value == second / lone
 
 
 def test_seed_validation():
     cfg = design_config(1, 10, 1.0, 1.0, 2.0)
     with pytest.raises(ValueError):
-        slot_rng(-1, 0)
+        sample_slots(cfg, 1, -1)
     with pytest.raises(ValueError):
-        slot_rng(2 ** 64, 0)
+        sample_slots(cfg, 1, 2 ** 64)
     with pytest.raises(ValueError):
         estimate_throughput(cfg, 10, 2 ** 64)
