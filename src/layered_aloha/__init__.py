@@ -42,11 +42,9 @@ from .simulate import (
     SINR_FAILURE,
     DecodeReport,
     EstimatorOutput,
-    JointCaptureEstimate,
     OutageEstimate,
     SlotRealization,
     ThroughputEstimate,
-    estimate_joint_capture,
     estimate_outage,
     estimate_throughput,
     sample_slots,
@@ -59,6 +57,7 @@ from .throughput import (
     capture_prob_exact,
     capture_prob_lower_bound,
     eta,
+    lone_pair_capture,
     rho,
     sla_layer_contributions,
     sla_lower_bound,

@@ -89,8 +89,9 @@ class Scenario:
                              "gamma_db grid point")
         if not self.grid:
             raise ValueError("scenario grid must be non-empty")
-        if list(self.grid) != sorted(self.grid):
-            raise ValueError("scenario grid must be sorted")
+        for a, b in zip(self.grid, self.grid[1:]):
+            if not a < b:  # a repeated point would write its rows twice
+                raise ValueError(f"scenario grid must be strictly increasing, got {a!r} then {b!r}")
         if kind.integer and not all(float(x).is_integer() for x in self.grid):
             raise ValueError(f"{self.x_name} grid points must be whole numbers, got {list(self.grid)}")
         if self.slots < 1:

@@ -28,9 +28,7 @@ counts the copies and one weighted bincount sums the received power of
 every (layer, channel) cell.  The tile size bounds the tile's arrays; it
 is not part of the sampling contract, and the output cannot depend on it:
 slots never share a cell, and each cell's sums are formed in the same
-order whatever the tile.  The joint-capture statistic counts its channels
-through a per-tile callback, so no estimator holds an array over all S*N
-channels of a batch.  `sic_decode` is the per-slot reference.
+order whatever the tile.  `sic_decode` is the per-slot reference.
 
 Sampling contract 2 fixes the sample path.  Each stream draws, in order:
 the Poisson user counts of every layer; the channel sets of all users by
@@ -153,24 +151,6 @@ class ThroughputEstimate:
 @dataclass(frozen=True)
 class OutageEstimate:
     per_layer: tuple[EstimatorOutput, ...]
-
-
-@dataclass(frozen=True)
-class JointCaptureEstimate:
-    """Joint and marginal decode probabilities for isolated two-layer pairs.
-
-    Estimated over channels carrying exactly one user in each of the two
-    layers; `covariance` is the sample covariance between the two decode
-    indicators (zero would mean the per-layer decode events are
-    independent), with `samples` conditioning events observed.
-    """
-
-    joint: EstimatorOutput
-    marginal_first: EstimatorOutput
-    marginal_second: EstimatorOutput
-    covariance: float
-    covariance_stderr: float
-    samples: int
 
 
 # --- sampling ----------------------------------------------------------------
@@ -331,7 +311,7 @@ def sample_slots(config: SystemConfig, num_slots: int, seed: int) -> list[SlotRe
     return slots
 
 
-def _decode_batch(batch, config: SystemConfig, reopen_cleared_channels: bool = False, on_tile=None):
+def _decode_batch(batch, config: SystemConfig, reopen_cleared_channels: bool = False):
     """Vectorized SIC sweep over a batch of slots, in channel space.
 
     A tile is C slots, a contiguous range of the slot-major copy rows: the
@@ -355,9 +335,7 @@ def _decode_batch(batch, config: SystemConfig, reopen_cleared_channels: bool = F
     order; the interference adds whole layer rows from L down, an empty
     layer adding an exact 0.0, then the noise; and the SINR test is `>=`.
 
-    Returns per-slot decoded counts (S, L).  `on_tile(s0, s1, occ, ok)`, if
-    given, sees each tile of slots s0..s1-1: the (L, (s1-s0)*N) copy counts
-    and singleton-decode flags of its cells, column (slot - s0)*N + q.
+    Returns per-slot decoded counts (S, L).
     """
     counts, ch, rng = batch
     S, L = counts.shape
@@ -413,8 +391,6 @@ def _decode_batch(batch, config: SystemConfig, reopen_cleared_channels: bool = F
                 blocked |= stalls[l]
         user_decoded = flat_ok[key_t].any(axis=0)
         decoded[s0:s1] = np.bincount(group[user_decoded], minlength=users.size).reshape(-1, L)
-        if on_tile is not None:
-            on_tile(s0, s1, occ[:, : (s1 - s0) * N], ok[:, : (s1 - s0) * N])
     return decoded
 
 
@@ -436,21 +412,7 @@ def _outage_stat(batch, config, reopen):
                            (und * counts).sum(axis=0), (counts * counts).sum(axis=0)))
 
 
-def _joint_stat(batch, config, reopen):
-    """[channels with one user per layer, and of those: layer 1, layer 2
-    and both decoded], counted tile by tile."""
-    sums = np.zeros(4)
-
-    def count(s0, s1, occ, ok):
-        lone = (occ == 1).all(axis=0)
-        a, b = ok[:, lone]
-        sums[:] += (lone.sum(), a.sum(), b.sum(), (a & b).sum())
-
-    _decode_batch(batch, config, reopen, on_tile=count)
-    return sums
-
-
-_STATS = {"throughput": _throughput_stat, "outage": _outage_stat, "joint": _joint_stat}
+_STATS = {"throughput": _throughput_stat, "outage": _outage_stat}
 
 
 def _batch_worker(args):
@@ -536,47 +498,3 @@ def estimate_outage(
         per_layer.append(EstimatorOutput(ratio, math.sqrt(resid_sq) / c, num_slots, seed))
     return OutageEstimate(per_layer=tuple(per_layer))
 
-
-def estimate_joint_capture(
-    config: SystemConfig, num_slots: int, seed: int, workers: int = 1
-) -> JointCaptureEstimate:
-    """Decode statistics for channels holding exactly one user per layer.
-
-    Requires a two-layer, single-copy config.  Conditioned on a channel
-    with a lone user in each layer, estimates the probability both decode,
-    each marginal, and the covariance between the two decode indicators.
-    Per-channel user counts are independent across channels (Poisson
-    splitting), so the conditioning events are iid samples.
-    """
-    if config.num_layers != 2:
-        raise ValueError(f"joint capture is defined for exactly 2 layers, got {config.num_layers}")
-    if config.repetition != 1:
-        raise ValueError("joint capture is defined for single-copy transmission (repetition = 1)")
-    n, sa, sb, sab = _fsum(_map_batches("joint", config, num_slots, seed, workers, False))
-    if n == 0:
-        nan = EstimatorOutput(float("nan"), float("nan"), num_slots, seed)
-        return JointCaptureEstimate(nan, nan, nan, float("nan"), float("nan"), 0)
-    p1, p2, p11 = sa / n, sb / n, sab / n
-    cov = p11 - p1 * p2
-    # second moment of (a - p1)(b - p2) over the four cells of the 2x2 table
-    p10, p01 = p1 - p11, p2 - p11
-    p00 = 1.0 - p1 - p2 + p11
-    m2 = (
-        p11 * ((1 - p1) * (1 - p2)) ** 2
-        + p10 * ((1 - p1) * p2) ** 2
-        + p01 * (p1 * (1 - p2)) ** 2
-        + p00 * (p1 * p2) ** 2
-    )
-    cov_se = math.sqrt(max(0.0, m2 - cov * cov) / n)
-
-    def _binom(p):
-        return EstimatorOutput(p, math.sqrt(max(0.0, p * (1 - p) / n)), num_slots, seed)
-
-    return JointCaptureEstimate(
-        joint=_binom(p11),
-        marginal_first=_binom(p1),
-        marginal_second=_binom(p2),
-        covariance=cov,
-        covariance_stderr=cov_se,
-        samples=int(n),
-    )

@@ -5,7 +5,8 @@ slot); the repetition variant is handled by :mod:`layered_aloha.outage`.
 The per-layer throughput chains the channel-clear probabilities of the
 layers below, which treats decoding events in different layers as
 independent -- exact for the first layer and for L = 1, an approximation
-for deeper layers (the simulator quantifies the gap).
+for deeper layers (the simulator quantifies the gap; `lone_pair_capture`
+gives the dependence exactly for one two-layer channel).
 """
 
 from __future__ import annotations
@@ -86,6 +87,33 @@ def capture_prob_exact(l: int, config: SystemConfig, rate: float | None = None) 
     _check_layer(l, config)
     nu = snr_gap(config.layers[l - 1].rate if rate is None else rate)
     return math.exp(-capture_exponent(l, config, nu))
+
+
+def lone_pair_capture(config: SystemConfig) -> tuple[float, float]:
+    """Decode probabilities of a lone pair: (P(layer 1 decodes), P(both decode)).
+
+    A lone pair is a channel holding exactly one layer-1 and one layer-2
+    user, in a two-layer single-copy system under the default SIC
+    semantics.  With nu_l = nu(R_l), mean gain s and noise N_0, averaging
+    over both exponential gains gives
+
+        P(a)   = exp(-nu_1 N_0 / (P_1 s)) / (1 + nu_1 P_2 / P_1)
+        P(a,b) = P(a) exp(-(nu_2 N_0 / (P_2 s)) (1 + nu_1 P_2 / P_1))
+
+    Layer 2 is only tried once layer 1 is decoded and cancelled, so
+    P(b) = P(a,b), and the covariance of the two decode events is
+    P(a,b) (1 - P(a)) >= 0, not the zero a product of marginals assumes.
+    Rejects any other layer count or repetition.
+    """
+    if config.num_layers != 2:
+        raise ValueError(f"a lone pair needs exactly 2 layers, got {config.num_layers}")
+    if config.repetition != 1:
+        raise ValueError("a lone pair needs single-copy transmission (repetition = 1)")
+    (p1, p2), s, n0 = config.powers, config.channel_gain_mean, config.noise_power
+    nu1, nu2 = (snr_gap(r) for r in config.rates)
+    tilt = 1.0 + nu1 * p2 / p1
+    p_first = math.exp(-nu1 * n0 / (p1 * s)) / tilt
+    return p_first, p_first * math.exp(-(nu2 * n0 / (p2 * s)) * tilt)
 
 
 def capture_prob_lower_bound(l: int, config: SystemConfig, rate: float | None = None) -> float:

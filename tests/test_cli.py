@@ -189,6 +189,17 @@ def test_sweep_rejects_non_finite_grid_ranges(capsys, spec):
     assert "bad grid range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["1,1", "1:1.00000000001:1e-12"])
+def test_sweep_rejects_repeated_grid_points(capsys, grid):
+    # the range's points all round to 1 at 10 decimals
+    code = main(["sweep", "--var", "arrival", "--grid", grid, "--layers", "2", "--channels",
+                 "10", "--gamma-db", "3", "--outputs", "analytic"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "strictly increasing" in captured.err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "sys.cfg"
     cfg.write_text("layers = 2\nchannels = 10\narrival_rate = 5\nrate = 1\ngamma_db = 3\n")

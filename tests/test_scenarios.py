@@ -57,6 +57,8 @@ def test_scenario_validation():
         _tiny(grid=())
     with pytest.raises(ValueError):
         _tiny(grid=(3.0, 1.0))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _tiny(grid=(1.0, 2.0, 2.0, 3.0))  # a repeated point would write its rows twice
     with pytest.raises(ValueError):
         _tiny(slots=0)
     with pytest.raises(ValueError):

@@ -19,9 +19,9 @@ from layered_aloha import (
     conditional_collision_moment,
     db_to_linear,
     design_config,
-    estimate_joint_capture,
     estimate_outage,
     estimate_throughput,
+    lone_pair_capture,
     optimize_rates,
     sample_slots,
     sic_decode,
@@ -491,18 +491,11 @@ def test_batch_decode_independent_of_tile_size(monkeypatch, reopen):
             monkeypatch.setattr(simulate, "_TILE_COPIES", tile_copies)
             counts, ch, rng = _sample_batch(cfg, 40 + k, 0, BATCH_SLOTS)
             spy = _GainSpy(rng)
-            tiles = []
-            decoded = _decode_batch((counts, ch, spy), cfg, reopen,
-                                    on_tile=lambda s0, s1, occ, ok: tiles.append((occ, ok)))
-            occ_flags, dec_flags = (np.hstack(flags) for flags in zip(*tiles))
-            results.append((decoded, occ_flags, dec_flags))
+            results.append(_decode_batch((counts, ch, spy), cfg, reopen))
             assert len(spy.draws) == -(-BATCH_SLOTS // tile_slots)
-        decoded, occ_flags, dec_flags = results[0]
-        assert decoded.sum() > 0
-        for other_decoded, other_occ, other_dec in results[1:]:
-            assert np.array_equal(decoded, other_decoded)
-            assert all(np.array_equal(a, b) for a, b in zip(occ_flags, other_occ))
-            assert all(np.array_equal(a, b) for a, b in zip(dec_flags, other_dec))
+        assert results[0].sum() > 0
+        for other in results[1:]:
+            assert np.array_equal(results[0], other)
 
 
 @pytest.mark.parametrize("copies", [1, 4, 12])
@@ -545,11 +538,10 @@ def test_batch_worker_holds_one_copy_sized_array(reopen):
     # the (T, B) channel draw is the only array as long as the batch's
     # copies; beside it sit the (S, L) counts and decoded counts, the slot
     # offsets, and a fixed number of tile-sized temporaries.  Points: the
-    # lambda = 14 throughput-vs-arrival point, the B = 12 outage-vs-copies
-    # point and a joint-capture point, whose channel counts stay tile-sized
+    # lambda = 14 throughput-vs-arrival point and the B = 12
+    # outage-vs-copies point
     points = [("throughput", _tile_configs()[1]),
-              ("outage", design_config(3, 60, 3.0, 1.0, db_to_linear(10.0), repetition=12)),
-              ("joint", design_config(2, 500, 20.0, 1.0, 2.0))]
+              ("outage", design_config(3, 60, 3.0, 1.0, db_to_linear(10.0), repetition=12))]
     tile_bytes = max(simulate._TILE_CELLS, simulate._TILE_COPIES) * 8
     for mode, cfg in points:
         channels = _sample_batch(cfg, 5, 0, BATCH_SLOTS)[1]
@@ -588,9 +580,6 @@ def test_estimators_deterministic_across_workers():
     o1 = estimate_outage(crrd, n, 51, workers=1)
     o4 = estimate_outage(crrd, n, 51, workers=4)
     assert o1 == o4
-    j1 = estimate_joint_capture(cfg, n, 52, workers=1)
-    j4 = estimate_joint_capture(cfg, n, 52, workers=4)
-    assert j1 == j4
 
 
 def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
@@ -692,20 +681,6 @@ def test_tiny_load_zero_rate_never_fails():
     assert est.per_layer[0].value == 0.0
 
 
-def test_joint_capture_trivial_cases():
-    both_free = design_config(2, 10, 10.0, 0.0, 2.0)
-    est = estimate_joint_capture(both_free, 2000, 11)
-    assert est.joint.value == 1.0
-    assert est.samples > 0
-    # a zero-rate second layer decodes whenever the sweep reaches it, i.e.
-    # exactly when the first layer decoded: joint == both marginals
-    cfg = design_config(2, 10, 10.0, [1.0, 0.0], 2.0)
-    est = estimate_joint_capture(cfg, 4000, 12)
-    assert est.joint.value == est.marginal_first.value
-    assert est.marginal_second.value == est.marginal_first.value
-    assert 0.0 < est.joint.value < 1.0
-
-
 def test_zero_arrival_throughput_is_exactly_zero():
     # 1e-310 is subnormal: the decoder's tile-size rule must not overflow
     for arrival in (0.0, 1e-310):
@@ -714,27 +689,6 @@ def test_zero_arrival_throughput_is_exactly_zero():
         assert est.total.value == 0.0
         assert est.total.stderr == 0.0
         assert all(o.value == 0.0 and o.stderr == 0.0 for o in est.per_layer)
-
-
-def test_joint_capture_detects_cross_layer_dependence():
-    # two-layer system at 3 dB with optimized rates: the decode events of
-    # a lone pair sharing a channel are far from independent
-    from layered_aloha import optimize_rates
-
-    base = design_config(2, 10, 10.0, 0.0, 10 ** 0.3)
-    cfg = base.with_rates(optimize_rates(base).optimal_rates)
-    est = estimate_joint_capture(cfg, 60000, 33)
-    assert est.samples > 1000
-    assert abs(est.covariance) > 3.0 * est.covariance_stderr
-    product = est.marginal_first.value * est.marginal_second.value
-    assert est.joint.value != pytest.approx(product, abs=3.0 * est.covariance_stderr)
-
-
-def test_joint_capture_validation():
-    with pytest.raises(ValueError):
-        estimate_joint_capture(design_config(3, 10, 5.0, 1.0, 2.0), 100, 1)
-    with pytest.raises(ValueError):
-        estimate_joint_capture(design_config(2, 10, 5.0, 1.0, 2.0, repetition=2), 100, 1)
 
 
 def test_channel_clear_fraction_matches_rho():
@@ -773,26 +727,40 @@ def test_estimates_equal_sic_decode_over_sample_slots():
         assert bits.total.value == pytest.approx(decoded @ np.asarray(cfg.rates) / n, rel=1e-12)
 
 
-def test_joint_capture_counts_equal_sic_decode_over_sample_slots():
+def _lone_pair_tally(seed):
     # the two-layer system of demos/decoding_dependence.py: count the
     # channels with one user per layer, and which of those users decode
     base = design_config(2, 10, 10.0, 0.0, db_to_linear(3.0))
     cfg = base.with_rates(optimize_rates(base).optimal_rates)
-    n = 2 * BATCH_SLOTS + 500
     tally = np.zeros(4, dtype=np.int64)  # lone pairs; of those layer 1, layer 2, both decoded
-    for slot in sample_slots(cfg, n, 7):
+    for slot in sample_slots(cfg, 2 * BATCH_SLOTS + 500, seed):
         outcomes = sic_decode(slot, cfg).outcomes
         occ = [np.bincount(ch[:, 0], minlength=10) for ch in slot.channels]
         pair = (occ[0] == 1) & (occ[1] == 1)
         a, b = (np.isin(np.arange(10), ch[out == DECODED, 0]) & pair
                 for ch, out in zip(slot.channels, outcomes))
         tally += (pair.sum(), a.sum(), b.sum(), (a & b).sum())
-    lone, first, second, both = tally.tolist()
-    est = estimate_joint_capture(cfg, n, 7)
-    assert est.samples == lone > 10_000
-    assert est.joint.value == both / lone
-    assert est.marginal_first.value == first / lone
-    assert est.marginal_second.value == second / lone
+    return cfg, tally.tolist()
+
+
+def test_joint_capture_counts_equal_sic_decode_over_sample_slots():
+    cfg, (lone, first, second, both) = _lone_pair_tally(7)
+    assert lone > 10_000
+    assert second == both  # layer 2 is only tried once layer 1 is cancelled
+    # lone pairs sit on distinct channels, and channels are independent
+    # (Poisson splitting), so each tally is binomial
+    for p_hat, p in zip((first / lone, both / lone), lone_pair_capture(cfg)):
+        assert abs(p_hat - p) < 4.0 * math.sqrt(p * (1 - p) / lone)
+
+
+def test_joint_capture_detects_cross_layer_dependence():
+    # the decode events of a lone pair are far from independent: in the
+    # closed form, and in a sic_decode tally
+    cfg, (lone, first, second, both) = _lone_pair_tally(33)
+    p_first, p_both = lone_pair_capture(cfg)
+    assert p_both - p_first * p_both > 0.05
+    product = (first / lone) * (second / lone)
+    assert both / lone - product > 4.0 * math.sqrt(product * (1 - product) / lone)
 
 
 def test_seed_validation():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from layered_aloha import (
     LayerParams,
@@ -12,9 +13,11 @@ from layered_aloha import (
     capture_prob_lower_bound,
     design_config,
     eta,
+    lone_pair_capture,
     rho,
     sla_layer_contributions,
     sla_lower_bound,
+    snr_gap,
     throughput,
 )
 
@@ -86,6 +89,48 @@ def test_capture_exact_monotonicity():
         heavier = SystemConfig(cfg.num_channels, tuple(layers))
         assert capture_prob_exact(1, heavier) <= base
         base = capture_prob_exact(1, heavier)
+
+
+@pytest.mark.parametrize("layers, gain_mean, noise", [
+    ((LayerParams(4.0, 5.0, 1.3), LayerParams(6.0, 1.5, 0.9)), 1.7, 0.6),
+    ((LayerParams(2.0, 30.0, 2.5), LayerParams(3.0, 0.8, 0.4)), 0.4, 2.2),
+])
+def test_lone_pair_capture_matches_numeric_integration(layers, gain_mean, noise):
+    # integrate over both exponential gains: layer 1 decodes when
+    # P1 g1 >= nu1 (P2 g2 + N0), then layer 2 when P2 g2 >= nu2 N0
+    cfg = SystemConfig(10, layers, channel_gain_mean=gain_mean, noise_power=noise)
+    (p1, p2), s = cfg.powers, gain_mean
+    nu1, nu2 = (snr_gap(r) for r in cfg.rates)
+
+    def density(g1, g2):
+        return math.exp(-(g1 + g2) / s) / (s * s)
+
+    def g1_from(g2):
+        return nu1 * (p2 * g2 + noise) / p1
+
+    oracle = [integrate.dblquad(density, g2_from, math.inf, g1_from, math.inf,
+                                epsabs=0.0, epsrel=1e-13)[0]
+              for g2_from in (0.0, nu2 * noise / p2)]
+    p_first, p_both = lone_pair_capture(cfg)
+    assert p_first == pytest.approx(oracle[0], rel=1e-10)
+    assert p_both == pytest.approx(oracle[1], rel=1e-10)
+    assert 0.0 < p_both < p_first < 1.0
+
+
+def test_lone_pair_capture_edge_cases():
+    assert lone_pair_capture(design_config(2, 10, 10.0, 0.0, 2.0)) == (1.0, 1.0)
+    # a zero-rate layer 2 decodes whenever the sweep reaches it
+    p_first, p_both = lone_pair_capture(design_config(2, 10, 10.0, [1.0, 0.0], 2.0))
+    assert p_both == p_first
+    assert 0.0 < p_first < 1.0
+
+
+def test_lone_pair_capture_validation():
+    for cfg in (design_config(3, 10, 5.0, 1.0, 2.0), design_config(1, 10, 5.0, 1.0, 2.0)):
+        with pytest.raises(ValueError, match="exactly 2 layers"):
+            lone_pair_capture(cfg)
+    with pytest.raises(ValueError, match="repetition"):
+        lone_pair_capture(design_config(2, 10, 5.0, 1.0, 2.0, repetition=2))
 
 
 def test_eta_values():

@@ -20,10 +20,10 @@ Runs the `layered_aloha` package of the checkout this script sits in
 * `sweep --var gamma-db --outputs analytic` for 8 layers, which
   optimizes rates at every grid point;
 * `sweep --var copies`, `--var rate` (fixed rates) and `--var layers`
-  (optimized rates), each with `--outputs analytic,simulated`;
-* `estimate_joint_capture`, which no CLI command reaches, at the
-  configuration and seed of `demos/decoding_dependence.py` with fewer
-  slots, as the `repr` of its result (floats in full precision).
+  (optimized rates), each with `--outputs analytic,simulated`.
+
+Every output is a CLI invocation; between them they reach both estimator
+modes, throughput and outage, under both SIC semantics.
 
 Every file is deterministic for a given checkout and numpy version.
 Running the script in two checkouts and comparing with
@@ -48,17 +48,9 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from layered_aloha import (  # noqa: E402
-    db_to_linear,
-    design_config,
-    estimate_joint_capture,
-    optimize_rates,
-)
 from layered_aloha.cli import main as cli_main  # noqa: E402
 from layered_aloha.scenarios import SCENARIOS  # noqa: E402
 from layered_aloha.simulate import SAMPLING_CONTRACT  # noqa: E402
-
-JOINT_CAPTURE = "joint-capture.txt"
 
 SIMULATE = ["simulate", "--layers", "2", "--channels", "10", "--arrival", "8",
             "--rate", "1", "--gamma-db", "3", "--copies", "2", "--slots", "50000",
@@ -112,17 +104,10 @@ def invocations():
                                              "analytic,simulated", "--slots", "5000"] + argv
 
 
-def joint_capture() -> str:
-    """The joint-capture estimate of the decoding-dependence demo."""
-    base = design_config(2, 10, 10.0, 0.0, db_to_linear(3.0))
-    cfg = base.with_rates(optimize_rates(base).optimal_rates)
-    return repr(estimate_joint_capture(cfg, 50_000, seed=7, workers=2)) + "\n"
-
-
 def manifest(outdir) -> str:
     """sha256 manifest of the golden outputs in `outdir`, in file-name order."""
     lines = [f"# numpy {np.__version__}", f"# sampling_contract {SAMPLING_CONTRACT}"]
-    for name in sorted([name for name, _ in invocations()] + [JOINT_CAPTURE]):
+    for name in sorted(name for name, _ in invocations()):
         with open(os.path.join(outdir, name), "rb") as fh:
             lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
     return "\n".join(lines) + "\n"
@@ -140,8 +125,6 @@ def main(argv) -> int:
         print(f"{filename}: exit {code}", file=sys.stderr)
         if code != 0:
             failed.append(filename)
-    with open(os.path.join(outdir, JOINT_CAPTURE), "w") as f:
-        f.write(joint_capture())
     if failed:
         print(f"failed: {', '.join(failed)}", file=sys.stderr)
         return 1
