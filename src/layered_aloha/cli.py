@@ -88,6 +88,9 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
         if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise ValueError(f"bad grid range {spec!r}")
+        if step < 1e-10:  # _float_grid rounds to 10 decimals; refuse before building the points
+            raise ValueError(f"grid step {step:g} in {spec!r} is below 1e-10, the resolution "
+                             "of grid points, so they may not be strictly increasing")
         return _float_grid(start, stop, step)
     vals = tuple(float(v) for v in spec.split(",") if v.strip())
     if not vals:

@@ -19,6 +19,19 @@ def _check_finite(name, value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _check_system(num_channels, channel_gain_mean, noise_power):
+    """Validate the system scalars, for `SystemConfig` and for
+    `allocate_powers`, which reads them before any config exists."""
+    if not isinstance(num_channels, int) or num_channels < 1:
+        raise ValueError(f"num_channels must be an integer >= 1, got {num_channels!r}")
+    _check_finite("channel_gain_mean", channel_gain_mean)
+    _check_finite("noise_power", noise_power)
+    if channel_gain_mean <= 0:
+        raise ValueError(f"channel_gain_mean must be > 0, got {channel_gain_mean}")
+    if noise_power <= 0:
+        raise ValueError(f"noise_power must be > 0, got {noise_power}")
+
+
 @dataclass(frozen=True)
 class LayerParams:
     """Per-layer design parameters.
@@ -63,20 +76,13 @@ class SystemConfig:
     repetition: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.num_channels, int) or self.num_channels < 1:
-            raise ValueError(f"num_channels must be an integer >= 1, got {self.num_channels!r}")
+        _check_system(self.num_channels, self.channel_gain_mean, self.noise_power)
         object.__setattr__(self, "layers", tuple(self.layers))
         if len(self.layers) < 1:
             raise ValueError("need at least one layer")
         for lp in self.layers:
             if not isinstance(lp, LayerParams):
                 raise ValueError(f"layers must contain LayerParams, got {lp!r}")
-        _check_finite("channel_gain_mean", self.channel_gain_mean)
-        _check_finite("noise_power", self.noise_power)
-        if self.channel_gain_mean <= 0:
-            raise ValueError(f"channel_gain_mean must be > 0, got {self.channel_gain_mean}")
-        if self.noise_power <= 0:
-            raise ValueError(f"noise_power must be > 0, got {self.noise_power}")
         if not isinstance(self.repetition, int) or not 1 <= self.repetition <= self.num_channels:
             raise ValueError(
                 f"repetition must satisfy 1 <= B <= num_channels, got B={self.repetition!r} "
@@ -180,6 +186,7 @@ def allocate_powers(
     g = float(gamma)
     if g <= 0 or not math.isfinite(g):
         raise ValueError(f"gamma must be finite and > 0, got {g}")
+    _check_system(num_channels, channel_gain_mean, noise_power)
     lams = [float(x) for x in arrival_rates]
     L = len(lams)
     if L < 1:

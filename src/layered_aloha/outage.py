@@ -29,6 +29,8 @@ from .throughput import capture_exponent
 
 # Largest rounding error a collision moment may carry in alternating form
 _ROUNDING_TOL = 1e-12
+# Largest tail the series may leave, relative to the part summed
+_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,10 +66,10 @@ def beta_crrd(l: int, config: SystemConfig) -> float:
     return 1.0 - math.exp(-capture_exponent(l, config, nu, copies=config.repetition))
 
 
-def _conditional_pmf_terms(arrival_rate: float, tail_tol: float, weight):
+def _conditional_pmf_terms(arrival_rate: float, weight):
     """Yield (m, weight(m) P(m | m >= 1)) for m = 1, 2, ..., each weight in
     [0, 1], until the rest of the weighted sum is known to be at most
-    tail_tol times the part summed so far.
+    `_TAIL_TOL` times the part summed so far.
 
     Past the mode, q = lam / (m + 1) < 1 bounds the ratio of successive
     terms, so the conditional mass beyond term m is at most
@@ -84,24 +86,20 @@ def _conditional_pmf_terms(arrival_rate: float, tail_tol: float, weight):
         yield m, term
         total += term
         q = lam / (m + 1)
-        if q < 1.0 and pbar * q / (1.0 - q) <= tail_tol * total:
+        if q < 1.0 and pbar * q / (1.0 - q) <= _TAIL_TOL * total:
             return
 
 
-def psi_series(
-    l: int, config: SystemConfig, tail_tol: float = 1e-12, beta: float | None = None
-) -> float:
+def psi_series(l: int, config: SystemConfig, beta: float | None = None) -> float:
     """Per-layer failure probability by direct truncated summation.
 
     This is the brute-force evaluation of the conditional expectation
     E[alpha(M)^B | M >= 1] and serves as the oracle for the finite form in
     :func:`psi_closed_form`.  `beta` overrides the layer's single-copy error
     probability (useful for isolating the collision part).  The sum stops
-    once its tail is bounded by `tail_tol` relative to it.
+    once its tail is bounded by `_TAIL_TOL` (1e-12) relative to it.
     """
     lam = _positive_arrival(l, config)
-    if tail_tol <= 0:
-        raise ValueError(f"tail_tol must be > 0, got {tail_tol}")
     if beta is None:
         beta = beta_crrd(l, config)
     N, B = config.num_channels, config.repetition
@@ -111,16 +109,15 @@ def psi_series(
         return (pc + (1.0 - pc) * beta) ** B
 
     total = 0.0
-    for _, term in _conditional_pmf_terms(lam, tail_tol, alpha_b):
+    for _, term in _conditional_pmf_terms(lam, alpha_b):
         total += term
     return total
 
 
-def conditional_collision_moment(
-    b: int, arrival_rate: float, num_channels: int, copies: int, tail_tol: float = 1e-12
-) -> float:
+def conditional_collision_moment(b: int, arrival_rate: float, num_channels: int,
+                                 copies: int) -> float:
     """E[p_c(M)^b | M >= 1] by direct conditional-Poisson summation, to
-    `tail_tol` relative."""
+    `_TAIL_TOL` (1e-12) relative."""
     if b < 0:
         raise ValueError(f"moment order must be >= 0, got {b}")
     if arrival_rate <= 0:
@@ -129,7 +126,7 @@ def conditional_collision_moment(
         return 1.0
     total = 0.0
     for _, term in _conditional_pmf_terms(
-            arrival_rate, tail_tol, lambda m: collision_prob(m, num_channels, copies) ** b):
+            arrival_rate, lambda m: collision_prob(m, num_channels, copies) ** b):
         total += term
     return total
 

@@ -18,7 +18,7 @@ Randomness is counter-based (Philox).  The estimators consume fixed-size
 batches of slots, each batch keyed by (seed, batch index), so results are
 bit-identical for any worker count; `sample_slots` hands out the very
 slots they decode.  Every estimator reduces a batch to one flat float64
-vector of sums (its statistic in `_STATS`), adds the batches' vectors
+vector of sums (its statistic function), adds the batches' vectors
 column by column with math.fsum, which is exactly rounded and hence
 order-independent, and reads named slices of the total.
 
@@ -68,25 +68,21 @@ BATCH_SLOTS = 4096
 #: docstring); bumped whenever a fixed seed stops reproducing old samples.
 SAMPLING_CONTRACT = 2
 
-#: cells (L*N per slot) and expected copies (B*sum(lambda) per slot) per
-#: batch-decoder tile: both keep the tile's arrays near 96 KiB, under
-#: glibc's 128 KiB mmap threshold, so they are reused, not mapped afresh.
-#: Slots decode independently, so results do not depend on them.
-_TILE_CELLS = 12288
-_TILE_COPIES = 12288
+#: elements per batch-decoder tile, bounding both its cells (L*N per slot)
+#: and its expected copies (B*sum(lambda) per slot): this keeps the tile's
+#: arrays near 96 KiB, under glibc's 128 KiB mmap threshold, so they are
+#: reused, not mapped afresh.  Slots decode independently, so results do
+#: not depend on it.
+_TILE_ELEMS = 12288
 
 _KEY_BATCH = 1 << 63
 
 
-def _philox(seed: int, stream: int) -> np.random.Generator:
+def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     # the key must be handed over as uint64; a plain int list would be
     # coerced through float64 and silently truncate large stream ids
-    key = np.array([seed, stream], dtype=np.uint64)
+    key = np.array([seed, _KEY_BATCH + batch_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
-    return _philox(seed, _KEY_BATCH + batch_index)
 
 
 @dataclass(eq=False)
@@ -315,14 +311,14 @@ def _decode_batch(batch, config: SystemConfig, reopen_cleared_channels: bool = F
     """Vectorized SIC sweep over a batch of slots, in channel space.
 
     A tile is C slots, a contiguous range of the slot-major copy rows: the
-    most (1 to S) with L*C*N <= _TILE_CELLS and C*B*sum(lambda) <=
-    _TILE_COPIES.  Each tile draws its (rows, B) gains from the batch
-    generator, which fills arrays in row-major order, each value continuing
-    the stream, so the tiles' draws are the one-shot (T, B) draw.  Each
-    copy's cell key, layer*(C*N) + (slot in tile)*N + channel, comes from a
-    per-(slot, layer) table; the keys are formed (B, rows) straight from the
-    rows of the sampler's (B, T) channel array, then copied once row-major
-    for the bincounts.  One bincount gives every cell's occupancy and one
+    most (1 to S) with both L*C*N and C*B*sum(lambda) at most _TILE_ELEMS.
+    Each tile draws its (rows, B) gains from the batch generator, which
+    fills arrays in row-major order, each value continuing the stream, so
+    the tiles' draws are the one-shot (T, B) draw.  Each copy's cell key,
+    layer*(C*N) + (slot in tile)*N + channel, comes from a per-(slot,
+    layer) table; the keys are formed (B, rows) straight from the rows of
+    the sampler's (B, T) channel array, then copied once row-major for the
+    bincounts.  One bincount gives every cell's occupancy and one
     weighted bincount its received power P_l*g; a running sum of the
     power rows from layer L down gives the interference each layer sees.
     The sweep then works on tile-wide boolean rows: a cell decodes when it
@@ -342,7 +338,7 @@ def _decode_batch(batch, config: SystemConfig, reopen_cleared_channels: bool = F
     N, B = config.num_channels, ch.shape[1]
     copy_rows = ch.T  # (B, T); C-contiguous as `_draw_channels` lays it out
     copies = B * sum(config.arrival_rates)
-    C = min(S, _TILE_CELLS // (L * N), _TILE_COPIES // copies if copies else S)
+    C = min(S, _TILE_ELEMS // (L * N), _TILE_ELEMS // copies if copies else S)
     C = max(1, int(C))
     CN = C * N
     nus = np.array([snr_gap(r) for r in config.rates])[:, None]
@@ -412,21 +408,16 @@ def _outage_stat(batch, config, reopen):
                            (und * counts).sum(axis=0), (counts * counts).sum(axis=0)))
 
 
-_STATS = {"throughput": _throughput_stat, "outage": _outage_stat}
-
-
 def _batch_worker(args):
-    mode, config, seed, batch_index, size, reopen = args
-    if mode not in _STATS:
-        raise ValueError(f"unknown estimator mode {mode!r}")
-    return _STATS[mode](_sample_batch(config, seed, batch_index, size), config, reopen)
+    stat, config, seed, batch_index, size, reopen = args
+    return stat(_sample_batch(config, seed, batch_index, size), config, reopen)
 
 
-def _map_batches(mode, config, num_slots, seed, workers, reopen):
+def _map_batches(stat, config, num_slots, seed, workers, reopen):
     sizes = _batch_sizes(num_slots, seed)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = [(mode, config, seed, bi, size, reopen) for bi, size in enumerate(sizes)]
+    tasks = [(stat, config, seed, bi, size, reopen) for bi, size in enumerate(sizes)]
     processes = min(workers, len(tasks), os.cpu_count() or 1)
     if processes == 1:
         return [_batch_worker(t) for t in tasks]
@@ -460,7 +451,7 @@ def estimate_throughput(
     One sample per slot: the sum over decoded users of their layer rate.
     Deterministic for fixed (config, num_slots, seed) whatever `workers`.
     """
-    s = _fsum(_map_batches("throughput", config, num_slots, seed, workers, reopen_cleared_channels))
+    s = _fsum(_map_batches(_throughput_stat, config, num_slots, seed, workers, reopen_cleared_channels))
     L = config.num_layers
     per_layer = []
     for l in range(L):
@@ -485,7 +476,7 @@ def estimate_outage(
     """
     if any(lam <= 0 for lam in config.arrival_rates):
         raise ValueError("outage estimation needs a positive arrival rate in every layer")
-    s = _fsum(_map_batches("outage", config, num_slots, seed, workers, reopen_cleared_channels))
+    s = _fsum(_map_batches(_outage_stat, config, num_slots, seed, workers, reopen_cleared_channels))
     L = config.num_layers
     per_layer = []
     for l in range(L):

@@ -189,9 +189,10 @@ def test_sweep_rejects_non_finite_grid_ranges(capsys, spec):
     assert "bad grid range" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", ["1,1", "1:1.00000000001:1e-12"])
+@pytest.mark.parametrize("grid", ["1,1", "1:1.00000000001:1e-12", "1:2:1e-11"])
 def test_sweep_rejects_repeated_grid_points(capsys, grid):
-    # the range's points all round to 1 at 10 decimals
+    # the ranges' points round to repeated values at 10 decimals; a step
+    # below 1e-10 is refused before its 10^11 points would be built
     code = main(["sweep", "--var", "arrival", "--grid", grid, "--layers", "2", "--channels",
                  "10", "--gamma-db", "3", "--outputs", "analytic"])
     assert code == 2
@@ -396,6 +397,32 @@ def test_bad_system_flag_values_exit_2(capsys, flag, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag}:")
+
+
+_SIMULATE = ["simulate", "--layers", "2", "--channels", "8", "--arrival", "3", "--gamma-db", "3"]
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (_SIMULATE + ["--channels", "0"], "num_channels"),
+    (_SIMULATE + ["--channels", "-2"], "num_channels"),
+    (_SIMULATE + ["--gain-mean", "0"], "channel_gain_mean"),
+    (_SIMULATE + ["--gain-mean", "-1"], "channel_gain_mean"),
+    (_SIMULATE + ["--gain-mean", "inf"], "channel_gain_mean"),
+    (_SIMULATE + ["--noise-power", "0"], "noise_power"),
+    (_SIMULATE + ["--noise-power", "nan"], "noise_power"),
+    (["optimize-rates"] + _SIMULATE[1:] + ["--gain-mean", "0"], "channel_gain_mean"),
+    ("config", "channel_gain_mean"),
+])
+def test_bad_system_scalars_exit_2_naming_the_setting(tmp_path, capsys, argv, setting):
+    # the power rule reads these before the config that checks them exists
+    if argv == "config":
+        cfg = tmp_path / "system.cfg"
+        cfg.write_text("layers = 2\nchannels = 8\narrival_rate = 3\ngamma_db = 3\ngain_mean = 0\n")
+        argv = ["simulate", "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {setting} must be")
 
 
 def test_unknown_config_key_is_reported_once(tmp_path, capsys):

@@ -160,6 +160,20 @@ def test_allocate_powers_rejects_bad_gamma(gamma):
         allocate_powers(gamma, [1.0, 2.0], 10)
 
 
+@pytest.mark.parametrize("num_channels, gain_mean, noise, name", [
+    (0, 1.0, 1.0, "num_channels"),
+    (2.5, 1.0, 1.0, "num_channels"),
+    (10, 0.0, 1.0, "channel_gain_mean"),
+    (10, float("inf"), 1.0, "channel_gain_mean"),
+    (10, 1.0, -1.0, "noise_power"),
+    (10, 1.0, float("nan"), "noise_power"),
+])
+def test_allocate_powers_rejects_bad_system_scalars(num_channels, gain_mean, noise, name):
+    # the system scalars are checked as SystemConfig checks them, not divided by
+    with pytest.raises(ValueError, match=name):
+        allocate_powers(2.0, [3.0, 3.0], num_channels, gain_mean, noise)
+
+
 def test_design_config_scalar_and_list_params():
     cfg = design_config(3, 10, 5.0, [0.5, 1.0, 1.5], 2.0)
     assert cfg.arrival_rates == (5.0, 5.0, 5.0)

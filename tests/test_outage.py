@@ -285,7 +285,7 @@ def test_psi_grows_with_its_layer_arrival(cfg, data):
 @example(745.0)
 @example(800.0)
 def test_conditional_pmf_terms_match_scipy(lam):
-    ms, pbar = map(np.array, zip(*_conditional_pmf_terms(lam, 1e-12, lambda m: 1.0)))
+    ms, pbar = map(np.array, zip(*_conditional_pmf_terms(lam, lambda m: 1.0)))
     ref = poisson.pmf(ms, lam)
     keep = ref > 1e-300
     # both evaluate exp(m ln lam - lam - ln m!): each rounds that argument to

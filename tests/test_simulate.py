@@ -152,7 +152,7 @@ def test_draw_copies_rows_are_distinct_channels(shape, users, seed):
 def test_int32_draw_is_the_int64_draw(high, size, seed):
     # below 2^31 the sampler's int32 draws are the contract's int64 draws,
     # and they leave the Philox stream at the same place
-    a, b = simulate._philox(seed, 3), simulate._philox(seed, 3)
+    a, b = simulate._batch_rng(seed, 3), simulate._batch_rng(seed, 3)
     assert np.array_equal(a.integers(0, high, size=size, dtype=np.int32),
                           b.integers(0, high, size=size))
     assert np.array_equal(a.integers(0, 7, size=3), b.integers(0, 7, size=3))
@@ -473,22 +473,22 @@ def _tile_configs():
 def test_batch_decode_independent_of_tile_size(monkeypatch, reopen):
     # slots never share a cell and the gains stream through in row order, so
     # tiles of one slot, of 7 slots (which does not divide the batch) and of
-    # the whole batch must agree exactly, whichever limit sets the tile
-    unbounded = 10 ** 12
+    # the whole batch must agree exactly.  The cells set the tile at the
+    # B = 4 point (180 cells, 36 copies per slot), the expected copies at the
+    # lambda = 14 point (30 cells, 42 copies)
     for k, cfg in enumerate(_tile_configs()):
         cells = cfg.num_layers * cfg.num_channels
         copies = cfg.repetition * sum(cfg.arrival_rates)
-        limits = [  # (_TILE_CELLS, _TILE_COPIES, tile slots)
-            (cells, unbounded, 1),
-            (unbounded, copies, 1),
-            (7 * cells, unbounded, 7),
-            (unbounded, 7 * copies, 7),
-            (unbounded, unbounded, BATCH_SLOTS),
+        per_slot = cells if k == 0 else copies
+        assert per_slot == max(cells, copies)
+        limits = [  # (_TILE_ELEMS, tile slots)
+            (per_slot, 1),
+            (7 * per_slot, 7),
+            (10 ** 12, BATCH_SLOTS),
         ]
         results = []
-        for tile_cells, tile_copies, tile_slots in limits:
-            monkeypatch.setattr(simulate, "_TILE_CELLS", tile_cells)
-            monkeypatch.setattr(simulate, "_TILE_COPIES", tile_copies)
+        for tile_elems, tile_slots in limits:
+            monkeypatch.setattr(simulate, "_TILE_ELEMS", tile_elems)
             counts, ch, rng = _sample_batch(cfg, 40 + k, 0, BATCH_SLOTS)
             spy = _GainSpy(rng)
             results.append(_decode_batch((counts, ch, spy), cfg, reopen))
@@ -540,19 +540,21 @@ def test_batch_worker_holds_one_copy_sized_array(reopen):
     # offsets, and a fixed number of tile-sized temporaries.  Points: the
     # lambda = 14 throughput-vs-arrival point and the B = 12
     # outage-vs-copies point
-    points = [("throughput", _tile_configs()[1]),
-              ("outage", design_config(3, 60, 3.0, 1.0, db_to_linear(10.0), repetition=12))]
-    tile_bytes = max(simulate._TILE_CELLS, simulate._TILE_COPIES) * 8
-    for mode, cfg in points:
+    points = [
+        (simulate._throughput_stat, _tile_configs()[1]),
+        (simulate._outage_stat, design_config(3, 60, 3.0, 1.0, db_to_linear(10.0), repetition=12)),
+    ]
+    tile_bytes = simulate._TILE_ELEMS * 8
+    for stat, cfg in points:
         channels = _sample_batch(cfg, 5, 0, BATCH_SLOTS)[1]
         batch_bytes = (2 * cfg.num_layers + 1) * BATCH_SLOTS * 8
         tracemalloc.start()
         try:
-            simulate._batch_worker((mode, cfg, 5, 0, BATCH_SLOTS, reopen))
+            simulate._batch_worker((stat, cfg, 5, 0, BATCH_SLOTS, reopen))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= channels.nbytes + batch_bytes + 16 * tile_bytes, mode
+        assert peak <= channels.nbytes + batch_bytes + 16 * tile_bytes, stat.__name__
 
 
 def test_batch_worker_peak_is_about_four_bytes_per_copy():
@@ -562,7 +564,7 @@ def test_batch_worker_peak_is_about_four_bytes_per_copy():
     copies = _sample_batch(cfg, 5, 0, BATCH_SLOTS)[1].size
     tracemalloc.start()
     try:
-        simulate._batch_worker(("outage", cfg, 5, 0, BATCH_SLOTS, False))
+        simulate._batch_worker((simulate._outage_stat, cfg, 5, 0, BATCH_SLOTS, False))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
