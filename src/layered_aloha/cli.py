@@ -45,6 +45,9 @@ _SYSTEM_FLAGS = {
     "--gain-mean": ("gain_mean", "mean channel power gain, default 1"),
 }
 
+#: most points a `start:stop:step` grid may have; the registry's largest has 60
+_MAX_GRID_POINTS = 100_000
+
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", metavar="FILE", help="key = value config file")
@@ -91,6 +94,8 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
         if step < 1e-10:  # _float_grid rounds to 10 decimals; refuse before building the points
             raise ValueError(f"grid step {step:g} in {spec!r} is below 1e-10, the resolution "
                              "of grid points, so they may not be strictly increasing")
+        if (stop - start) / step >= _MAX_GRID_POINTS:  # floor of it, plus 1, is the point count
+            raise ValueError(f"grid range {spec!r} has more than {_MAX_GRID_POINTS} points")
         return _float_grid(start, stop, step)
     vals = tuple(float(v) for v in spec.split(",") if v.strip())
     if not vals:

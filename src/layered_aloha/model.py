@@ -148,23 +148,20 @@ def collision_prob(m: int, num_channels: int, copies: int = 1) -> float:
     return 1.0 - (1.0 - 1.0 / num_channels) ** (copies * (m - 1))
 
 
-def interference_variance(l: int, config: SystemConfig, copies: int = 1) -> float:
+def interference_variance(l: int, config: SystemConfig) -> float:
     """Mean interference-plus-noise power seen by layer l at one channel.
 
-    With `copies` = B, each upper-layer user loads B/N of its power onto a
-    given channel on average, so the value is
-    sum_{i>l} sigma_h^2 P_i lambda_i B / N + N_0.  The top layer sees only
-    noise.  ``l`` is 1-based.
+    Each upper-layer user loads 1/N of its power onto a given channel on
+    average, so the value is sum_{i>l} sigma_h^2 P_i lambda_i / N + N_0.
+    The top layer sees only noise.  ``l`` is 1-based.
     """
     L = config.num_layers
     if not 1 <= l <= L:
         raise ValueError(f"layer index must be in 1..{L}, got {l}")
-    if not 1 <= copies <= config.num_channels:
-        raise ValueError(f"copies must satisfy 1 <= B <= N, got B={copies}")
     total = config.noise_power
     for i in range(l, L):  # 0-based layers l..L-1 are the 1-based layers l+1..L
         lp = config.layers[i]
-        total += config.channel_gain_mean * lp.power * lp.arrival_rate * copies / config.num_channels
+        total += config.channel_gain_mean * lp.power * lp.arrival_rate / config.num_channels
     return total
 
 

@@ -18,7 +18,7 @@ array value.  The scalar objective (`capture_prob_exact`, `math.exp`)
 re-evaluates the shortlist in ascending order and a point wins only by
 being strictly greater, so numpy's last-ulp differences from libm never
 decide.  Ties break toward the smallest argument; a NaN never wins, and a
-NaN at the grid's first point keeps that point.  A layer whose grid
+NaN at the grid's first point keeps that point.  A layer whose grid rate
 optimum is the upper search end is recorded in the plan's `bound_hits`.
 """
 
@@ -38,6 +38,13 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # scalar objective re-evaluates; far above numpy's few-ulp error in exp/pow.
 _SHORTLIST_MARGIN = 1e-9
 
+# Upper end of the normalized-arrival search.  Layer l's objective
+# f(tau) = phi tau e^-tau + (1 + phi tau) e^-tau T, with T >= 0 the value
+# above and 0 <= phi <= 1, has f'(tau) = e^-tau [phi (1 - tau)(1 + T) - T],
+# which is <= 0 for tau >= 1.  The grid holds tau = 1 and ties go to the
+# smaller point, so the optimum never reaches this end.
+_ARRIVAL_MAX = 4.0
+
 
 @dataclass(frozen=True)
 class SearchSettings:
@@ -46,7 +53,6 @@ class SearchSettings:
     rate_max: float = 16.0
     grid_points: int = 2048
     refine_tol: float = 1e-9
-    arrival_max: float = 4.0
 
     def __post_init__(self):
         # every message starts with the field name, which the CLI maps to its flag
@@ -59,8 +65,6 @@ class SearchSettings:
             raise ValueError(f"grid_points must be in [2, 2**20], got {self.grid_points}")
         if not 0 < self.refine_tol < math.inf:
             raise ValueError(f"refine_tol must be finite and > 0, got {self.refine_tol}")
-        if not 0 < self.arrival_max < math.inf:
-            raise ValueError(f"arrival_max must be finite and > 0, got {self.arrival_max}")
 
 
 @dataclass(frozen=True)
@@ -82,16 +86,11 @@ class RatePlan:
 
 @dataclass(frozen=True)
 class ArrivalPlan:
-    """Result of the backward normalized-arrival recursion (common rate).
-
-    `bound_hits` lists the 1-based layers whose grid optimum is the upper
-    search end `arrival_max`.
-    """
+    """Result of the backward normalized-arrival recursion (common rate)."""
 
     optimal_tau: tuple[float, ...]
     layer_values: tuple[float, ...]
     value: float
-    bound_hits: tuple[int, ...] = ()
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -193,16 +192,15 @@ def optimize_arrivals(
     num_channels: int,
     rate: float,
     gamma: float,
-    settings: SearchSettings | None = None,
 ) -> ArrivalPlan:
     """Normalized arrivals maximizing the common-rate decoded-packet bound.
 
     With phi = exp(-nu(rate)/gamma) fixed, the per-layer term
     phi tau exp(-tau) and clear probability (1 + phi tau) exp(-tau) depend
     only on that layer's tau, so the same backward recursion applies.  The
-    returned value is scaled by `num_channels`.
+    returned value is scaled by `num_channels`.  The search runs on
+    [0, `_ARRIVAL_MAX`] with the default `SearchSettings`.
     """
-    settings = settings or SearchSettings()
     if num_layers < 1:
         raise ValueError(f"num_layers must be >= 1, got {num_layers}")
     if num_channels < 1:
@@ -212,7 +210,6 @@ def optimize_arrivals(
     phi = math.exp(-snr_gap(rate) / gamma)
     taus = [0.0] * num_layers
     values = [0.0] * num_layers
-    hits = []
     value_above = 0.0
     for l in range(num_layers - 1, -1, -1):
 
@@ -220,10 +217,8 @@ def optimize_arrivals(
             decay = np.exp(-t) if isinstance(t, np.ndarray) else math.exp(-t)
             return phi * t * decay + (1.0 + phi * t) * decay * tail
 
-        t_star, v_star, at_upper = _maximize_scalar(objective, settings.arrival_max, settings)
+        t_star, v_star, _ = _maximize_scalar(objective, _ARRIVAL_MAX, SearchSettings())
         taus[l] = t_star
         values[l] = v_star
-        if at_upper:
-            hits.insert(0, l + 1)
         value_above = v_star
-    return ArrivalPlan(tuple(taus), tuple(values), num_channels * values[0], tuple(hits))
+    return ArrivalPlan(tuple(taus), tuple(values), num_channels * values[0])

@@ -35,18 +35,14 @@ _TAIL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class OutageReport:
-    """Per-layer failure probabilities psi, cascaded outage, and inputs.
+    """Per-layer failure probabilities psi and the cascaded outage.
 
     `outage[l-1]` is 1 - prod_{i<=l}(1 - psi_i): a layer-l user is in outage
-    if its own layer fails or any layer below stalls the receiver.  `omega`
-    is (1 - 1/N)**B; `beta` the per-layer single-copy decoding-error
-    probabilities.
+    if its own layer fails or any layer below stalls the receiver.
     """
 
     psi: tuple[float, ...]
     outage: tuple[float, ...]
-    omega: float
-    beta: tuple[float, ...]
 
 
 def beta_crrd(l: int, config: SystemConfig) -> float:
@@ -90,18 +86,16 @@ def _conditional_pmf_terms(arrival_rate: float, weight):
             return
 
 
-def psi_series(l: int, config: SystemConfig, beta: float | None = None) -> float:
+def psi_series(l: int, config: SystemConfig) -> float:
     """Per-layer failure probability by direct truncated summation.
 
     This is the brute-force evaluation of the conditional expectation
     E[alpha(M)^B | M >= 1] and serves as the oracle for the finite form in
-    :func:`psi_closed_form`.  `beta` overrides the layer's single-copy error
-    probability (useful for isolating the collision part).  The sum stops
-    once its tail is bounded by `_TAIL_TOL` (1e-12) relative to it.
+    :func:`psi_closed_form`.  The sum stops once its tail is bounded by
+    `_TAIL_TOL` (1e-12) relative to it.
     """
     lam = _positive_arrival(l, config)
-    if beta is None:
-        beta = beta_crrd(l, config)
+    beta = beta_crrd(l, config)
     N, B = config.num_channels, config.repetition
 
     def alpha_b(m):
@@ -196,14 +190,12 @@ def outage(config: SystemConfig) -> OutageReport:
     """
     L = config.num_layers
     psis = tuple(psi_closed_form(l, config) for l in range(1, L + 1))
-    betas = tuple(beta_crrd(l, config) for l in range(1, L + 1))
     outs = []
     fail = 0.0  # running 1 - prod(1 - psi_i), accumulated to keep P_out,1 == psi_1 exact
     for p in psis:
         fail = fail + (1.0 - fail) * p
         outs.append(fail)
-    omega = (1.0 - 1.0 / config.num_channels) ** config.repetition
-    return OutageReport(psi=psis, outage=tuple(outs), omega=omega, beta=betas)
+    return OutageReport(psi=psis, outage=tuple(outs))
 
 
 def _positive_arrival(l: int, config: SystemConfig) -> float:

@@ -100,6 +100,8 @@ class Scenario:
         bad = [o for o in self.outputs if o not in made]
         if bad:
             raise ValueError(f"outputs {','.join(bad)}: kind {self.kind} makes only {','.join(made)}")
+        if len(set(self.outputs)) < len(self.outputs):  # each output's rows are written once
+            raise ValueError(f"outputs {','.join(self.outputs)} name an output twice")
 
     @property
     def x_name(self) -> str:
@@ -212,7 +214,7 @@ _ECHOED = ("layers", "channels", "arrival_rate", "rate", "gamma_db", "repetition
 #
 # Each takes (scenario, the SystemConfig at grid point x, x, seed, workers,
 # reopen_cleared_channels) and returns (rows, 1-based layers whose optimized
-# rate or arrival hit the search bound).
+# rate hit the search bound).
 
 
 def _throughput_rows(s: Scenario, config: SystemConfig, x: float, seed: int, workers: int,
@@ -259,18 +261,17 @@ def _outage_rows(s: Scenario, config: SystemConfig, x: float, seed: int, workers
 
 
 def _packet_rows(s: Scenario, config: SystemConfig, x: float, *_):
-    rows, hits = [], ()
+    rows = []
     if "bound" in s.outputs:
         rate, gamma = s.settings["rate"], db_to_linear(s.settings["gamma_db"])
         plan = optimize_arrivals(config.num_layers, config.num_channels, rate, gamma)
         contribs = sla_layer_contributions(config.num_channels, plan.optimal_tau, rate, gamma)
         rows = [Row(x, str(l + 1), "bound_throughput", c) for l, c in enumerate(contribs)]
         rows.append(Row(x, "total", "bound_throughput", plan.value))
-        hits = plan.bound_hits
     if "baselines" in s.outputs:
         rows.append(Row(x, "total", "baseline_aloha", baseline_aloha_max(config.num_channels)))
         rows.append(Row(x, "total", "baseline_irsa", baseline_irsa(config.num_channels)))
-    return rows, hits
+    return rows, ()
 
 
 def _power_row(s: Scenario, config: SystemConfig, x: float, *_):
@@ -320,19 +321,17 @@ def _point_config(s: Scenario, x: float) -> SystemConfig:
 
 
 def _bound_note(s: Scenario, x: float, hits: tuple[int, ...]) -> str:
-    """Note for a grid point whose optimized rates or arrivals hit the search bound."""
-    search = SearchSettings()
-    what, bound = (("arrival", search.arrival_max) if KINDS[s.kind].rows is _packet_rows
-                   else ("rate", search.rate_max))
+    """Note for a grid point whose optimized rates hit the search bound."""
     layers = ", ".join(map(str, hits))
-    return f"{s.x_name}={_fmt(x)}: optimized {what} of layer(s) {layers} at the search bound {_fmt(bound)}"
+    return (f"{s.x_name}={_fmt(x)}: optimized rate of layer(s) {layers} at the search bound "
+            f"{_fmt(SearchSettings().rate_max)}")
 
 
 def run_point(s: Scenario, config: SystemConfig, x: float, seed: int, workers: int = 1,
               reopen_cleared_channels: bool = False) -> tuple[list[Row], list[str]]:
     """Rows of scenario `s` at grid point x, computed on `config`, and the
-    note for the point if its optimized rates or arrivals hit the search
-    bound.  Simulations use `seed`; `reopen_cleared_channels` selects the
+    note for the point if its optimized rates hit the search bound.
+    Simulations use `seed`; `reopen_cleared_channels` selects the
     alternative SIC semantics of the estimators."""
     rows, hits = KINDS[s.kind].rows(s, config, x, seed, workers, reopen_cleared_channels)
     return rows, [_bound_note(s, x, hits)] if hits else []
@@ -343,8 +342,8 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
 
     Grid point i uses seed `scenario.seed + i` for its simulations, echoed
     in the rows; the whole range of per-point seeds is checked up front.
-    A grid point whose optimized rates or arrivals hit the search bound
-    gets a note in the result.
+    A grid point whose optimized rates hit the search bound gets a note in
+    the result.
     """
     s = scenario
     if "simulated" in s.outputs and not 0 <= s.seed <= 2 ** 64 - len(s.grid):

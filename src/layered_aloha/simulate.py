@@ -134,8 +134,6 @@ class EstimatorOutput:
 
     value: float
     stderr: float
-    slots: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -456,9 +454,9 @@ def estimate_throughput(
     per_layer = []
     for l in range(L):
         mean, se = _mean_se(s[l], s[L + l], num_slots)
-        per_layer.append(EstimatorOutput(mean, se, num_slots, seed))
+        per_layer.append(EstimatorOutput(mean, se))
     mean, se = _mean_se(*s[2 * L:], num_slots)
-    return ThroughputEstimate(per_layer=tuple(per_layer), total=EstimatorOutput(mean, se, num_slots, seed))
+    return ThroughputEstimate(per_layer=tuple(per_layer), total=EstimatorOutput(mean, se))
 
 
 def estimate_outage(
@@ -482,10 +480,10 @@ def estimate_outage(
     for l in range(L):
         u, c, u2, uc, c2 = s[l::L]
         if c == 0:
-            per_layer.append(EstimatorOutput(float("nan"), float("nan"), num_slots, seed))
+            per_layer.append(EstimatorOutput(float("nan"), float("nan")))
             continue
         ratio = u / c
         resid_sq = max(0.0, u2 - 2.0 * ratio * uc + ratio * ratio * c2)
-        per_layer.append(EstimatorOutput(ratio, math.sqrt(resid_sq) / c, num_slots, seed))
+        per_layer.append(EstimatorOutput(ratio, math.sqrt(resid_sq) / c))
     return OutageEstimate(per_layer=tuple(per_layer))
 

@@ -29,8 +29,8 @@ class AnalyticReport:
     """Per-layer closed-form quantities plus the total throughput.
 
     `layer_throughput[l]` is R_l * (prod of lower-layer rho) * eta_l using
-    `capture_exact` (or `capture_bound` when `used_bound` is set); the total
-    is their sum, in bits per channel use.
+    `capture_exact`; the total is their sum, in bits per channel use.
+    `capture_bound` holds the Jensen lower bounds beside them.
     """
 
     capture_exact: tuple[float, ...]
@@ -39,7 +39,6 @@ class AnalyticReport:
     rho: tuple[float, ...]
     layer_throughput: tuple[float, ...]
     total_throughput: float
-    used_bound: bool = False
 
 
 def _check_layer(l: int, config: SystemConfig):
@@ -62,7 +61,7 @@ def capture_exponent(l: int, config: SystemConfig, nu, bound: bool = False, copi
     """
     lp = config.layers[l - 1]
     if bound:
-        gamma_l = lp.power * config.channel_gain_mean / interference_variance(l, config, copies=1)
+        gamma_l = lp.power * config.channel_gain_mean / interference_variance(l, config)
         return nu / gamma_l
     expo = nu * config.noise_power / (lp.power * config.channel_gain_mean)
     for i in range(l, config.num_layers):
@@ -149,18 +148,14 @@ def rho(l: int, config: SystemConfig, capture_prob: float) -> float:
     return (1.0 + capture_prob * x) * math.exp(-x)
 
 
-def throughput(config: SystemConfig, use_bound: bool = False) -> AnalyticReport:
-    """Total throughput sum_l R_l (prod_{m<l} rho_m) eta_l and its pieces.
-
-    `use_bound` switches the capture probability to the Jensen lower bound
-    (useful for conservative comparisons); the default is the exact form.
-    """
+def throughput(config: SystemConfig) -> AnalyticReport:
+    """Total throughput sum_l R_l (prod_{m<l} rho_m) eta_l and its pieces,
+    with the exact capture probabilities."""
     L = config.num_layers
     cap_exact = tuple(capture_prob_exact(l, config) for l in range(1, L + 1))
     cap_bound = tuple(capture_prob_lower_bound(l, config) for l in range(1, L + 1))
-    caps = cap_bound if use_bound else cap_exact
-    etas = tuple(eta(l, config, caps[l - 1]) for l in range(1, L + 1))
-    rhos = tuple(rho(l, config, caps[l - 1]) for l in range(1, L + 1))
+    etas = tuple(eta(l, config, cap_exact[l - 1]) for l in range(1, L + 1))
+    rhos = tuple(rho(l, config, cap_exact[l - 1]) for l in range(1, L + 1))
     per_layer = []
     clear = 1.0  # probability all lower layers are clear at this channel
     for l in range(L):
@@ -173,7 +168,6 @@ def throughput(config: SystemConfig, use_bound: bool = False) -> AnalyticReport:
         rho=rhos,
         layer_throughput=tuple(per_layer),
         total_throughput=math.fsum(per_layer),
-        used_bound=use_bound,
     )
 
 

@@ -201,6 +201,21 @@ def test_sweep_rejects_repeated_grid_points(capsys, grid):
     assert "strictly increasing" in captured.err
 
 
+@pytest.mark.parametrize("grid, outputs, message", [
+    ("0:1e9:0.01", "analytic", "more than 100000 points"),  # 10^11 points
+    ("1:2:1e-10", "analytic", "more than 100000 points"),  # 10^10 points
+    ("1,2", "analytic,analytic", "name an output twice"),
+], ids=["wide-range", "fine-step", "repeated-output"])
+def test_sweep_refuses_huge_grids_and_repeated_outputs(capsys, grid, outputs, message):
+    # refused before any grid point is built
+    code = main(["sweep", "--var", "arrival", "--grid", grid, "--layers", "1", "--channels",
+                 "10", "--gamma-db", "3", "--outputs", outputs])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "sys.cfg"
     cfg.write_text("layers = 2\nchannels = 10\narrival_rate = 5\nrate = 1\ngamma_db = 3\n")

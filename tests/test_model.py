@@ -83,7 +83,6 @@ def test_interference_variance_values():
     cfg = _two_layer_config()
     assert interference_variance(2, cfg) == cfg.noise_power  # top layer: noise only
     assert interference_variance(1, cfg) == pytest.approx(3.0)  # 1*2*10/10 + 1
-    assert interference_variance(1, cfg, copies=2) == pytest.approx(5.0)
 
 
 def test_interference_variance_non_increasing_in_layer():

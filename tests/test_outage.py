@@ -67,8 +67,10 @@ def test_beta_two_layer_hand_value():
 
 
 def test_psi_series_is_one_when_decoding_always_fails():
-    cfg = _crrd_config()
-    assert psi_series(1, cfg, beta=1.0) == pytest.approx(1.0, abs=1e-12)
+    cfg = _crrd_config(rate=1000.0)  # nu = 2^1000 - 1: no copy ever decodes
+    for l in (1, 2, 3):
+        assert beta_crrd(l, cfg) == 1.0
+        assert psi_series(l, cfg) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_psi_series_small_arrival_limit():
@@ -138,7 +140,6 @@ def test_outage_report_structure():
     cfg = _crrd_config()
     rep = outage(cfg)
     assert rep.outage[0] == rep.psi[0]
-    assert rep.omega == pytest.approx((1.0 - 1.0 / 60) ** 4, rel=1e-12)
     # cascade: P_out,l = 1 - prod_{i<=l}(1 - psi_i), non-decreasing in l
     surv = 1.0
     for psi, out in zip(rep.psi, rep.outage):
