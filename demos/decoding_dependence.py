@@ -11,9 +11,12 @@ product of the marginals.
 Second: the sweep semantics at a stalled channel.  By default a channel
 that saw a collision or an undecodable lone signal stays stopped for all
 deeper layers; the alternative semantics reopens it when every offending
-copy was cancelled through a duplicate decoded elsewhere.  The choice
-only matters under repetition, and the gap quantifies it.
+copy was cancelled through a duplicate decoded elsewhere.  The rule is
+part of the system: a config's `reopen_cleared_channels` selects it.  The
+choice only matters under repetition, and the gap quantifies it.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -67,7 +70,7 @@ print("the closed-form throughput multiplies marginals, so it misses this\n")
 
 crrd = design_config(3, 60, 3.0, 1.0, 10.0, repetition=4)
 strict = estimate_outage(crrd, 100_000, seed=11)
-reopen = estimate_outage(crrd, 100_000, seed=11, reopen_cleared_channels=True)
+reopen = estimate_outage(replace(crrd, reopen_cleared_channels=True), 100_000, seed=11)
 
 print("3 layers, 60 channels, arrival 3/layer, rate 1, 10 dB, 4 copies")
 print("layer  P_out (stalled stays stopped)  P_out (cancellation reopens)")

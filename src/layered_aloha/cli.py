@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from . import model
 from .optimize import SearchSettings, optimize_rates
@@ -174,11 +175,11 @@ def _run_one_point(args, x_of, **fields) -> int:
     """Write the CSV of the system the flags describe as the one-point
     scenario that `fields` describe, at grid point `x_of(config)`."""
     settings = {"rate": 1.0} | _settings_from_args(args)  # one point never optimizes rates
-    config = model.config_from_settings(settings)
+    config = replace(model.config_from_settings(settings),
+                     reopen_cleared_channels=args.reopen_cleared_channels)
     x = x_of(config)
     scenario = Scenario(grid=(x,), seed=args.seed, settings=settings, **fields)
-    rows, notes = run_point(scenario, config, x, args.seed, args.workers,
-                            args.reopen_cleared_channels)
+    rows, notes = run_point(scenario, config, x, args.seed, args.workers)
     _write(ScenarioResult(scenario, tuple(rows), tuple(notes), config).to_csv(), args.out)
     return 0
 

@@ -11,7 +11,7 @@ layer 1 is the highest-power layer and is decoded first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 def _check_finite(name, value):
@@ -65,8 +65,13 @@ class SystemConfig:
     layers are ordered by decoding position: ``layers[0]`` is layer 1
     (highest power, decoded first).  ``repetition`` is the number of copies
     B each user transmits on distinct channels (B = 1 means plain
-    single-copy access).  Validation happens here; downstream code assumes
-    a constructed config is consistent.
+    single-copy access).  ``reopen_cleared_channels`` is the receiver's SIC
+    sweep rule: by default a channel stopped by a collision or a failed
+    lone copy stays stopped for every deeper layer; when set, it reopens
+    once every copy of the layers above it is cancelled (a sensitivity
+    study; only the simulator's decoders act on it, the closed forms model
+    the default).  Validation happens here; downstream code assumes a
+    constructed config is consistent.
     """
 
     num_channels: int
@@ -74,6 +79,7 @@ class SystemConfig:
     channel_gain_mean: float = 1.0
     noise_power: float = 1.0
     repetition: int = 1
+    reopen_cleared_channels: bool = False
 
     def __post_init__(self):
         _check_system(self.num_channels, self.channel_gain_mean, self.noise_power)
@@ -88,10 +94,19 @@ class SystemConfig:
                 f"repetition must satisfy 1 <= B <= num_channels, got B={self.repetition!r} "
                 f"with {self.num_channels} channels"
             )
+        if not isinstance(self.reopen_cleared_channels, bool):
+            raise ValueError(f"reopen_cleared_channels must be a bool, got "
+                             f"{self.reopen_cleared_channels!r}")
 
     @property
     def num_layers(self) -> int:
         return len(self.layers)
+
+    def layer(self, l: int) -> LayerParams:
+        """Parameters of layer l, 1-based; the one check of a layer index."""
+        if not 1 <= l <= self.num_layers:
+            raise ValueError(f"layer index must be in 1..{self.num_layers}, got {l}")
+        return self.layers[l - 1]
 
     @property
     def arrival_rates(self) -> tuple[float, ...]:
@@ -110,12 +125,7 @@ class SystemConfig:
         rates = tuple(float(r) for r in rates)
         if len(rates) != self.num_layers:
             raise ValueError(f"expected {self.num_layers} rates, got {len(rates)}")
-        layers = tuple(
-            LayerParams(lp.arrival_rate, lp.power, r) for lp, r in zip(self.layers, rates)
-        )
-        return SystemConfig(
-            self.num_channels, layers, self.channel_gain_mean, self.noise_power, self.repetition
-        )
+        return replace(self, layers=tuple(replace(lp, rate=r) for lp, r in zip(self.layers, rates)))
 
 
 def db_to_linear(x_db: float) -> float:
@@ -155,9 +165,8 @@ def interference_variance(l: int, config: SystemConfig) -> float:
     average, so the value is sum_{i>l} sigma_h^2 P_i lambda_i / N + N_0.
     The top layer sees only noise.  ``l`` is 1-based.
     """
+    config.layer(l)  # checks the index
     L = config.num_layers
-    if not 1 <= l <= L:
-        raise ValueError(f"layer index must be in 1..{L}, got {l}")
     total = config.noise_power
     for i in range(l, L):  # 0-based layers l..L-1 are the 1-based layers l+1..L
         lp = config.layers[i]

@@ -205,7 +205,7 @@ def optimize_arrivals(
         raise ValueError(f"num_layers must be >= 1, got {num_layers}")
     if num_channels < 1:
         raise ValueError(f"num_channels must be >= 1, got {num_channels}")
-    if gamma <= 0:
+    if not gamma > 0:  # NaN too
         raise ValueError(f"gamma must be > 0, got {gamma}")
     phi = math.exp(-snr_gap(rate) / gamma)
     taus = [0.0] * num_layers

@@ -56,34 +56,34 @@ def beta_crrd(l: int, config: SystemConfig) -> float:
 
     Reduces to 1 - capture_prob_exact(l) when B = 1.
     """
-    if not 1 <= l <= config.num_layers:
-        raise ValueError(f"layer index must be in 1..{config.num_layers}, got {l}")
-    nu = snr_gap(config.layers[l - 1].rate)
+    nu = snr_gap(config.layer(l).rate)
     return 1.0 - math.exp(-capture_exponent(l, config, nu, copies=config.repetition))
 
 
-def _conditional_pmf_terms(arrival_rate: float, weight):
-    """Yield (m, weight(m) P(m | m >= 1)) for m = 1, 2, ..., each weight in
-    [0, 1], until the rest of the weighted sum is known to be at most
-    `_TAIL_TOL` times the part summed so far.
+def _conditional_mean(arrival_rate: float, weight) -> float:
+    """E[weight(M) | M >= 1] for M ~ Poisson(lam) and each weight in [0, 1],
+    summed over m = 1, 2, ... until the rest of the weighted sum is known to
+    be at most `_TAIL_TOL` times the part summed so far.
 
     Past the mode, q = lam / (m + 1) < 1 bounds the ratio of successive
-    terms, so the conditional mass beyond term m is at most
-    P(m | m >= 1) q / (1 - q), and that bound is what the stop rule tests.
-    Terms are formed from logs: lam * e^-lam alone underflows past lam ~ 745.
+    terms, so the mass beyond term m is at most P(m) q / (1 - q), and that
+    bound is what the stop rule tests.  Terms are formed from logs, as
+    lam * e^-lam alone underflows past lam ~ 745.  The weighted sum is
+    divided by the Poisson mass summed with it, not by 1 - e^-lam: the log
+    argument m ln lam - lam - ln m! rounds (about 1e-11 relative near the
+    mode at lam ~ 1e4), and the ratio cancels what the terms share, so a
+    weight of 1 from m = 2 on cannot give a mean above 1.
     """
     lam = arrival_rate
-    denom = -math.expm1(-lam)  # 1 - e^-lam, accurate for small lam
     log_lam = math.log(lam)
-    total = 0.0
+    total = mass = 0.0
     for m in itertools.count(1):
-        pbar = math.exp(m * log_lam - lam - math.lgamma(m + 1)) / denom
-        term = weight(m) * pbar
-        yield m, term
-        total += term
+        p = math.exp(m * log_lam - lam - math.lgamma(m + 1))
+        total += weight(m) * p
+        mass += p
         q = lam / (m + 1)
-        if q < 1.0 and pbar * q / (1.0 - q) <= _TAIL_TOL * total:
-            return
+        if q < 1.0 and p * q / (1.0 - q) <= _TAIL_TOL * total:
+            return total / mass
 
 
 def psi_series(l: int, config: SystemConfig) -> float:
@@ -102,10 +102,7 @@ def psi_series(l: int, config: SystemConfig) -> float:
         pc = collision_prob(m, N, B)
         return (pc + (1.0 - pc) * beta) ** B
 
-    total = 0.0
-    for _, term in _conditional_pmf_terms(lam, alpha_b):
-        total += term
-    return total
+    return _conditional_mean(lam, alpha_b)
 
 
 def conditional_collision_moment(b: int, arrival_rate: float, num_channels: int,
@@ -118,11 +115,7 @@ def conditional_collision_moment(b: int, arrival_rate: float, num_channels: int,
         raise ValueError(f"arrival_rate must be > 0, got {arrival_rate}")
     if b == 0:
         return 1.0
-    total = 0.0
-    for _, term in _conditional_pmf_terms(
-            arrival_rate, lambda m: collision_prob(m, num_channels, copies) ** b):
-        total += term
-    return total
+    return _conditional_mean(arrival_rate, lambda m: collision_prob(m, num_channels, copies) ** b)
 
 
 def _collision_moment(b: int, lam: float, num_channels: int, copies: int) -> float:
@@ -199,9 +192,7 @@ def outage(config: SystemConfig) -> OutageReport:
 
 
 def _positive_arrival(l: int, config: SystemConfig) -> float:
-    if not 1 <= l <= config.num_layers:
-        raise ValueError(f"layer index must be in 1..{config.num_layers}, got {l}")
-    lam = config.layers[l - 1].arrival_rate
+    lam = config.layer(l).arrival_rate
     if lam <= 0:
         raise ValueError(
             f"layer {l} has arrival rate 0; the failure probability conditions on m >= 1"

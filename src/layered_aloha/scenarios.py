@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import NamedTuple
 
-from .model import SystemConfig, db_to_linear, design_args, design_config
+from .model import _INT_KEYS, SystemConfig, db_to_linear, design_args, design_config
 from .optimize import SearchSettings, optimize_arrivals, optimize_rates
 from .outage import outage
 from .simulate import SAMPLING_CONTRACT, estimate_outage, estimate_throughput
@@ -161,10 +161,14 @@ class ScenarioResult:
     def _config_echo(self) -> list[str]:
         c = self.config
         if c is not None:
+            # a receiver switch (a field off by default) is echoed only when on,
+            # so a default run's line stays as it was
+            switches = [f.name for f in fields(c) if f.default is False and getattr(c, f.name)]
             return [f"layers={c.num_layers}", f"channels={c.num_channels}",
                     f"arrival_rate={_fmt_all(c.arrival_rates)}", f"rate={_fmt_all(c.rates)}",
                     f"power={_fmt_all(c.powers)}", f"noise_power={_fmt(c.noise_power)}",
-                    f"gain_mean={_fmt(c.channel_gain_mean)}", f"repetition={c.repetition}"]
+                    f"gain_mean={_fmt(c.channel_gain_mean)}", f"repetition={c.repetition}",
+                    *(f"{name}=true" for name in switches)]
         s = self.scenario
         shown = ({"rate": "optimized", "repetition": "1"}
                  | {k: _fmt_setting(v) for k, v in s.settings.items()}
@@ -212,13 +216,13 @@ _ECHOED = ("layers", "channels", "arrival_rate", "rate", "gamma_db", "repetition
 
 # --- row producers ------------------------------------------------------------
 #
-# Each takes (scenario, the SystemConfig at grid point x, x, seed, workers,
-# reopen_cleared_channels) and returns (rows, 1-based layers whose optimized
-# rate hit the search bound).
+# Each takes (scenario, the SystemConfig at grid point x, x, seed, workers)
+# and returns (rows, 1-based layers whose optimized rate hit the search
+# bound).
 
 
 def _throughput_rows(s: Scenario, config: SystemConfig, x: float, seed: int, workers: int,
-                     reopen: bool, captures: bool = False):
+                     captures: bool = False):
     hits: tuple[int, ...] = ()
     if "rate" not in s.settings and KINDS[s.kind].field != "rate":  # rates neither fixed nor swept
         plan = optimize_rates(config, SearchSettings())
@@ -233,8 +237,7 @@ def _throughput_rows(s: Scenario, config: SystemConfig, x: float, seed: int, wor
                 rows.append(Row(x, str(l + 1), "capture_bound", report.capture_bound[l]))
         rows.append(Row(x, "total", "analytic_throughput", report.total_throughput))
     if "simulated" in s.outputs:
-        est = estimate_throughput(config, s.slots, seed, workers=workers,
-                                  reopen_cleared_channels=reopen)
+        est = estimate_throughput(config, s.slots, seed, workers=workers)
         for l, out in enumerate(est.per_layer):
             rows.append(
                 Row(x, str(l + 1), "simulated_throughput", out.value, out.stderr, s.slots, seed)
@@ -245,16 +248,14 @@ def _throughput_rows(s: Scenario, config: SystemConfig, x: float, seed: int, wor
     return rows, hits
 
 
-def _outage_rows(s: Scenario, config: SystemConfig, x: float, seed: int, workers: int,
-                 reopen: bool):
+def _outage_rows(s: Scenario, config: SystemConfig, x: float, seed: int, workers: int):
     rows = []
     if "analytic" in s.outputs:
         rep = outage(config)
         for l in range(config.num_layers):
             rows.append(Row(x, str(l + 1), "analytic_outage", rep.outage[l]))
     if "simulated" in s.outputs:
-        est = estimate_outage(config, s.slots, seed, workers=workers,
-                              reopen_cleared_channels=reopen)
+        est = estimate_outage(config, s.slots, seed, workers=workers)
         for l, out in enumerate(est.per_layer):
             rows.append(Row(x, str(l + 1), "simulated_outage", out.value, out.stderr, s.slots, seed))
     return rows, ()
@@ -282,33 +283,39 @@ class Kind(NamedTuple):
     """What a scenario kind sweeps, which producer turns a grid point into
     rows, the outputs that producer can make, and the settings it reads."""
 
-    x_name: str  # swept variable, as named in the CSV
     field: str  # the setting it sets at each grid point
-    integer: bool  # grid points must be whole numbers
     rows: Callable
     outputs: tuple[str, ...]
     reads: tuple[str, ...] = ()  # settings needed besides the system's, e.g. a fixed rate
+
+    @property
+    def x_name(self) -> str:
+        """The swept variable, as named in the CSV."""
+        return {"arrival_rate": "arrival", "repetition": "copies"}.get(self.field, self.field)
+
+    @property
+    def integer(self) -> bool:
+        """Whether grid points must be whole numbers: an integer setting is swept."""
+        return self.field in _INT_KEYS
 
 
 _SIMULATED = ("analytic", "simulated")
 _PACKETS = ("bound", "baselines")
 
 KINDS = {
-    "throughput": Kind("arrival", "arrival_rate", False, _throughput_rows, _SIMULATED),
-    "rate": Kind("rate", "rate", False, _throughput_rows, _SIMULATED),
-    "gamma": Kind("gamma_db", "gamma_db", False, _throughput_rows, _SIMULATED),
-    "layers": Kind("layers", "layers", True, _throughput_rows, _SIMULATED),
-    "power": Kind("arrival", "arrival_rate", False, _power_row, ("analytic",)),
-    "packets_layers": Kind("layers", "layers", True, _packet_rows, _PACKETS, ("rate", "gamma_db")),
-    "packets_channels": Kind("channels", "channels", True, _packet_rows, _PACKETS,
-                             ("rate", "gamma_db")),
-    "outage_rate": Kind("rate", "rate", False, _outage_rows, _SIMULATED),
-    "outage_copies": Kind("copies", "repetition", True, _outage_rows, _SIMULATED, ("rate",)),
-    "outage_arrival": Kind("arrival", "arrival_rate", False, _outage_rows, _SIMULATED, ("rate",)),
+    "throughput": Kind("arrival_rate", _throughput_rows, _SIMULATED),
+    "rate": Kind("rate", _throughput_rows, _SIMULATED),
+    "gamma": Kind("gamma_db", _throughput_rows, _SIMULATED),
+    "layers": Kind("layers", _throughput_rows, _SIMULATED),
+    "power": Kind("arrival_rate", _power_row, ("analytic",)),
+    "packets_layers": Kind("layers", _packet_rows, _PACKETS, ("rate", "gamma_db")),
+    "packets_channels": Kind("channels", _packet_rows, _PACKETS, ("rate", "gamma_db")),
+    "outage_rate": Kind("rate", _outage_rows, _SIMULATED),
+    "outage_copies": Kind("repetition", _outage_rows, _SIMULATED, ("rate",)),
+    "outage_arrival": Kind("arrival_rate", _outage_rows, _SIMULATED, ("rate",)),
     # one configuration, as the `simulate` command reports it: the throughput
     # rows with each layer's capture probabilities after its analytic row
-    "simulate": Kind("arrival", "arrival_rate", False, partial(_throughput_rows, captures=True),
-                     _SIMULATED),
+    "simulate": Kind("arrival_rate", partial(_throughput_rows, captures=True), _SIMULATED),
 }
 
 
@@ -327,13 +334,12 @@ def _bound_note(s: Scenario, x: float, hits: tuple[int, ...]) -> str:
             f"{_fmt(SearchSettings().rate_max)}")
 
 
-def run_point(s: Scenario, config: SystemConfig, x: float, seed: int, workers: int = 1,
-              reopen_cleared_channels: bool = False) -> tuple[list[Row], list[str]]:
+def run_point(s: Scenario, config: SystemConfig, x: float, seed: int,
+              workers: int = 1) -> tuple[list[Row], list[str]]:
     """Rows of scenario `s` at grid point x, computed on `config`, and the
     note for the point if its optimized rates hit the search bound.
-    Simulations use `seed`; `reopen_cleared_channels` selects the
-    alternative SIC semantics of the estimators."""
-    rows, hits = KINDS[s.kind].rows(s, config, x, seed, workers, reopen_cleared_channels)
+    Simulations use `seed`."""
+    rows, hits = KINDS[s.kind].rows(s, config, x, seed, workers)
     return rows, [_bound_note(s, x, hits)] if hits else []
 
 

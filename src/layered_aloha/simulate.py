@@ -9,7 +9,8 @@ rate, a channel with two or more copies is a collision.  Collisions and
 failed singletons stop the sweep at that channel for all deeper layers
 (single forward pass -- by default a stopped channel never reopens, even
 if the offending copies are later cancelled through duplicates decoded
-elsewhere; `reopen_cleared_channels` flips that for sensitivity studies).
+elsewhere; a config's `reopen_cleared_channels` flips that for
+sensitivity studies, and this module is the only one that reads it).
 After each layer pass, every copy of every user decoded in that layer is
 cancelled before the next layer is evaluated.  Cancellation never revisits
 same-layer collisions.
@@ -183,9 +184,7 @@ def _draw_channels(rng, total: int, num_channels: int, copies: int) -> np.ndarra
 # --- per-slot decoding --------------------------------------------------------
 
 
-def sic_decode(
-    slot: SlotRealization, config: SystemConfig, reopen_cleared_channels: bool = False
-) -> DecodeReport:
+def sic_decode(slot: SlotRealization, config: SystemConfig) -> DecodeReport:
     """Run the layer-by-layer SIC sweep on one slot (see module docstring)."""
     N = config.num_channels
     L = config.num_layers
@@ -213,7 +212,7 @@ def sic_decode(
     for l in range(L):
         ch, g = slot.channels[l], slot.gains[l]
         m = ch.shape[0]
-        open_now = (residual_below == 0) if reopen_cleared_channels else ~blocked
+        open_now = (residual_below == 0) if config.reopen_cleared_channels else ~blocked
         if m == 0:
             outcomes.append(np.zeros(0, dtype=np.int8))
             decoded_per_layer.append(0)
@@ -305,7 +304,7 @@ def sample_slots(config: SystemConfig, num_slots: int, seed: int) -> list[SlotRe
     return slots
 
 
-def _decode_batch(batch, config: SystemConfig, reopen_cleared_channels: bool = False):
+def _decode_batch(batch, config: SystemConfig):
     """Vectorized SIC sweep over a batch of slots, in channel space.
 
     A tile is C slots, a contiguous range of the slot-major copy rows: the
@@ -367,7 +366,7 @@ def _decode_batch(batch, config: SystemConfig, reopen_cleared_channels: bool = F
         threshold *= nus
         ok = (occ == 1) & (power >= threshold)
         flat_ok = ok.reshape(-1)
-        if reopen_cleared_channels:
+        if config.reopen_cleared_channels:
             # a channel is open while no copy of a lower layer is left on it
             layer = group % L
             residual_below = np.zeros(CN, dtype=np.int64)
@@ -391,31 +390,31 @@ def _decode_batch(batch, config: SystemConfig, reopen_cleared_channels: bool = F
 # --- estimators ----------------------------------------------------------------
 
 
-def _throughput_stat(batch, config, reopen):
+def _throughput_stat(batch, config):
     """[bits per layer (L), their squares (L), total bits, its square]."""
-    bits = _decode_batch(batch, config, reopen) * np.asarray(config.rates)
+    bits = _decode_batch(batch, config) * np.asarray(config.rates)
     tot = bits.sum(axis=1)
     return np.concatenate((bits.sum(axis=0), (bits * bits).sum(axis=0), [tot.sum(), tot @ tot]))
 
 
-def _outage_stat(batch, config, reopen):
+def _outage_stat(batch, config):
     """[undecoded u, users c, u*u, u*c, c*c], each an L-block of per-layer sums."""
     counts = batch[0]
-    und = counts - _decode_batch(batch, config, reopen)
+    und = counts - _decode_batch(batch, config)
     return np.concatenate((und.sum(axis=0), counts.sum(axis=0), (und * und).sum(axis=0),
                            (und * counts).sum(axis=0), (counts * counts).sum(axis=0)))
 
 
 def _batch_worker(args):
-    stat, config, seed, batch_index, size, reopen = args
-    return stat(_sample_batch(config, seed, batch_index, size), config, reopen)
+    stat, config, seed, batch_index, size = args
+    return stat(_sample_batch(config, seed, batch_index, size), config)
 
 
-def _map_batches(stat, config, num_slots, seed, workers, reopen):
+def _map_batches(stat, config, num_slots, seed, workers):
     sizes = _batch_sizes(num_slots, seed)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = [(stat, config, seed, bi, size, reopen) for bi, size in enumerate(sizes)]
+    tasks = [(stat, config, seed, bi, size) for bi, size in enumerate(sizes)]
     processes = min(workers, len(tasks), os.cpu_count() or 1)
     if processes == 1:
         return [_batch_worker(t) for t in tasks]
@@ -438,18 +437,14 @@ def _mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
 
 
 def estimate_throughput(
-    config: SystemConfig,
-    num_slots: int,
-    seed: int,
-    workers: int = 1,
-    reopen_cleared_channels: bool = False,
+    config: SystemConfig, num_slots: int, seed: int, workers: int = 1
 ) -> ThroughputEstimate:
     """Per-layer and total decoded bits per slot, with standard errors.
 
     One sample per slot: the sum over decoded users of their layer rate.
     Deterministic for fixed (config, num_slots, seed) whatever `workers`.
     """
-    s = _fsum(_map_batches(_throughput_stat, config, num_slots, seed, workers, reopen_cleared_channels))
+    s = _fsum(_map_batches(_throughput_stat, config, num_slots, seed, workers))
     L = config.num_layers
     per_layer = []
     for l in range(L):
@@ -460,11 +455,7 @@ def estimate_throughput(
 
 
 def estimate_outage(
-    config: SystemConfig,
-    num_slots: int,
-    seed: int,
-    workers: int = 1,
-    reopen_cleared_channels: bool = False,
+    config: SystemConfig, num_slots: int, seed: int, workers: int = 1
 ) -> OutageEstimate:
     """Per-layer fraction of users not decoded, aggregated over slots.
 
@@ -474,7 +465,7 @@ def estimate_outage(
     """
     if any(lam <= 0 for lam in config.arrival_rates):
         raise ValueError("outage estimation needs a positive arrival rate in every layer")
-    s = _fsum(_map_batches(_outage_stat, config, num_slots, seed, workers, reopen_cleared_channels))
+    s = _fsum(_map_batches(_outage_stat, config, num_slots, seed, workers))
     L = config.num_layers
     per_layer = []
     for l in range(L):

@@ -35,15 +35,8 @@ class AnalyticReport:
 
     capture_exact: tuple[float, ...]
     capture_bound: tuple[float, ...]
-    eta: tuple[float, ...]
-    rho: tuple[float, ...]
     layer_throughput: tuple[float, ...]
     total_throughput: float
-
-
-def _check_layer(l: int, config: SystemConfig):
-    if not 1 <= l <= config.num_layers:
-        raise ValueError(f"layer index must be in 1..{config.num_layers}, got {l}")
 
 
 def capture_exponent(l: int, config: SystemConfig, nu, bound: bool = False, copies: int = 1):
@@ -83,8 +76,8 @@ def capture_prob_exact(l: int, config: SystemConfig, rate: float | None = None) 
     with s2 the mean channel gain.  ``l`` is 1-based; `rate` overrides the
     layer's configured rate (handy for rate searches).
     """
-    _check_layer(l, config)
-    nu = snr_gap(config.layers[l - 1].rate if rate is None else rate)
+    lp = config.layer(l)
+    nu = snr_gap(lp.rate if rate is None else rate)
     return math.exp(-capture_exponent(l, config, nu))
 
 
@@ -122,28 +115,26 @@ def capture_prob_lower_bound(l: int, config: SystemConfig, rate: float | None = 
     interference replaced by its mean.  Tight (equal to the exact value)
     for the top layer, which sees no interference.
     """
-    _check_layer(l, config)
-    nu = snr_gap(config.layers[l - 1].rate if rate is None else rate)
+    lp = config.layer(l)
+    nu = snr_gap(lp.rate if rate is None else rate)
     return math.exp(-capture_exponent(l, config, nu, bound=True))
 
 
 def eta(l: int, config: SystemConfig, capture_prob: float) -> float:
     """Expected decoded packets at layer l once all lower layers are clear:
     capture_prob * lambda_l * exp(-lambda_l / N)."""
-    _check_layer(l, config)
+    lam = config.layer(l).arrival_rate
     if not 0.0 <= capture_prob <= 1.0:
         raise ValueError(f"capture_prob must be in [0, 1], got {capture_prob}")
-    lam = config.layers[l - 1].arrival_rate
     return capture_prob * lam * math.exp(-lam / config.num_channels)
 
 
 def rho(l: int, config: SystemConfig, capture_prob: float) -> float:
     """Probability a given channel is clear after the layer-l pass (empty, or
     a lone decodable signal): (1 + capture_prob * lambda_l / N) * exp(-lambda_l / N)."""
-    _check_layer(l, config)
+    lam = config.layer(l).arrival_rate
     if not 0.0 <= capture_prob <= 1.0:
         raise ValueError(f"capture_prob must be in [0, 1], got {capture_prob}")
-    lam = config.layers[l - 1].arrival_rate
     x = lam / config.num_channels
     return (1.0 + capture_prob * x) * math.exp(-x)
 
@@ -164,8 +155,6 @@ def throughput(config: SystemConfig) -> AnalyticReport:
     return AnalyticReport(
         capture_exact=cap_exact,
         capture_bound=cap_bound,
-        eta=etas,
-        rho=rhos,
         layer_throughput=tuple(per_layer),
         total_throughput=math.fsum(per_layer),
     )
@@ -180,10 +169,10 @@ def sla_layer_contributions(num_channels: int, tau, rate: float, gamma: float) -
     """
     if num_channels < 1:
         raise ValueError(f"num_channels must be >= 1, got {num_channels}")
-    if gamma <= 0:
+    if not gamma > 0:  # NaN too
         raise ValueError(f"gamma must be > 0, got {gamma}")
     taus = [float(t) for t in tau]
-    if not taus or any(t < 0 for t in taus):
+    if not taus or not all(t >= 0 for t in taus):
         raise ValueError("tau must be a non-empty list of non-negative values")
     phi = math.exp(-snr_gap(rate) / gamma)
     contribs = []

@@ -249,6 +249,20 @@ def test_reopen_flag_accepted(capsys):
     assert _parse_csv(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("command", ["simulate", "outage"])
+def test_config_line_names_the_sic_semantics_only_when_set(capsys, command):
+    argv = [command, "--layers", "2", "--channels", "8", "--arrival", "4", "--rate", "1",
+            "--gamma-db", "3", "--copies", "2", "--slots", "300", "--out", "-"]
+    config_lines = []
+    for extra in ([], ["--reopen-cleared-channels"]):
+        assert main(argv + extra) == 0
+        out = capsys.readouterr().out
+        config_lines.append(next(ln for ln in out.splitlines() if ln.startswith("# config:")))
+    default, reopen = config_lines
+    assert "reopen" not in default
+    assert reopen == default + " reopen_cleared_channels=true"
+
+
 def test_scenario_seed_range_checked_up_front(capsys):
     # grid point i simulates with seed + i; the last one must stay < 2^64
     top = 2 ** 64 - 1

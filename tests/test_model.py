@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,8 +150,12 @@ def test_system_config_validation():
         SystemConfig(num_channels=4, layers=(lp,), repetition=5)
     with pytest.raises(ValueError):
         SystemConfig(num_channels=4, layers=(lp,), noise_power=0.0)
+    for switch in (1, "yes", None):  # the SIC sweep rule is a bool
+        with pytest.raises(ValueError, match="reopen_cleared_channels"):
+            SystemConfig(num_channels=4, layers=(lp,), reopen_cleared_channels=switch)
     cfg = SystemConfig(num_channels=4, layers=(lp,), repetition=4)
     assert cfg.num_layers == 1
+    assert cfg.reopen_cleared_channels is False
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
@@ -189,6 +194,10 @@ def test_with_rates_replaces_only_rates():
     assert new.arrival_rates == cfg.arrival_rates
     with pytest.raises(ValueError):
         cfg.with_rates([1.0])
+    # every other field is carried over, the SIC sweep rule included
+    other = replace(cfg, noise_power=0.5, channel_gain_mean=2.0, repetition=2,
+                    reopen_cleared_channels=True)
+    assert other.with_rates([0.25, 4.0]) == replace(other, layers=new.layers)
 
 
 CONFIG_TEXT = """

@@ -184,6 +184,8 @@ def test_optimize_arrivals_validation():
         optimize_arrivals(0, 10, 1.0, 10.0)
     with pytest.raises(ValueError):
         optimize_arrivals(2, 10, 1.0, 0.0)
+    with pytest.raises(ValueError, match="gamma"):
+        optimize_arrivals(2, 10, 1.0, float("nan"))
 
 
 def test_rate_optimum_at_the_search_bound_is_flagged():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import poisson
 
 from layered_aloha import (
     LayerParams,
@@ -18,7 +17,7 @@ from layered_aloha import (
     psi_closed_form,
     psi_series,
 )
-from layered_aloha.outage import _collision_moment, _conditional_pmf_terms
+from layered_aloha.outage import _collision_moment, _conditional_mean
 
 
 def _crrd_config(copies=4, arrival=3.0, rate=1.0, num_channels=60, num_layers=3, gamma=10.0):
@@ -257,6 +256,7 @@ def _systems(draw, powers=False):
 @example(design_config(2, 10, 3.0, 0.0, 10.0, repetition=3))  # beta = 0
 @example(design_config(2, 10, 3.0, 60.0, 10.0, repetition=3))  # beta = 1
 @example(design_config(1, 3037, 1.0, 0.0, 10.0, repetition=7))  # psi = g(7), below its bound
+@example(design_config(1, 1, 1e4, 0.0, 10.0))  # psi = P(M >= 2 | M >= 1), from the series
 def test_closed_form_matches_series_over_the_domain(cfg):
     for l in range(1, cfg.num_layers + 1):
         psi = psi_closed_form(l, cfg)
@@ -282,16 +282,20 @@ def test_psi_grows_with_its_layer_arrival(cfg, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_ARRIVALS)
-@example(745.0)
-@example(800.0)
-def test_conditional_pmf_terms_match_scipy(lam):
-    ms, pbar = map(np.array, zip(*_conditional_pmf_terms(lam, lambda m: 1.0)))
-    ref = poisson.pmf(ms, lam)
-    keep = ref > 1e-300
-    # both evaluate exp(m ln lam - lam - ln m!): each rounds that argument to
-    # a few ulps of its largest part, which passes 1e-12 of the pmf past lam ~ 600
-    log_parts = ms * abs(math.log(lam)) + lam + np.array([math.lgamma(m + 1) for m in ms])
-    rel = 1e-12 + 4 * math.ulp(1.0) * log_parts
-    expected = ref / -math.expm1(-lam)
-    assert np.all(np.abs(pbar - expected)[keep] <= (rel * expected)[keep])
+@given(_ARRIVALS, st.floats(0.0, 1.0))
+@example(745.0, 0.999)
+@example(800.0, 0.5)
+@example(1e4, 0.99999)
+@example(1e4, 1.0)
+def test_conditional_mean_matches_the_generating_function(lam, x):
+    # E[x^M | M >= 1] = (e^{-lam (1 - x)} - e^-lam) / (1 - e^-lam), from the Poisson
+    # pgf, with the difference factored so that it does not cancel at small x
+    got = _conditional_mean(lam, lambda m: x ** m)
+    expected = math.exp(-lam * (1.0 - x)) * -math.expm1(-lam * x) / -math.expm1(-lam)
+    # each term rounds exp(m ln lam - lam - ln m!) to a few ulps of the log
+    # argument's largest part, once in the weighted sum and once in the mass
+    # it is divided by; the terms that carry weight have m < lam + 10 sqrt(lam) + 10
+    m = lam + 10 * math.sqrt(lam) + 10
+    rel = 1e-12 + 8 * math.ulp(1.0) * (m * abs(math.log(lam)) + lam + math.lgamma(m + 1))
+    assert got == pytest.approx(expected, rel=rel, abs=1e-300)
+    assert 0.0 <= got <= 1.0

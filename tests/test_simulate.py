@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,14 +220,15 @@ def test_decoding_ignores_copy_order():
         slots = sample_slots(cfg, 80, 70 + k)
         shuffled = [_shuffle_copies(s, rng) for s in slots]
         for reopen in (False, True):
+            sem = replace(cfg, reopen_cleared_channels=reopen)
             for a, b in zip(slots, shuffled):
-                ra, rb = sic_decode(a, cfg, reopen), sic_decode(b, cfg, reopen)
+                ra, rb = sic_decode(a, sem), sic_decode(b, sem)
                 assert all(np.array_equal(x, y) for x, y in zip(ra.outcomes, rb.outcomes))
                 assert ra.decoded_per_layer == rb.decoded_per_layer
                 assert np.array_equal(ra.residual, rb.residual)
                 assert np.array_equal(ra.stop_layer, rb.stop_layer)
-            assert np.array_equal(_batch_decode_counts(slots, cfg, reopen),
-                                  _batch_decode_counts(shuffled, cfg, reopen))
+            assert np.array_equal(_batch_decode_counts(slots, sem),
+                                  _batch_decode_counts(shuffled, sem))
 
 
 def test_sic_decode_hand_trace():
@@ -343,7 +345,7 @@ def test_reopen_semantics_difference():
     default = sic_decode(slot, cfg)
     assert default.decoded_per_layer == (1, 0)
     assert default.outcomes[1][0] == SINR_FAILURE  # its channel-2 copy failed
-    reopened = sic_decode(slot, cfg, reopen_cleared_channels=True)
+    reopened = sic_decode(slot, replace(cfg, reopen_cleared_channels=True))
     assert reopened.decoded_per_layer == (1, 1)
 
 
@@ -388,9 +390,8 @@ def _batch_from_slots(slots):
     return counts, ch, _StoredGains(gains)
 
 
-def _batch_decode_counts(slots, cfg, reopen):
-    batch = _batch_from_slots(slots)
-    return _decode_batch(batch, cfg, reopen)
+def _batch_decode_counts(slots, cfg):
+    return _decode_batch(_batch_from_slots(slots), cfg)
 
 
 def test_batch_decode_matches_per_slot_decoder():
@@ -405,10 +406,11 @@ def test_batch_decode_matches_per_slot_decoder():
     for k, cfg in enumerate(configs):
         slots = sample_slots(cfg, 60, 1000 + k)
         for reopen in (False, True):
+            sem = replace(cfg, reopen_cleared_channels=reopen)
             per_slot = np.array(
-                [sic_decode(s, cfg, reopen).decoded_per_layer for s in slots], dtype=float
+                [sic_decode(s, sem).decoded_per_layer for s in slots], dtype=float
             )
-            batched = _batch_decode_counts(slots, cfg, reopen)
+            batched = _batch_decode_counts(slots, sem)
             assert np.array_equal(per_slot, batched), (k, reopen)
 
 
@@ -426,7 +428,8 @@ _ULP_TIE_SLOT = _slot([1, 1, 1], [[0], [0], [0]],
 
 def test_exact_sinr_tie_decodes():
     for reopen in (False, True):
-        assert sic_decode(_TIE_SLOT, _TIE_CONFIG, reopen).decoded_per_layer == (1, 1)
+        sem = replace(_TIE_CONFIG, reopen_cleared_channels=reopen)
+        assert sic_decode(_TIE_SLOT, sem).decoded_per_layer == (1, 1)
 
 
 @st.composite
@@ -455,8 +458,9 @@ def _small_batches(draw):
 @example((_ULP_TIE_CONFIG, [_ULP_TIE_SLOT]), True)
 def test_batch_decode_matches_per_slot_oracle(case, reopen):
     cfg, slots = case
-    expected = np.array([sic_decode(s, cfg, reopen).decoded_per_layer for s in slots], dtype=float)
-    assert np.array_equal(_batch_decode_counts(slots, cfg, reopen), expected)
+    cfg = replace(cfg, reopen_cleared_channels=reopen)
+    expected = np.array([sic_decode(s, cfg).decoded_per_layer for s in slots], dtype=float)
+    assert np.array_equal(_batch_decode_counts(slots, cfg), expected)
 
 
 def _tile_configs():
@@ -477,6 +481,7 @@ def test_batch_decode_independent_of_tile_size(monkeypatch, reopen):
     # B = 4 point (180 cells, 36 copies per slot), the expected copies at the
     # lambda = 14 point (30 cells, 42 copies)
     for k, cfg in enumerate(_tile_configs()):
+        cfg = replace(cfg, reopen_cleared_channels=reopen)
         cells = cfg.num_layers * cfg.num_channels
         copies = cfg.repetition * sum(cfg.arrival_rates)
         per_slot = cells if k == 0 else copies
@@ -491,7 +496,7 @@ def test_batch_decode_independent_of_tile_size(monkeypatch, reopen):
             monkeypatch.setattr(simulate, "_TILE_ELEMS", tile_elems)
             counts, ch, rng = _sample_batch(cfg, 40 + k, 0, BATCH_SLOTS)
             spy = _GainSpy(rng)
-            results.append(_decode_batch((counts, ch, spy), cfg, reopen))
+            results.append(_decode_batch((counts, ch, spy), cfg))
             assert len(spy.draws) == -(-BATCH_SLOTS // tile_slots)
         assert results[0].sum() > 0
         for other in results[1:]:
@@ -546,11 +551,12 @@ def test_batch_worker_holds_one_copy_sized_array(reopen):
     ]
     tile_bytes = simulate._TILE_ELEMS * 8
     for stat, cfg in points:
+        cfg = replace(cfg, reopen_cleared_channels=reopen)
         channels = _sample_batch(cfg, 5, 0, BATCH_SLOTS)[1]
         batch_bytes = (2 * cfg.num_layers + 1) * BATCH_SLOTS * 8
         tracemalloc.start()
         try:
-            simulate._batch_worker((stat, cfg, 5, 0, BATCH_SLOTS, reopen))
+            simulate._batch_worker((stat, cfg, 5, 0, BATCH_SLOTS))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -564,7 +570,7 @@ def test_batch_worker_peak_is_about_four_bytes_per_copy():
     copies = _sample_batch(cfg, 5, 0, BATCH_SLOTS)[1].size
     tracemalloc.start()
     try:
-        simulate._batch_worker((simulate._outage_stat, cfg, 5, 0, BATCH_SLOTS, False))
+        simulate._batch_worker((simulate._outage_stat, cfg, 5, 0, BATCH_SLOTS))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -579,9 +585,9 @@ def test_estimators_deterministic_across_workers():
     t4 = estimate_throughput(cfg, n, 50, workers=4)
     t8 = estimate_throughput(cfg, n, 50, workers=8)
     assert t1 == t4 == t8
-    o1 = estimate_outage(crrd, n, 51, workers=1)
-    o4 = estimate_outage(crrd, n, 51, workers=4)
-    assert o1 == o4
+    for sem in (crrd, replace(crrd, reopen_cleared_channels=True)):
+        o1 = estimate_outage(sem, n, 51, workers=1)
+        assert o1 == estimate_outage(sem, n, 51, workers=2) == estimate_outage(sem, n, 51, workers=4)
 
 
 def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
@@ -721,11 +727,12 @@ def test_estimates_equal_sic_decode_over_sample_slots():
     assert len(slots) == n
     users = np.sum([s.counts for s in slots], axis=0)
     for reopen in (False, True):
-        decoded = np.sum([sic_decode(s, cfg, reopen).decoded_per_layer for s in slots], axis=0)
+        sem = replace(cfg, reopen_cleared_channels=reopen)
+        decoded = np.sum([sic_decode(s, sem).decoded_per_layer for s in slots], axis=0)
         assert 0 < decoded.sum() < users.sum()
-        est = estimate_outage(cfg, n, 3, reopen_cleared_channels=reopen)
+        est = estimate_outage(sem, n, 3)
         assert [o.value for o in est.per_layer] == ((users - decoded) / users).tolist()
-        bits = estimate_throughput(cfg, n, 3, reopen_cleared_channels=reopen)
+        bits = estimate_throughput(sem, n, 3)
         assert bits.total.value == pytest.approx(decoded @ np.asarray(cfg.rates) / n, rel=1e-12)
 
 

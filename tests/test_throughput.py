@@ -9,11 +9,15 @@ from layered_aloha import (
     SystemConfig,
     baseline_aloha_max,
     baseline_irsa,
+    beta_crrd,
     capture_prob_exact,
     capture_prob_lower_bound,
     design_config,
     eta,
+    interference_variance,
     lone_pair_capture,
+    psi_closed_form,
+    psi_series,
     rho,
     sla_layer_contributions,
     sla_lower_bound,
@@ -201,7 +205,7 @@ def test_throughput_matches_manual_accumulation():
         assert rep.total_throughput == pytest.approx(sum(rep.layer_throughput), abs=1e-12)
         for l in range(cfg.num_layers):
             assert 0.0 <= rep.capture_exact[l] <= 1.0
-            assert rep.eta[l] <= cfg.arrival_rates[l] + 1e-15
+            assert eta(l + 1, cfg, rep.capture_exact[l]) <= cfg.arrival_rates[l] + 1e-15
 
 
 def test_throughput_empty_top_layer_is_noop():
@@ -250,6 +254,14 @@ def test_sla_lower_bound_two_layer_value():
     assert sum(contribs) == pytest.approx(val, rel=1e-12)
 
 
+@pytest.mark.parametrize("gamma, tau", [(float("nan"), [1.0]), (0.0, [1.0]), (10.0, [float("nan")]),
+                                        (10.0, [1.0, -0.5]), (10.0, [])])
+def test_sla_lower_bound_rejects_bad_inputs(gamma, tau):
+    # a NaN fails every comparison, so the checks are written to fail on it
+    with pytest.raises(ValueError):
+        sla_lower_bound(10, tau, 1.0, gamma)
+
+
 def test_baselines():
     assert baseline_aloha_max(10) == pytest.approx(3.6787944117144233)
     assert baseline_irsa(10) == pytest.approx(9.65)
@@ -258,12 +270,13 @@ def test_baselines():
 
 
 def test_layer_index_validation():
-    cfg = design_config(2, 10, 5.0, 1.0, 2.0)
-    for fn in (capture_prob_exact, capture_prob_lower_bound):
-        with pytest.raises(ValueError):
-            fn(0, cfg)
-        with pytest.raises(ValueError):
-            fn(3, cfg)
+    cfg = design_config(2, 10, 5.0, 1.0, 2.0, repetition=2)
+    for fn in (capture_prob_exact, capture_prob_lower_bound, interference_variance, beta_crrd,
+               psi_series, psi_closed_form, lambda l, c: capture_prob_exact(l, c, rate=1.0),
+               lambda l, c: eta(l, c, 0.5), lambda l, c: rho(l, c, 0.5)):
+        for l in (0, 3):
+            with pytest.raises(ValueError, match="layer index must be in 1..2"):
+                fn(l, cfg)
     with pytest.raises(ValueError):
         eta(1, cfg, 1.5)
     with pytest.raises(ValueError):

@@ -10,7 +10,8 @@ Runs the `layered_aloha` package of the checkout this script sits in
   configuration and on one with per-layer `--arrival`/`--rate` lists,
   `--noise-power` and `--gain-mean`, with and without
   `--reopen-cleared-channels` (the only way to reach the alternative SIC
-  semantics from the command line);
+  semantics from the command line; it sets the config's
+  `reopen_cleared_channels`, which the `# config:` line then names);
 * `outage` at the channel sampler's edges: B = N = 6, where every later
   Floyd column takes the replacement path, B = N - 1 = 5, and one large
   point (N = 400, lambda = 40, B = 30) over a full 4096-slot batch;
