@@ -21,7 +21,6 @@ from . import model
 from .optimize import SearchSettings, optimize_rates
 from .outage import outage  # noqa: F401  (unused; bench/tracing.py patches it here)
 from .scenarios import (
-    KINDS,
     SCENARIOS,
     Scenario,
     ScenarioResult,
@@ -104,15 +103,6 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
     return vals
 
 
-_SWEEP_KIND = {
-    "arrival": "throughput",
-    "rate": "rate",
-    "gamma-db": "gamma",
-    "layers": "layers",
-    "copies": "outage_copies",
-}
-
-
 def _cmd_scenario(args) -> int:
     if args.list or args.name is None:
         width = max(len(n) for n in SCENARIOS)
@@ -126,14 +116,17 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    kind = _SWEEP_KIND[args.var]
+    key = _SYSTEM_FLAGS["--" + args.var][0]
+    kind = "outage" if key == "repetition" else "throughput"
     settings = {"gamma_db": 10.0} | _settings_from_args(args)
-    if args.var == "copies":  # outage rows read a fixed rate
+    if kind == "outage":  # outage rows read a fixed rate
         settings = {"rate": 1.0} | settings
     scenario = Scenario(
         name="sweep",
-        description=f"ad-hoc sweep over {KINDS[kind].x_name}",
+        # a setting's CSV name is its flag's, with '_' for '-'
+        description=f"ad-hoc sweep over {args.var.replace('-', '_')}",
         kind=kind,
+        sweep=key,
         grid=_parse_grid(args.grid),
         outputs=tuple(args.outputs.split(",")),
         slots=args.slots,
@@ -190,7 +183,8 @@ def _cmd_outage(args) -> int:
         args, lambda config: float(config.repetition),
         name="outage",
         description="per-layer outage for one configuration",
-        kind="outage_copies",
+        kind="outage",
+        sweep="repetition",
         outputs=("analytic", "simulated") if simulated else ("analytic",),
         slots=args.slots if simulated else 1,
     )
@@ -202,6 +196,7 @@ def _cmd_simulate(args) -> int:
         name="simulate",
         description="simulated and analytic throughput for one configuration",
         kind="simulate",
+        sweep="arrival_rate",
         outputs=("analytic", "simulated"),
         slots=args.slots,
     )
@@ -221,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scenario)
 
     p = sub.add_parser("sweep", help="free-form single-variable sweep")
-    p.add_argument("--var", required=True, choices=sorted(_SWEEP_KIND))
+    p.add_argument("--var", required=True, help="the setting to sweep, named by its flag",
+                   choices=("arrival", "copies", "gamma-db", "layers", "rate"))
     p.add_argument("--grid", required=True, help="comma list or start:stop:step")
     p.add_argument("--outputs", default="analytic", help="comma list from: analytic,simulated")
     _add_config_flags(p)

@@ -22,7 +22,7 @@ def _check_finite(name, value):
 def _check_system(num_channels, channel_gain_mean, noise_power):
     """Validate the system scalars, for `SystemConfig` and for
     `allocate_powers`, which reads them before any config exists."""
-    if not isinstance(num_channels, int) or num_channels < 1:
+    if type(num_channels) is not int or num_channels < 1:  # a bool is an int subclass
         raise ValueError(f"num_channels must be an integer >= 1, got {num_channels!r}")
     _check_finite("channel_gain_mean", channel_gain_mean)
     _check_finite("noise_power", noise_power)
@@ -89,7 +89,7 @@ class SystemConfig:
         for lp in self.layers:
             if not isinstance(lp, LayerParams):
                 raise ValueError(f"layers must contain LayerParams, got {lp!r}")
-        if not isinstance(self.repetition, int) or not 1 <= self.repetition <= self.num_channels:
+        if type(self.repetition) is not int or not 1 <= self.repetition <= self.num_channels:
             raise ValueError(
                 f"repetition must satisfy 1 <= B <= num_channels, got B={self.repetition!r} "
                 f"with {self.num_channels} channels"
@@ -254,6 +254,7 @@ def _per_layer(value, num_layers: int, name: str) -> tuple[float, ...]:
 _SCALAR_KEYS = {"gamma_db", "noise_power", "gain_mean"}
 _INT_KEYS = {"layers", "channels", "repetition"}
 _LIST_KEYS = {"arrival_rate", "rate", "powers"}
+_CONFIG_KEYS = _SCALAR_KEYS | _INT_KEYS | _LIST_KEYS
 
 
 def parse_setting(key: str, text: str):
@@ -297,7 +298,7 @@ def design_args(settings: dict) -> dict:
     allocated from `gamma_db` via the descending power rule.  A key outside
     the config-file key set is an error, however the settings were built.
     """
-    unknown = sorted(settings.keys() - (_SCALAR_KEYS | _INT_KEYS | _LIST_KEYS))
+    unknown = sorted(settings.keys() - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown settings keys: {', '.join(unknown)}")
     missing = [k for k in ("layers", "channels", "arrival_rate") if k not in settings]

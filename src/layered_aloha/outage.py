@@ -12,10 +12,10 @@ can share interferers).  The infinite series has an equivalent finite form
 obtained by binomial expansion; both are implemented here and must agree,
 which is how each re-verifies the other.
 
-The finite form needs the moments g(b) = E[p_c(M)^b | M >= 1].  Each is
-summed in alternating closed form while the rounding bound that sum computes
-from its own terms stays within `_ROUNDING_TOL`, and taken from the series
-otherwise: at omega = 0 (N = 1), past the float range, or where it cancels.
+The finite form needs the moments g(b) = E[p_c(M)^b | M >= 1] in closed form,
+each with a rounding bound from its own terms.  It stands while those bounds,
+weighted as the moments are, stay within `_ROUNDING_TOL` relative to psi; psi
+is taken from the series otherwise, and at omega = 0 (N = 1) or past the float range.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .model import SystemConfig, collision_prob, snr_gap
 from .throughput import capture_exponent
 
-# Largest rounding error a collision moment may carry in alternating form
+# Largest rounding error the finite form may carry, relative to psi
 _ROUNDING_TOL = 1e-12
 # Largest tail the series may leave, relative to the part summed
 _TAIL_TOL = 1e-12
@@ -118,33 +118,25 @@ def conditional_collision_moment(b: int, arrival_rate: float, num_channels: int,
     return _conditional_mean(arrival_rate, lambda m: collision_prob(m, num_channels, copies) ** b)
 
 
-def _collision_moment(b: int, lam: float, num_channels: int, copies: int) -> float:
-    """E[p_c(M)^b | M >= 1], in finite alternating form when its rounding allows:
+def _collision_moment(b: int, lam: float, omega: float) -> tuple[float, float]:
+    """E[p_c(M)^b | M >= 1] in finite alternating form, and a bound on its rounding:
 
     g(b) = sum_j C(b,j) (-1)^j omega^-j (e^{-lam(1-omega^j)} - e^-lam) / (1 - e^-lam)
 
-    It rounds by at most (b+1) eps sum_j C(b,j) omega^-j (e^{-lam(1-omega^j)} + e^-lam)
-    (eps sum |terms| is no bound: each difference cancels when omega^j << 1).
-    Past `_ROUNDING_TOL`, at omega = 0 or past the float range, the series is used.
+    rounds by at most (b+1) eps sum_j C(b,j) omega^-j (e^{-lam(1-omega^j)} + e^-lam)
+    / (1 - e^-lam) (eps sum |terms| is no bound: each difference cancels when
+    omega^j << 1).  Needs omega > 0 and b ln(2/omega) < 700, so no term overflows.
     """
     if b == 0:
-        return 1.0
-    omega = (1.0 - 1.0 / num_channels) ** copies
-    if omega > 0.0 and b * math.log(2.0 / omega) < 700.0:
-        denom = -math.expm1(-lam)
-        e_lam = math.exp(-lam)
-        total = scale = 0.0
-        for j in range(b + 1):
-            e_j = math.exp(-lam * (1.0 - omega ** j))
-            total += math.comb(b, j) * (-1.0) ** j * omega ** (-j) * (e_j - e_lam)
-            scale += math.comb(b, j) * omega ** (-j) * (e_j + e_lam)
-            bound = (b + 1) * math.ulp(1.0) * scale
-            if bound > _ROUNDING_TOL * denom:
-                break  # the scale only grows
-        else:
-            if bound < total:  # a sum below its bound has no known digit, not even its sign
-                return total / denom
-    return conditional_collision_moment(b, lam, num_channels, copies)
+        return 1.0, 0.0
+    denom = -math.expm1(-lam)
+    e_lam = math.exp(-lam)
+    total = scale = 0.0
+    for j in range(b + 1):
+        e_j = math.exp(-lam * (1.0 - omega ** j))
+        total += math.comb(b, j) * (-1.0) ** j * omega ** (-j) * (e_j - e_lam)
+        scale += math.comb(b, j) * omega ** (-j) * (e_j + e_lam)
+    return total / denom, (b + 1) * math.ulp(1.0) * scale / denom
 
 
 def psi_closed_form(l: int, config: SystemConfig) -> float:
@@ -155,22 +147,40 @@ def psi_closed_form(l: int, config: SystemConfig) -> float:
 
         Psi_l = sum_{b=0}^B C(B,b) (1-beta)^b beta^{B-b} g(b)
 
-    with g(b) = E[p_c(M)^b | M >= 1], each in closed form when its rounding
-    bound allows and from the series otherwise (:func:`_collision_moment`).
+    with g(b) = E[p_c(M)^b | M >= 1] in closed form (:func:`_collision_moment`).
     The weights are formed from logs, as C(B, b) leaves the float range past
     B = 1029, and divided by their sum, so Psi_l <= 1 while every g(b) <= 1.
-    Agrees with :func:`psi_series` to about 1e-12.
+    One decision per Psi_l: where the moments' weighted rounding bounds pass
+    `_ROUNDING_TOL` relative to it (small Psi_l, B near N), or the moments
+    cannot be formed, the value is :func:`psi_series`, which it matches to
+    about 1e-12 relative.
     """
     lam = _positive_arrival(l, config)
     beta = beta_crrd(l, config)
     N, B = config.num_channels, config.repetition
+    omega = (1.0 - 1.0 / N) ** B
+    if omega == 0.0 or B * math.log(2.0 / omega) >= 700.0:
+        return psi_series(l, config)
     if beta in (0.0, 1.0):  # every copy decodes or none does: one order holds all the weight
-        return _collision_moment(0 if beta else B, lam, N, B)
-    log_q, log_beta, log_fact = math.log1p(-beta), math.log(beta), math.lgamma(B + 1)
-    weights = [math.exp(log_fact - math.lgamma(b + 1) - math.lgamma(B - b + 1)
-                        + b * log_q + (B - b) * log_beta) for b in range(B + 1)]
-    terms = (w * _collision_moment(b, lam, N, B) for b, w in enumerate(weights) if w)
-    return math.fsum(terms) / math.fsum(weights)
+        weights = {0 if beta else B: 1.0}
+    else:
+        log_q, log_beta, log_fact = math.log1p(-beta), math.log(beta), math.lgamma(B + 1)
+        weights = {b: math.exp(log_fact - math.lgamma(b + 1) - math.lgamma(B - b + 1)
+                               + b * log_q + (B - b) * log_beta) for b in range(B + 1)}
+    norm = math.fsum(weights.values())
+    terms, error = [], 0.0
+    # heaviest orders first: psi <= 1 and the weighted bounds only add up, so a sum
+    # that cannot stand is known after a few orders, not after all B^2 / 2 terms
+    for b in sorted(weights, key=weights.get, reverse=True):
+        if not weights[b]:
+            break  # and no later weight counts either
+        g, e = _collision_moment(b, lam, omega)
+        terms.append(weights[b] * g)
+        error += weights[b] * e / norm
+        if error > _ROUNDING_TOL:
+            return psi_series(l, config)
+    psi = math.fsum(terms) / norm  # a sum below its bound has no known digit
+    return psi if error <= _ROUNDING_TOL * psi else psi_series(l, config)
 
 
 def outage(config: SystemConfig) -> OutageReport:

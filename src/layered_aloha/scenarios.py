@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import NamedTuple
 
-from .model import _INT_KEYS, SystemConfig, db_to_linear, design_args, design_config
+from .model import _CONFIG_KEYS, _INT_KEYS, SystemConfig, db_to_linear, design_args, design_config
 from .optimize import SearchSettings, optimize_arrivals, optimize_rates
 from .outage import outage
 from .simulate import SAMPLING_CONTRACT, estimate_outage, estimate_throughput
@@ -59,15 +59,17 @@ QUANTITIES = frozenset(
 class Scenario:
     """One sweep: fixed system family, grid over a single variable.
 
-    `kind` names an entry of `KINDS`, which fixes the swept variable and
-    how each grid point becomes rows.  `settings` holds the system as
-    config-file settings (see `model.parse_config_text`); without a `rate`,
-    throughput kinds optimize the rates at every grid point.
+    `kind` names an entry of `KINDS`, which fixes how each grid point
+    becomes rows; `sweep` is the config-file key each grid point sets.
+    `settings` holds the system as config-file settings (see
+    `model.parse_config_text`); without a `rate`, throughput kinds
+    optimize the rates at every grid point.
     """
 
     name: str
     description: str
     kind: str
+    sweep: str
     grid: tuple[float, ...]
     outputs: tuple[str, ...]
     slots: int
@@ -78,13 +80,15 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
+        if self.sweep not in _CONFIG_KEYS:
+            raise ValueError(f"cannot sweep {self.sweep!r}: not a config-file key")
         kind = KINDS[self.kind]
         power_rule = () if "powers" in self.settings else ("gamma_db",)
         missing = sorted({"layers", "channels", "arrival_rate", *kind.reads, *power_rule}
-                         - self.settings.keys() - {kind.field})
+                         - self.settings.keys() - {self.sweep})
         if missing:
             raise ValueError(f"{self.name} needs {', '.join(missing)} (flags or config file)")
-        if kind.field == "gamma_db" and "powers" in self.settings:
+        if self.sweep == "gamma_db" and "powers" in self.settings:
             raise ValueError(f"{self.name}: powers would override the power rule at every "
                              "gamma_db grid point")
         if not self.grid:
@@ -92,7 +96,7 @@ class Scenario:
         for a, b in zip(self.grid, self.grid[1:]):
             if not a < b:  # a repeated point would write its rows twice
                 raise ValueError(f"scenario grid must be strictly increasing, got {a!r} then {b!r}")
-        if kind.integer and not all(float(x).is_integer() for x in self.grid):
+        if self.integer and not all(float(x).is_integer() for x in self.grid):
             raise ValueError(f"{self.x_name} grid points must be whole numbers, got {list(self.grid)}")
         if self.slots < 1:
             raise ValueError(f"slots must be >= 1, got {self.slots}")
@@ -105,8 +109,13 @@ class Scenario:
 
     @property
     def x_name(self) -> str:
-        """The swept variable, as named in the CSV."""
-        return KINDS[self.kind].x_name
+        """The swept variable, as named in the CSV (and by its `sweep --var` flag)."""
+        return {"arrival_rate": "arrival", "repetition": "copies"}.get(self.sweep, self.sweep)
+
+    @property
+    def integer(self) -> bool:
+        """Whether grid points must be whole numbers: an integer setting is swept."""
+        return self.sweep in _INT_KEYS
 
 
 @dataclass(frozen=True)
@@ -172,7 +181,7 @@ class ScenarioResult:
         s = self.scenario
         shown = ({"rate": "optimized", "repetition": "1"}
                  | {k: _fmt_setting(v) for k, v in s.settings.items()}
-                 | {KINDS[s.kind].field: "sweep"})
+                 | {s.sweep: "sweep"})
         return [f"{k}={shown[k]}" for k in _ECHOED if k in shown]
 
     def _data_lines(self) -> list[str]:
@@ -224,7 +233,7 @@ _ECHOED = ("layers", "channels", "arrival_rate", "rate", "gamma_db", "repetition
 def _throughput_rows(s: Scenario, config: SystemConfig, x: float, seed: int, workers: int,
                      captures: bool = False):
     hits: tuple[int, ...] = ()
-    if "rate" not in s.settings and KINDS[s.kind].field != "rate":  # rates neither fixed nor swept
+    if "rate" not in s.settings and s.sweep != "rate":  # rates neither fixed nor swept
         plan = optimize_rates(config, SearchSettings())
         config, hits = config.with_rates(plan.optimal_rates), plan.bound_hits
     rows = []
@@ -280,50 +289,31 @@ def _power_row(s: Scenario, config: SystemConfig, x: float, *_):
 
 
 class Kind(NamedTuple):
-    """What a scenario kind sweeps, which producer turns a grid point into
-    rows, the outputs that producer can make, and the settings it reads."""
+    """Which producer turns a grid point into rows, the outputs that
+    producer can make, and the settings it reads besides the system's."""
 
-    field: str  # the setting it sets at each grid point
     rows: Callable
     outputs: tuple[str, ...]
-    reads: tuple[str, ...] = ()  # settings needed besides the system's, e.g. a fixed rate
-
-    @property
-    def x_name(self) -> str:
-        """The swept variable, as named in the CSV."""
-        return {"arrival_rate": "arrival", "repetition": "copies"}.get(self.field, self.field)
-
-    @property
-    def integer(self) -> bool:
-        """Whether grid points must be whole numbers: an integer setting is swept."""
-        return self.field in _INT_KEYS
+    reads: tuple[str, ...] = ()  # e.g. a fixed rate, unless the rate is swept
 
 
 _SIMULATED = ("analytic", "simulated")
-_PACKETS = ("bound", "baselines")
 
 KINDS = {
-    "throughput": Kind("arrival_rate", _throughput_rows, _SIMULATED),
-    "rate": Kind("rate", _throughput_rows, _SIMULATED),
-    "gamma": Kind("gamma_db", _throughput_rows, _SIMULATED),
-    "layers": Kind("layers", _throughput_rows, _SIMULATED),
-    "power": Kind("arrival_rate", _power_row, ("analytic",)),
-    "packets_layers": Kind("layers", _packet_rows, _PACKETS, ("rate", "gamma_db")),
-    "packets_channels": Kind("channels", _packet_rows, _PACKETS, ("rate", "gamma_db")),
-    "outage_rate": Kind("rate", _outage_rows, _SIMULATED),
-    "outage_copies": Kind("repetition", _outage_rows, _SIMULATED, ("rate",)),
-    "outage_arrival": Kind("arrival_rate", _outage_rows, _SIMULATED, ("rate",)),
+    "throughput": Kind(_throughput_rows, _SIMULATED),
     # one configuration, as the `simulate` command reports it: the throughput
     # rows with each layer's capture probabilities after its analytic row
-    "simulate": Kind("arrival_rate", partial(_throughput_rows, captures=True), _SIMULATED),
+    "simulate": Kind(partial(_throughput_rows, captures=True), _SIMULATED),
+    "power": Kind(_power_row, ("analytic",)),
+    "packets": Kind(_packet_rows, ("bound", "baselines"), ("rate", "gamma_db")),
+    "outage": Kind(_outage_rows, _SIMULATED, ("rate",)),
 }
 
 
 def _point_config(s: Scenario, x: float) -> SystemConfig:
     """The system at grid point x: the scenario's settings with the swept one set to x.
     A missing rate stands at 0 until the throughput rows optimize it."""
-    kind = KINDS[s.kind]
-    p = {"rate": 0.0} | s.settings | {kind.field: int(x) if kind.integer else x}
+    p = {"rate": 0.0} | s.settings | {s.sweep: int(x) if s.integer else x}
     return design_config(**design_args(p))
 
 
@@ -387,7 +377,7 @@ def build_registry() -> dict[str, Scenario]:
             name=f"throughput-vs-arrival{suffix}",
             description=f"per-layer and total throughput vs arrival rate; {L} layers, "
                         "10 channels, target SINR 3 dB, rates optimized per point",
-            kind="throughput", grid=_int_grid(1, 14),
+            kind="throughput", sweep="arrival_rate", grid=_int_grid(1, 14),
             outputs=("analytic", "simulated"), slots=20000, seed=20230,
             settings=dict(layers=L, channels=10, gamma_db=3.0),
         ))
@@ -395,7 +385,7 @@ def build_registry() -> dict[str, Scenario]:
             name=f"power-vs-arrival{suffix}",
             description=f"average allocated transmit power vs arrival rate; {L} layers, "
                         "10 channels, target SINR 3 dB",
-            kind="power", grid=_int_grid(1, 14),
+            kind="power", sweep="arrival_rate", grid=_int_grid(1, 14),
             outputs=("analytic",), slots=1, seed=0,
             settings=dict(layers=L, channels=10, gamma_db=3.0),
         ))
@@ -403,7 +393,7 @@ def build_registry() -> dict[str, Scenario]:
             name=f"throughput-vs-rate{suffix}",
             description=f"total throughput vs a common per-layer rate; {L} layers, "
                         "10 channels, arrival 10 per layer, target SINR 3 dB",
-            kind="rate", grid=_float_grid(0.1, 6.0, 0.1),
+            kind="throughput", sweep="rate", grid=_float_grid(0.1, 6.0, 0.1),
             outputs=("analytic",), slots=1, seed=0,
             settings=dict(layers=L, channels=10, arrival_rate=10.0, gamma_db=3.0),
         ))
@@ -411,7 +401,7 @@ def build_registry() -> dict[str, Scenario]:
             name=f"throughput-vs-gamma{suffix}",
             description=f"total throughput vs target SINR; {L} layers, 10 channels, "
                         "arrival 10 per layer, rates optimized per point",
-            kind="gamma", grid=_int_grid(0, 12),
+            kind="throughput", sweep="gamma_db", grid=_int_grid(0, 12),
             outputs=("analytic", "simulated"), slots=20000, seed=20600,
             settings=dict(layers=L, channels=10, arrival_rate=10.0),
         ))
@@ -420,7 +410,7 @@ def build_registry() -> dict[str, Scenario]:
             name=f"throughput-vs-layers{suffix}",
             description="total throughput vs number of layers; 10 channels, "
                         f"arrival {lam:g} per layer, target SINR 3 dB, optimized rates",
-            kind="layers", grid=_int_grid(1, 8),
+            kind="throughput", sweep="layers", grid=_int_grid(1, 8),
             outputs=("analytic", "simulated"), slots=20000, seed=20700,
             settings=dict(channels=10, arrival_rate=lam, gamma_db=3.0),
         ))
@@ -429,7 +419,7 @@ def build_registry() -> dict[str, Scenario]:
         description="decoded-packet lower bound vs number of layers, arrivals "
                     "optimized per layer, against multichannel-ALOHA and IRSA "
                     "reference constants; 10 channels, common rate 1",
-        kind="packets_layers", grid=_int_grid(1, 8),
+        kind="packets", sweep="layers", grid=_int_grid(1, 8),
         outputs=("bound", "baselines"), slots=1, seed=0,
         settings=dict(channels=10, arrival_rate=0.0, rate=1.0, gamma_db=10.0),
         notes=("target SINR 10 dB assumed for the layer sweep",),
@@ -439,7 +429,7 @@ def build_registry() -> dict[str, Scenario]:
             name=f"compare-irsa-scaling{suffix}",
             description=f"decoded-packet lower bound vs number of channels; {L} layers, "
                         "common rate 1, target SINR 10 dB, optimized arrivals",
-            kind="packets_channels", grid=_int_grid(10, 100, 10),
+            kind="packets", sweep="channels", grid=_int_grid(10, 100, 10),
             outputs=("bound", "baselines"), slots=1, seed=0,
             settings=dict(layers=L, arrival_rate=0.0, rate=1.0, gamma_db=10.0),
         ))
@@ -447,7 +437,7 @@ def build_registry() -> dict[str, Scenario]:
         name="outage-vs-rate",
         description="per-layer outage vs common rate under 4-copy repetition; "
                     "3 layers, 60 channels, arrival 3 per layer, target SINR 10 dB",
-        kind="outage_rate", grid=_float_grid(0.2, 2.0, 0.2),
+        kind="outage", sweep="rate", grid=_float_grid(0.2, 2.0, 0.2),
         outputs=("analytic", "simulated"), slots=20000, seed=20900,
         settings=dict(layers=3, channels=60, arrival_rate=3.0, gamma_db=10.0, repetition=4),
     ))
@@ -455,7 +445,7 @@ def build_registry() -> dict[str, Scenario]:
         name="outage-vs-copies",
         description="per-layer outage vs repetition factor; 3 layers, 60 channels, "
                     "arrival 3 per layer, common rate 1, target SINR 10 dB",
-        kind="outage_copies", grid=_int_grid(1, 12),
+        kind="outage", sweep="repetition", grid=_int_grid(1, 12),
         outputs=("analytic", "simulated"), slots=20000, seed=21000,
         settings=dict(layers=3, channels=60, arrival_rate=3.0, rate=1.0, gamma_db=10.0),
     ))
@@ -463,7 +453,7 @@ def build_registry() -> dict[str, Scenario]:
         name="outage-vs-arrival",
         description="per-layer outage vs arrival rate under 4-copy repetition; "
                     "3 layers, 60 channels, common rate 1, target SINR 10 dB",
-        kind="outage_arrival", grid=_int_grid(1, 10),
+        kind="outage", sweep="arrival_rate", grid=_int_grid(1, 10),
         outputs=("analytic", "simulated"), slots=20000, seed=21100,
         settings=dict(layers=3, channels=60, rate=1.0, gamma_db=10.0, repetition=4),
     ))

@@ -9,7 +9,7 @@ from layered_aloha import (
     psi_series,
     throughput,
 )
-from layered_aloha.cli import _parse_grid, _settings_from_args, build_parser, main
+from layered_aloha.cli import _SYSTEM_FLAGS, _parse_grid, _settings_from_args, build_parser, main
 from layered_aloha.scenarios import CSV_HEADER, SCENARIOS
 
 
@@ -161,6 +161,25 @@ def test_sweep_grid_spec(capsys):
     assert code == 0
     rows = _parse_csv(capsys.readouterr().out)
     assert {r["x_value"] for r in rows} == {"1", "2", "3"}
+
+
+@pytest.mark.parametrize("var, name", [
+    ("arrival", "throughput-vs-arrival"), ("copies", "outage-vs-copies"),
+    ("gamma-db", "throughput-vs-gamma"), ("layers", "throughput-vs-layers"),
+    ("rate", "throughput-vs-rate"),
+])
+def test_sweep_writes_the_rows_of_the_registry_scenario_it_restates(capsys, var, name):
+    s = SCENARIOS[name]
+    flag_of = {key: flag for flag, (key, _) in _SYSTEM_FLAGS.items()}
+    system = [arg for key, value in s.settings.items() for arg in (flag_of[key], str(value))]
+    assert main(["scenario", name, "--slots", "200"]) == 0
+    expected = _parse_csv(capsys.readouterr().out)
+    assert main(["sweep", "--var", var, "--grid=" + ",".join(map(repr, s.grid)),
+                 "--outputs", ",".join(s.outputs), "--slots", "200", "--seed", str(s.seed),
+                 *system]) == 0
+    got = _parse_csv(capsys.readouterr().out)
+    assert len(got) == len(expected) > 0
+    assert [r | {"scenario": "sweep"} for r in expected] == got
 
 
 @pytest.mark.parametrize("spec, points", [

@@ -158,6 +158,17 @@ def test_system_config_validation():
     assert cfg.reopen_cleared_channels is False
 
 
+def test_a_bool_is_not_an_integer_setting():
+    # isinstance(True, int) holds, so both used to build a one-channel system
+    lp = LayerParams(1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="num_channels"):
+        SystemConfig(True, (lp,), repetition=True)
+    with pytest.raises(ValueError, match="repetition"):
+        SystemConfig(4, (lp,), repetition=True)
+    with pytest.raises(ValueError, match="num_channels"):
+        design_config(2, True, 1.0, 1.0, 2.0, repetition=True)
+
+
 @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
 def test_allocate_powers_rejects_bad_gamma(gamma):
     with pytest.raises(ValueError, match="gamma"):

@@ -91,21 +91,24 @@ def test_collision_moment_g1_hand_value():
 
 def test_collision_moment_order_zero_is_one():
     assert conditional_collision_moment(0, 0.5, 10, 2) == 1.0
-    assert _collision_moment(0, 5.0, 10, 3) == 1.0
+    assert _collision_moment(0, 5.0, 0.7) == (1.0, 0.0)
 
 
 def test_collision_moments_in_unit_interval_and_decreasing_in_order():
+    # and each closed form lies within its own rounding bound of the series
     rng = np.random.default_rng(9)
     for _ in range(100):
         lam = float(rng.uniform(0.05, 20.0))
         N = int(rng.choice([10, 60]))
         B = int(rng.integers(1, 9))
+        omega = (1.0 - 1.0 / N) ** B
         prev = 1.0
         for b in range(0, B + 1):
-            g = _collision_moment(b, lam, N, B)
-            assert 0.0 <= g <= 1.0 + 1e-12
-            assert g <= prev + 1e-12  # p_c <= 1 so moments decrease in order
-            prev = g
+            g, bound = _collision_moment(b, lam, omega)
+            series = conditional_collision_moment(b, lam, N, B)
+            assert abs(g - series) <= bound + 1e-12 * series
+            assert 0.0 <= series <= prev + 1e-12  # p_c <= 1 so moments decrease in order
+            prev = series
 
 
 def test_closed_form_matches_series_randomized():
@@ -232,6 +235,25 @@ def test_closed_form_matches_50_digit_series():
                             * lam ** m / mpmath.factorial(m), [1, mpmath.inf]) / mpmath.expm1(lam)
     assert float(exact) == pytest.approx(0.3419811974, abs=1e-10)
     assert psi_closed_form(1, cfg) == pytest.approx(float(exact), abs=1e-10)
+
+
+@pytest.mark.parametrize("copies", [13, 14])
+def test_small_psi_is_relatively_accurate(copies):
+    # psi ~ 3e-8 here: an absolute rounding rule on each moment let the finite
+    # form keep an error of ~5e-7 relative (layer 1 at B = 13 read 3.16939143e-08)
+    mpmath = pytest.importorskip("mpmath")
+    cfg = design_config(3, 400, 3.0, 1.0, 10.0, repetition=copies)
+    psi = outage(cfg).psi
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(3)
+        omega = (1 - mpmath.mpf(1) / cfg.num_channels) ** copies
+        for l in range(1, 4):
+            beta = mpmath.mpf(beta_crrd(l, cfg))
+            exact = mpmath.nsum(lambda m: (1 - omega ** (m - 1) * (1 - beta)) ** copies
+                                * lam ** m / mpmath.factorial(m), [1, mpmath.inf]) / mpmath.expm1(lam)
+            assert psi[l - 1] == pytest.approx(float(exact), rel=1e-11, abs=0.0)
+    if copies == 13:
+        assert psi[0] == pytest.approx(3.16939127723e-8, rel=1e-11, abs=0.0)
 
 
 _ARRIVALS = st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e)  # 1e-3 .. 1e4, log-uniform

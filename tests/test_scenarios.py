@@ -18,13 +18,14 @@ _SETTING = {"num_layers": "layers", "num_channels": "channels", "arrival_rate": 
             "rate": "rate", "gamma_db": "gamma_db", "repetition": "repetition"}
 
 
-def _tiny(kind="throughput", **over):
+def _tiny(kind="throughput", sweep="arrival_rate", **over):
     system = dict(num_layers=2, num_channels=10, arrival_rate=5.0, rate=1.0, gamma_db=3.0)
     system.update({k: over.pop(k) for k in _SETTING if k in over})
     base = dict(
         name="tiny",
         description="test scenario",
         kind=kind,
+        sweep=sweep,
         grid=(2.0, 6.0),
         outputs=("analytic", "simulated"),
         slots=400,
@@ -67,17 +68,32 @@ def test_scenario_validation():
         _tiny(outputs=("bound",))  # a packet output from a throughput kind
     with pytest.raises(ValueError):
         _tiny(kind="bogus")
+    with pytest.raises(ValueError, match="cannot sweep 'arrival'"):
+        _tiny(sweep="arrival")  # the CSV name, not the config-file key
     with pytest.raises(ValueError):
         Row(1.0, "1", "bogus_quantity", 0.5)
 
 
-@pytest.mark.parametrize("kind", sorted(k for k, v in KINDS.items() if v.integer))
-def test_integer_variables_reject_fractional_grid_points(kind):
+def test_kinds_are_the_row_producers():
+    assert sorted(KINDS) == ["outage", "packets", "power", "simulate", "throughput"]
+    assert {s.kind for s in SCENARIOS.values()} == {"outage", "packets", "power", "throughput"}
+
+
+@pytest.mark.parametrize("kind, sweep", [("throughput", "layers"), ("outage", "repetition"),
+                                         ("packets", "channels"), ("packets", "layers")],
+                         ids=["layers", "outage_copies", "packets_channels", "packets_layers"])
+def test_integer_variables_reject_fractional_grid_points(kind, sweep):
     # layers, channels and copies are set with int(x): 2.5 used to run as 2
     outputs = KINDS[kind].outputs
     with pytest.raises(ValueError, match="whole numbers"):
-        _tiny(kind=kind, grid=(2.0, 2.5), outputs=outputs)
-    assert _tiny(kind=kind, grid=(2.0, 3.0), outputs=outputs).grid == (2.0, 3.0)
+        _tiny(kind=kind, sweep=sweep, grid=(2.0, 2.5), outputs=outputs)
+    assert _tiny(kind=kind, sweep=sweep, grid=(2.0, 3.0), outputs=outputs).grid == (2.0, 3.0)
+
+
+@pytest.mark.parametrize("sweep, x_name", [("arrival_rate", "arrival"), ("repetition", "copies"),
+                                           ("gamma_db", "gamma_db"), ("layers", "layers")])
+def test_x_name_follows_the_swept_setting(sweep, x_name):
+    assert _tiny(sweep=sweep, grid=(1.0, 2.0)).x_name == x_name
 
 
 def test_throughput_scenario_rows_and_csv():
@@ -109,7 +125,7 @@ def test_throughput_scenario_rows_and_csv():
 
 
 def test_scenario_rerun_is_byte_identical():
-    s = _tiny(kind="outage_copies", grid=(1.0, 4.0),
+    s = _tiny(kind="outage", sweep="repetition", grid=(1.0, 4.0),
               num_layers=3, num_channels=20, arrival_rate=3.0, gamma_db=10.0)
     a = run_scenario(s).to_csv()
     b = run_scenario(s).to_csv()
@@ -119,7 +135,7 @@ def test_scenario_rerun_is_byte_identical():
 
 
 def test_rate_scenario_uses_common_rate():
-    s = _tiny(kind="rate", grid=(0.5, 1.0, 2.0),
+    s = _tiny(sweep="rate", grid=(0.5, 1.0, 2.0),
               outputs=("analytic",), arrival_rate=10.0)
     rows = run_scenario(s).rows
     assert len(rows) == 3 * 3  # 2 layers + total, analytic only
@@ -132,7 +148,7 @@ def test_rate_scenario_uses_common_rate():
 
 
 def test_optimized_rates_scenario_beats_fixed_rate():
-    fixed = _tiny(kind="rate", grid=(1.0,), outputs=("analytic",),
+    fixed = _tiny(sweep="rate", grid=(1.0,), outputs=("analytic",),
                   arrival_rate=10.0)
     best_fixed = run_scenario(fixed).rows[-1].value
     opt = _tiny(grid=(10.0,), outputs=("analytic",), rate=None, arrival_rate=10.0)
@@ -153,7 +169,7 @@ def test_packets_scenario_includes_baselines():
 
 
 def test_outage_scenario_layer_ordering():
-    s = _tiny(kind="outage_copies", grid=(4.0,),
+    s = _tiny(kind="outage", sweep="repetition", grid=(4.0,),
               num_layers=3, num_channels=60, arrival_rate=3.0, gamma_db=10.0,
               slots=2000)
     rows = run_scenario(s).rows
@@ -208,17 +224,19 @@ def test_csv_header_declares_sampling_contract():
     assert f"# sampling_contract: {SAMPLING_CONTRACT}" in lines
 
 
-@pytest.mark.parametrize("kind", ["outage_copies", "outage_arrival",
-                                  "packets_layers", "packets_channels"])
-def test_kinds_that_read_the_rate_need_one(kind):
-    # outage_copies without a rate used to run at rate 0 and echo rate=optimized
+@pytest.mark.parametrize("kind, sweep", [("outage", "arrival_rate"), ("outage", "repetition"),
+                                         ("packets", "channels"), ("packets", "layers")],
+                         ids=["outage_arrival", "outage_copies", "packets_channels", "packets_layers"])
+def test_kinds_that_read_the_rate_need_one(kind, sweep):
+    # a copies sweep without a rate used to run at rate 0 and echo rate=optimized
     with pytest.raises(ValueError, match="tiny needs rate"):
-        _tiny(kind=kind, rate=None, outputs=KINDS[kind].outputs)
+        _tiny(kind=kind, sweep=sweep, rate=None, outputs=KINDS[kind].outputs)
 
 
 def test_scenario_needs_every_setting_but_the_swept_one():
     system = {"channels": 10, "arrival_rate": 2.0, "gamma_db": 3.0}
-    assert _tiny(kind="layers", grid=(1.0, 2.0), settings=system).settings == system
+    assert _tiny(sweep="layers", grid=(1.0, 2.0), settings=system).settings == system
+    assert "rate" not in _tiny(kind="outage", sweep="rate", rate=None, grid=(1.0,)).settings
     with pytest.raises(ValueError, match="tiny needs channels, gamma_db"):
         _tiny(settings={"layers": 2, "arrival_rate": 2.0})
 
@@ -235,5 +253,5 @@ def test_unknown_setting_is_named():
     (("bound",), {"bound_throughput"}),
 ])
 def test_packet_rows_follow_outputs(outputs, quantities):
-    s = _tiny(kind="packets_layers", grid=(1.0, 2.0), outputs=outputs)
+    s = _tiny(kind="packets", sweep="layers", grid=(1.0, 2.0), outputs=outputs)
     assert {r.quantity for r in run_scenario(s).rows} == quantities
