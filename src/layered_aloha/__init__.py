@@ -22,7 +22,6 @@ from .model import (
 from .optimize import (
     ArrivalPlan,
     RatePlan,
-    SearchSettings,
     optimize_arrivals,
     optimize_rates,
 )

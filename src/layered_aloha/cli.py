@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 
 from . import model
-from .optimize import SearchSettings, optimize_rates
+from .optimize import RATE_MAX, optimize_rates
 from .outage import outage  # noqa: F401  (unused; bench/tracing.py patches it here)
 from .scenarios import (
     SCENARIOS,
@@ -64,7 +64,12 @@ def _add_run_flags(p: argparse.ArgumentParser):
 
 def _settings_from_args(args) -> dict:
     """The config file's settings, with the system flags' over them."""
-    settings = dict(model.load_config_file(args.config)) if args.config else {}
+    settings = {}
+    if args.config:
+        try:
+            settings = model.load_config_file(args.config)
+        except OSError as exc:
+            raise ValueError(f"--config: {exc}") from None
     for flag, (key, _) in _SYSTEM_FLAGS.items():
         text = getattr(args, key)
         if text is not None:
@@ -78,9 +83,12 @@ def _settings_from_args(args) -> dict:
 def _write(text: str, out: str):
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"--out: {exc}") from None
 
 
 def _parse_grid(spec: str) -> tuple[float, ...]:
@@ -142,13 +150,9 @@ def _cmd_optimize_rates(args) -> int:
     # looked up on the module at call time, where bench/tracing.py patches it
     config = model.config_from_settings(_settings_from_args(args))
     try:
-        settings = SearchSettings(
-            rate_max=args.rate_max, grid_points=args.grid_points, refine_tol=args.refine_tol
-        )
-    except ValueError as exc:  # the message starts with the field name
-        flag = "--" + str(exc).split()[0].replace("_", "-")
-        raise ValueError(f"{flag}: {exc}") from None
-    plan = optimize_rates(config, settings, use_bound=args.use_bound)
+        plan = optimize_rates(config, args.rate_max, use_bound=args.use_bound)
+    except ValueError as exc:  # the one error it raises is for the bound
+        raise ValueError(f"--rate-max: {exc}") from None
     lines = ["layer  arrival  power      rate*      partial_value"]
     for l, lp in enumerate(config.layers):
         lines.append(
@@ -156,7 +160,7 @@ def _cmd_optimize_rates(args) -> int:
             f"  {plan.layer_values[l]:.6g}"
         )
     lines.extend(
-        f"note: layer {l} rate optimum at the search bound --rate-max {settings.rate_max:g}"
+        f"note: layer {l} rate optimum at the search bound --rate-max {args.rate_max:g}"
         for l in plan.bound_hits
     )
     lines.append(f"total throughput: {plan.achieved_throughput:.9g}")
@@ -226,9 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize-rates", help="recursively optimized per-layer rates")
     _add_config_flags(p)
-    p.add_argument("--rate-max", type=float, default=16.0, help="search upper bound (default 16)")
-    p.add_argument("--grid-points", type=int, default=2048, help="coarse grid size (default 2048)")
-    p.add_argument("--refine-tol", type=float, default=1e-9, help="refinement tolerance (default 1e-9)")
+    p.add_argument("--rate-max", type=float, default=RATE_MAX,
+                   help=f"rate search upper bound (default {RATE_MAX:g})")
     p.add_argument("--use-bound", action="store_true", help="optimize the capture lower bound")
     p.add_argument("--out", default="-", metavar="PATH")
     p.set_defaults(func=_cmd_optimize_rates)
@@ -254,7 +257,7 @@ def main(argv=None) -> int:
         if getattr(args, "workers", 1) < 1:  # every command but optimize-rates takes --workers
             raise ValueError(f"--workers: must be >= 1, got {args.workers}")
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:  # pragma: no cover

@@ -222,6 +222,8 @@ def design_config(
     `arrival_rate` and `rate` may be scalars (applied to every layer) or
     per-layer sequences of length `num_layers`.
     """
+    if type(num_layers) is not int or num_layers < 1:  # a bool is an int subclass
+        raise ValueError(f"num_layers must be an integer >= 1, got {num_layers!r}")
     lams = _per_layer(arrival_rate, num_layers, "arrival_rate")
     rates = _per_layer(rate, num_layers, "rate")
     if powers is None:

@@ -38,33 +38,20 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # scalar objective re-evaluates; far above numpy's few-ulp error in exp/pow.
 _SHORTLIST_MARGIN = 1e-9
 
+# Uniform grid of the scalar search: _GRID_POINTS + 1 points on [0, upper];
+# golden-section refinement stops at a bracket of width _REFINE_TOL.
+_GRID_POINTS = 2048
+_REFINE_TOL = 1e-9
+
+#: default upper end of the rate search, in bits per channel use
+RATE_MAX = 16.0
+
 # Upper end of the normalized-arrival search.  Layer l's objective
 # f(tau) = phi tau e^-tau + (1 + phi tau) e^-tau T, with T >= 0 the value
 # above and 0 <= phi <= 1, has f'(tau) = e^-tau [phi (1 - tau)(1 + T) - T],
 # which is <= 0 for tau >= 1.  The grid holds tau = 1 and ties go to the
 # smaller point, so the optimum never reaches this end.
 _ARRIVAL_MAX = 4.0
-
-
-@dataclass(frozen=True)
-class SearchSettings:
-    """Knobs for the scalar grid + golden-section search."""
-
-    rate_max: float = 16.0
-    grid_points: int = 2048
-    refine_tol: float = 1e-9
-
-    def __post_init__(self):
-        # every message starts with the field name, which the CLI maps to its flag
-        if not 0 < self.rate_max < 1024:
-            raise ValueError(
-                f"rate_max must be > 0 and < 1024 (2**rate_max must fit a double), "
-                f"got {self.rate_max}"
-            )
-        if not 2 <= self.grid_points <= 2 ** 20:
-            raise ValueError(f"grid_points must be in [2, 2**20], got {self.grid_points}")
-        if not 0 < self.refine_tol < math.inf:
-            raise ValueError(f"refine_tol must be finite and > 0, got {self.refine_tol}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +76,6 @@ class ArrivalPlan:
     """Result of the backward normalized-arrival recursion (common rate)."""
 
     optimal_tau: tuple[float, ...]
-    layer_values: tuple[float, ...]
     value: float
 
 
@@ -111,7 +97,7 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _maximize_scalar(f, upper: float, settings: SearchSettings) -> tuple[float, float, bool]:
+def _maximize_scalar(f, upper: float) -> tuple[float, float, bool]:
     """Grid scan on [0, upper] then golden refinement around the best point.
 
     `f` takes a float or an ndarray.  Returns (argmax, max, at_upper), with
@@ -120,7 +106,7 @@ def _maximize_scalar(f, upper: float, settings: SearchSettings) -> tuple[float, 
     picks among them in ascending order under a strict `>`, so the first
     of equal grid values wins and a NaN never does.
     """
-    n = settings.grid_points
+    n = _GRID_POINTS
     xs = upper * np.arange(n + 1) / n
     with np.errstate(all="ignore"):
         vs = f(xs)
@@ -135,7 +121,7 @@ def _maximize_scalar(f, upper: float, settings: SearchSettings) -> tuple[float, 
             best_i, best_v = i, v
     lo = float(xs[max(best_i - 1, 0)])
     hi = float(xs[min(best_i + 1, n)])
-    x = _golden_max(f, lo, hi, settings.refine_tol)
+    x = _golden_max(f, lo, hi, _REFINE_TOL)
     v = f(x)
     if v > best_v:
         return x, v, best_i == n
@@ -144,7 +130,7 @@ def _maximize_scalar(f, upper: float, settings: SearchSettings) -> tuple[float, 
 
 def optimize_rates(
     config: SystemConfig,
-    settings: SearchSettings | None = None,
+    rate_max: float = RATE_MAX,
     use_bound: bool = False,
 ) -> RatePlan:
     """Find per-layer rates maximizing the analytic total throughput.
@@ -152,9 +138,12 @@ def optimize_rates(
     Rates already present in `config` are ignored.  Layers with zero
     arrivals contribute nothing and get rate 0.  `use_bound` runs the
     recursion on the Jensen lower-bound capture probability instead of the
-    exact one.
+    exact one.  The search runs on [0, `rate_max`], which must lie in
+    (0, 1024) so that 2**rate_max fits a double.
     """
-    settings = settings or SearchSettings()
+    if not 0 < rate_max < 1024:  # NaN too
+        raise ValueError(f"rate_max must be > 0 and < 1024 (2**rate_max must fit a double), "
+                         f"got {rate_max}")
     capture = capture_prob_lower_bound if use_bound else capture_prob_exact
     N = config.num_channels
     L = config.num_layers
@@ -178,7 +167,7 @@ def optimize_rates(
                 phi = capture(l, config, rate=r)
             return r * phi * lam * decay + (1.0 + phi * lam / N) * decay * tail
 
-        r_star, v_star, at_upper = _maximize_scalar(objective, settings.rate_max, settings)
+        r_star, v_star, at_upper = _maximize_scalar(objective, rate_max)
         rates[l - 1] = r_star
         values[l - 1] = v_star
         if at_upper:
@@ -199,17 +188,16 @@ def optimize_arrivals(
     phi tau exp(-tau) and clear probability (1 + phi tau) exp(-tau) depend
     only on that layer's tau, so the same backward recursion applies.  The
     returned value is scaled by `num_channels`.  The search runs on
-    [0, `_ARRIVAL_MAX`] with the default `SearchSettings`.
+    [0, `_ARRIVAL_MAX`].
     """
-    if num_layers < 1:
-        raise ValueError(f"num_layers must be >= 1, got {num_layers}")
+    if type(num_layers) is not int or num_layers < 1:  # a bool is an int subclass
+        raise ValueError(f"num_layers must be an integer >= 1, got {num_layers!r}")
     if num_channels < 1:
         raise ValueError(f"num_channels must be >= 1, got {num_channels}")
     if not gamma > 0:  # NaN too
         raise ValueError(f"gamma must be > 0, got {gamma}")
     phi = math.exp(-snr_gap(rate) / gamma)
     taus = [0.0] * num_layers
-    values = [0.0] * num_layers
     value_above = 0.0
     for l in range(num_layers - 1, -1, -1):
 
@@ -217,8 +205,7 @@ def optimize_arrivals(
             decay = np.exp(-t) if isinstance(t, np.ndarray) else math.exp(-t)
             return phi * t * decay + (1.0 + phi * t) * decay * tail
 
-        t_star, v_star, _ = _maximize_scalar(objective, _ARRIVAL_MAX, SearchSettings())
+        t_star, v_star, _ = _maximize_scalar(objective, _ARRIVAL_MAX)
         taus[l] = t_star
-        values[l] = v_star
         value_above = v_star
-    return ArrivalPlan(tuple(taus), tuple(values), num_channels * values[0])
+    return ArrivalPlan(tuple(taus), num_channels * value_above)

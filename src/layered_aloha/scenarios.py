@@ -26,7 +26,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .model import _CONFIG_KEYS, _INT_KEYS, SystemConfig, db_to_linear, design_args, design_config
-from .optimize import SearchSettings, optimize_arrivals, optimize_rates
+from .optimize import RATE_MAX, optimize_arrivals, optimize_rates
 from .outage import outage
 from .simulate import SAMPLING_CONTRACT, estimate_outage, estimate_throughput
 from .throughput import (
@@ -234,7 +234,7 @@ def _throughput_rows(s: Scenario, config: SystemConfig, x: float, seed: int, wor
                      captures: bool = False):
     hits: tuple[int, ...] = ()
     if "rate" not in s.settings and s.sweep != "rate":  # rates neither fixed nor swept
-        plan = optimize_rates(config, SearchSettings())
+        plan = optimize_rates(config)
         config, hits = config.with_rates(plan.optimal_rates), plan.bound_hits
     rows = []
     if "analytic" in s.outputs:
@@ -321,7 +321,7 @@ def _bound_note(s: Scenario, x: float, hits: tuple[int, ...]) -> str:
     """Note for a grid point whose optimized rates hit the search bound."""
     layers = ", ".join(map(str, hits))
     return (f"{s.x_name}={_fmt(x)}: optimized rate of layer(s) {layers} at the search bound "
-            f"{_fmt(SearchSettings().rate_max)}")
+            f"{_fmt(RATE_MAX)}")
 
 
 def run_point(s: Scenario, config: SystemConfig, x: float, seed: int,

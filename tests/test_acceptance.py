@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from layered_aloha import (
-    SearchSettings,
     baseline_aloha_max,
     baseline_irsa,
     capture_prob_exact,

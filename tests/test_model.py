@@ -169,6 +169,16 @@ def test_a_bool_is_not_an_integer_setting():
         design_config(2, True, 1.0, 1.0, 2.0, repetition=True)
 
 
+@pytest.mark.parametrize("layers", [True, 2.0, 0, -1])
+def test_design_config_rejects_a_layer_count_that_is_not_a_positive_int(layers):
+    # True built a one-layer system and 2.0 failed inside _per_layer with a TypeError
+    with pytest.raises(ValueError, match="num_layers"):
+        design_config(layers, 10, 1.0, 1.0, 2.0)
+    settings = {"layers": layers, "channels": 10, "arrival_rate": 1.0, "gamma_db": 3.0}
+    with pytest.raises(ValueError, match="num_layers"):
+        config_from_settings(settings)
+
+
 @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
 def test_allocate_powers_rejects_bad_gamma(gamma):
     with pytest.raises(ValueError, match="gamma"):

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from layered_aloha import (
-    SearchSettings,
     capture_prob_exact,
     db_to_linear,
     design_config,
@@ -135,22 +134,15 @@ def test_use_bound_flag_changes_objective():
     assert bound_plan.achieved_throughput <= exact_plan.achieved_throughput
 
 
-def test_search_settings_validation():
-    with pytest.raises(ValueError):
-        SearchSettings(rate_max=0.0)
-    with pytest.raises(ValueError):
-        SearchSettings(grid_points=1)
-    with pytest.raises(ValueError):
-        SearchSettings(refine_tol=0.0)
-    for field, value in [
-        ("rate_max", math.nan), ("rate_max", math.inf), ("rate_max", 1024.0),
-        ("grid_points", 2 ** 20 + 1),
-        ("refine_tol", math.nan), ("refine_tol", math.inf),
-    ]:
-        with pytest.raises(ValueError, match=field):
-            SearchSettings(**{field: value})
+def test_optimize_rates_rate_max_validation():
+    cfg = _cfg(1, 10.0, 2.0)
+    for rate_max in (0.0, -1.0, math.nan, math.inf, 1024.0):
+        with pytest.raises(ValueError, match="rate_max"):
+            optimize_rates(cfg, rate_max)
     # the largest accepted rate bound still has a finite 2**rate_max
-    assert SearchSettings(rate_max=1023.0, grid_points=2 ** 20).rate_max == 1023.0
+    plan = optimize_rates(cfg, rate_max=1023.0)
+    assert plan.achieved_throughput == pytest.approx(
+        optimize_rates(cfg).achieved_throughput, rel=1e-9)
 
 
 def test_optimize_arrivals_single_layer():
@@ -180,8 +172,9 @@ def test_optimize_arrivals_beats_all_ones():
 
 
 def test_optimize_arrivals_validation():
-    with pytest.raises(ValueError):
-        optimize_arrivals(0, 10, 1.0, 10.0)
+    for num_layers in (0, True, 2.0):  # True gave a one-layer plan
+        with pytest.raises(ValueError, match="num_layers"):
+            optimize_arrivals(num_layers, 10, 1.0, 10.0)
     with pytest.raises(ValueError):
         optimize_arrivals(2, 10, 1.0, 0.0)
     with pytest.raises(ValueError, match="gamma"):
@@ -194,7 +187,7 @@ def test_rate_optimum_at_the_search_bound_is_flagged():
     assert plan.optimal_rates[1:] == (16.0, 16.0)
     assert 15.9 < plan.optimal_rates[0] < 16.0
     assert plan.bound_hits == (2, 3)
-    wide = optimize_rates(cfg, SearchSettings(rate_max=64.0))
+    wide = optimize_rates(cfg, rate_max=64.0)
     assert wide.bound_hits == ()
     assert wide.achieved_throughput > plan.achieved_throughput
     assert optimize_rates(_cfg(3, 10.0, db_to_linear(10.0))).bound_hits == ()
@@ -217,10 +210,10 @@ def test_arrival_optimum_never_reaches_the_search_bound(num_layers, num_channels
     assert max(plan.optimal_tau) <= 1.0 + 4.0 * math.sqrt(sys.float_info.epsilon)
 
 
-def _reference_maximize(f, upper, s):
+def _reference_maximize(f, upper):
     """The scalar grid scan the array shortlist replaced: every grid point
     through the scalar objective, strict `>`, then golden refinement."""
-    n = s.grid_points
+    n = optimize._GRID_POINTS
     xs = [upper * k / n for k in range(n + 1)]
     best_i = 0
     best_v = f(xs[0])
@@ -230,17 +223,17 @@ def _reference_maximize(f, upper, s):
             best_i, best_v = i, v
     lo = xs[best_i - 1] if best_i > 0 else xs[0]
     hi = xs[best_i + 1] if best_i < n else xs[n]
-    x = optimize._golden_max(f, lo, hi, s.refine_tol)
+    x = optimize._golden_max(f, lo, hi, optimize._REFINE_TOL)
     v = f(x)
     if v > best_v:
         return x, v, best_i == n
     return xs[best_i], best_v, best_i == n
 
 
-def _all_plans(cfg, search, rate, gamma):
+def _all_plans(cfg, rate_max, rate, gamma):
     return (
-        optimize_rates(cfg, search),
-        optimize_rates(cfg, search, use_bound=True),
+        optimize_rates(cfg, rate_max),
+        optimize_rates(cfg, rate_max, use_bound=True),
         optimize_arrivals(cfg.num_layers, cfg.num_channels, rate, gamma),
     )
 
@@ -261,14 +254,13 @@ def _all_plans(cfg, search, rate, gamma):
 def test_grid_shortlist_gives_the_scalar_scan_plans(
     num_layers, num_channels, arrival, gamma_db, grid_points, rate_max, rate
 ):
-    # the arrivals plan runs at the default search whatever `search` is
     gamma = db_to_linear(gamma_db)
     cfg = design_config(num_layers, num_channels, arrival, 0.0, gamma)
-    search = SearchSettings(rate_max=rate_max, grid_points=grid_points)
-    plans = _all_plans(cfg, search, rate, gamma)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_GRID_POINTS", grid_points)
+        plans = _all_plans(cfg, rate_max, rate, gamma)
         mp.setattr(optimize, "_maximize_scalar", _reference_maximize)
-        assert plans == _all_plans(cfg, search, rate, gamma)
+        assert plans == _all_plans(cfg, rate_max, rate, gamma)
 
 
 class _UlpObjective:
@@ -304,7 +296,8 @@ _GRID_LEVELS = st.integers(2, 12).flatmap(lambda n: st.tuples(
 def test_scalar_objective_decides_among_the_shortlist(levels_and_skew):
     levels, skew = levels_and_skew
     f = _UlpObjective(2.0, levels, skew)
-    search = SearchSettings(rate_max=2.0, grid_points=len(levels) - 1)
-    got = optimize._maximize_scalar(f, 2.0, search)
-    want = _reference_maximize(f, 2.0, search)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_GRID_POINTS", len(levels) - 1)
+        got = optimize._maximize_scalar(f, 2.0)
+        want = _reference_maximize(f, 2.0)
     assert repr(got) == repr(want)
