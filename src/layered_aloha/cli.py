@@ -70,6 +70,8 @@ def _settings_from_args(args) -> dict:
             settings = model.load_config_file(args.config)
         except OSError as exc:
             raise ValueError(f"--config: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"--config: {args.config}: {exc}") from None
     for flag, (key, _) in _SYSTEM_FLAGS.items():
         text = getattr(args, key)
         if text is not None:

@@ -14,22 +14,44 @@ import math
 from dataclasses import dataclass, replace
 
 
-def _check_finite(name, value):
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+# --- input rules, each written once: every function taking a raw system scalar
+# calls these, which return the value or raise a ValueError naming the setting
+
+def _check_count(name, value, low=1):
+    """An int (not a bool, an int subclass) >= low."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _check_positive(name, value):
+    """Finite and > 0; NaN and inf fail."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
+def _check_non_negative(name, value):
+    """Finite and >= 0; NaN and inf fail."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
+
+
+def _occupied_arrival(config, l):
+    """Layer l's arrival rate, which outage needs > 0: it conditions on m >= 1 users."""
+    lam = config.layer(l).arrival_rate
+    if not lam > 0:
+        raise ValueError(f"layer {l} has arrival rate 0; outage conditions on m >= 1 users")
+    return lam
 
 
 def _check_system(num_channels, channel_gain_mean, noise_power):
     """Validate the system scalars, for `SystemConfig` and for
     `allocate_powers`, which reads them before any config exists."""
-    if type(num_channels) is not int or num_channels < 1:  # a bool is an int subclass
-        raise ValueError(f"num_channels must be an integer >= 1, got {num_channels!r}")
-    _check_finite("channel_gain_mean", channel_gain_mean)
-    _check_finite("noise_power", noise_power)
-    if channel_gain_mean <= 0:
-        raise ValueError(f"channel_gain_mean must be > 0, got {channel_gain_mean}")
-    if noise_power <= 0:
-        raise ValueError(f"noise_power must be > 0, got {noise_power}")
+    _check_count("num_channels", num_channels)
+    _check_positive("channel_gain_mean", channel_gain_mean)
+    _check_positive("noise_power", noise_power)
 
 
 @dataclass(frozen=True)
@@ -46,14 +68,9 @@ class LayerParams:
     rate: float
 
     def __post_init__(self):
-        _check_finite("arrival_rate", self.arrival_rate)
-        _check_finite("power", self.power)
-        _check_finite("rate", self.rate)
-        if self.arrival_rate < 0:
-            raise ValueError(f"arrival_rate must be >= 0, got {self.arrival_rate}")
-        if self.power <= 0:
-            raise ValueError(f"power must be > 0, got {self.power}")
-        if not 0 <= self.rate < 1024:
+        _check_non_negative("arrival_rate", self.arrival_rate)
+        _check_positive("power", self.power)
+        if _check_non_negative("rate", self.rate) >= 1024:
             raise ValueError(f"rate must be >= 0 and < 1024 (2**rate must fit a double), "
                              f"got {self.rate}")
 
@@ -89,11 +106,8 @@ class SystemConfig:
         for lp in self.layers:
             if not isinstance(lp, LayerParams):
                 raise ValueError(f"layers must contain LayerParams, got {lp!r}")
-        if type(self.repetition) is not int or not 1 <= self.repetition <= self.num_channels:
-            raise ValueError(
-                f"repetition must satisfy 1 <= B <= num_channels, got B={self.repetition!r} "
-                f"with {self.num_channels} channels"
-            )
+        if _check_count("repetition", self.repetition) > self.num_channels:
+            raise ValueError(f"repetition B={self.repetition} exceeds num_channels={self.num_channels}")
         if not isinstance(self.reopen_cleared_channels, bool):
             raise ValueError(f"reopen_cleared_channels must be a bool, got "
                              f"{self.reopen_cleared_channels!r}")
@@ -137,9 +151,7 @@ def db_to_linear(x_db: float) -> float:
 
 def snr_gap(rate: float) -> float:
     """SINR threshold equivalent to a code rate: 2**rate - 1."""
-    if rate < 0 or not math.isfinite(rate):
-        raise ValueError(f"rate must be finite and >= 0, got {rate}")
-    return 2.0 ** rate - 1.0
+    return 2.0 ** _check_non_negative("rate", rate) - 1.0
 
 
 def collision_prob(m: int, num_channels: int, copies: int = 1) -> float:
@@ -149,11 +161,9 @@ def collision_prob(m: int, num_channels: int, copies: int = 1) -> float:
     channels, so a given channel is hit by none of them with probability
     (1 - 1/N)**(B(m-1)).
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if num_channels < 1:
-        raise ValueError(f"num_channels must be >= 1, got {num_channels}")
-    if not 1 <= copies <= num_channels:
+    _check_count("m", m)
+    _check_count("num_channels", num_channels)
+    if _check_count("copies", copies) > num_channels:
         raise ValueError(f"copies must satisfy 1 <= B <= N, got B={copies}, N={num_channels}")
     return 1.0 - (1.0 - 1.0 / num_channels) ** (copies * (m - 1))
 
@@ -189,11 +199,9 @@ def allocate_powers(
     P_l * sigma_h^2 / sigma_bar_l^2 == gamma for every layer, and the powers
     are non-increasing (strictly decreasing below any loaded layer).
     """
-    g = float(gamma)
-    if g <= 0 or not math.isfinite(g):
-        raise ValueError(f"gamma must be finite and > 0, got {g}")
+    g = _check_positive("gamma", float(gamma))
     _check_system(num_channels, channel_gain_mean, noise_power)
-    lams = [float(x) for x in arrival_rates]
+    lams = [_check_non_negative("arrival_rate", float(x)) for x in arrival_rates]
     L = len(lams)
     if L < 1:
         raise ValueError("need at least one layer")
@@ -222,8 +230,7 @@ def design_config(
     `arrival_rate` and `rate` may be scalars (applied to every layer) or
     per-layer sequences of length `num_layers`.
     """
-    if type(num_layers) is not int or num_layers < 1:  # a bool is an int subclass
-        raise ValueError(f"num_layers must be an integer >= 1, got {num_layers!r}")
+    _check_count("num_layers", num_layers)
     lams = _per_layer(arrival_rate, num_layers, "arrival_rate")
     rates = _per_layer(rate, num_layers, "rate")
     if powers is None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemConfig, snr_gap
+from .model import SystemConfig, _check_count, _check_positive, snr_gap
 from .throughput import capture_exponent, capture_prob_exact, capture_prob_lower_bound
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -190,13 +190,9 @@ def optimize_arrivals(
     returned value is scaled by `num_channels`.  The search runs on
     [0, `_ARRIVAL_MAX`].
     """
-    if type(num_layers) is not int or num_layers < 1:  # a bool is an int subclass
-        raise ValueError(f"num_layers must be an integer >= 1, got {num_layers!r}")
-    if num_channels < 1:
-        raise ValueError(f"num_channels must be >= 1, got {num_channels}")
-    if not gamma > 0:  # NaN too
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    phi = math.exp(-snr_gap(rate) / gamma)
+    _check_count("num_layers", num_layers)
+    _check_count("num_channels", num_channels)
+    phi = math.exp(-snr_gap(rate) / _check_positive("gamma", gamma))
     taus = [0.0] * num_layers
     value_above = 0.0
     for l in range(num_layers - 1, -1, -1):

@@ -20,17 +20,21 @@ is taken from the series otherwise, and at omega = 0 (N = 1) or past the float r
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 
-from .model import SystemConfig, collision_prob, snr_gap
+from .model import (SystemConfig, _check_count, _check_positive, _occupied_arrival,
+                    collision_prob, snr_gap)
 from .throughput import capture_exponent
 
 # Largest rounding error the finite form may carry, relative to psi
 _ROUNDING_TOL = 1e-12
 # Largest tail the series may leave, relative to the part summed
 _TAIL_TOL = 1e-12
+# A Poisson log-term below this exponentiates to exactly 0.0 (past e^-745.2)
+_LOG_TERM_MIN = -800.0
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ def beta_crrd(l: int, config: SystemConfig) -> float:
     return 1.0 - math.exp(-capture_exponent(l, config, nu, copies=config.repetition))
 
 
-def _conditional_mean(arrival_rate: float, weight) -> float:
+def _conditional_mean(lam: float, weight) -> float:
     """E[weight(M) | M >= 1] for M ~ Poisson(lam) and each weight in [0, 1],
     summed over m = 1, 2, ... until the rest of the weighted sum is known to
     be at most `_TAIL_TOL` times the part summed so far.
@@ -73,12 +77,21 @@ def _conditional_mean(arrival_rate: float, weight) -> float:
     argument m ln lam - lam - ln m! rounds (about 1e-11 relative near the
     mode at lam ~ 1e4), and the ratio cancels what the terms share, so a
     weight of 1 from m = 2 on cannot give a mean above 1.
+
+    The log-term rises on [1, floor(lam)]; the sum starts at the first m there
+    reaching `_LOG_TERM_MIN`, as the terms before add exactly 0.0 and have q >= 1
+    (no stop), so it costs O(sqrt(lam)) terms, not O(lam).
     """
-    lam = arrival_rate
     log_lam = math.log(lam)
+
+    def log_term(m):
+        return m * log_lam - lam - math.lgamma(m + 1)
+
+    start = 1 + bisect.bisect_left(range(1, math.floor(lam) + 1), True,
+                                   key=lambda m: log_term(m) >= _LOG_TERM_MIN)
     total = mass = 0.0
-    for m in itertools.count(1):
-        p = math.exp(m * log_lam - lam - math.lgamma(m + 1))
+    for m in itertools.count(start):
+        p = math.exp(log_term(m))
         total += weight(m) * p
         mass += p
         q = lam / (m + 1)
@@ -94,7 +107,7 @@ def psi_series(l: int, config: SystemConfig) -> float:
     :func:`psi_closed_form`.  The sum stops once its tail is bounded by
     `_TAIL_TOL` (1e-12) relative to it.
     """
-    lam = _positive_arrival(l, config)
+    lam = _occupied_arrival(config, l)
     beta = beta_crrd(l, config)
     N, B = config.num_channels, config.repetition
 
@@ -109,11 +122,8 @@ def conditional_collision_moment(b: int, arrival_rate: float, num_channels: int,
                                  copies: int) -> float:
     """E[p_c(M)^b | M >= 1] by direct conditional-Poisson summation, to
     `_TAIL_TOL` (1e-12) relative."""
-    if b < 0:
-        raise ValueError(f"moment order must be >= 0, got {b}")
-    if arrival_rate <= 0:
-        raise ValueError(f"arrival_rate must be > 0, got {arrival_rate}")
-    if b == 0:
+    _check_positive("arrival_rate", arrival_rate)
+    if _check_count("moment order b", b, low=0) == 0:
         return 1.0
     return _conditional_mean(arrival_rate, lambda m: collision_prob(m, num_channels, copies) ** b)
 
@@ -155,7 +165,7 @@ def psi_closed_form(l: int, config: SystemConfig) -> float:
     cannot be formed, the value is :func:`psi_series`, which it matches to
     about 1e-12 relative.
     """
-    lam = _positive_arrival(l, config)
+    lam = _occupied_arrival(config, l)
     beta = beta_crrd(l, config)
     N, B = config.num_channels, config.repetition
     omega = (1.0 - 1.0 / N) ** B
@@ -199,12 +209,3 @@ def outage(config: SystemConfig) -> OutageReport:
         fail = fail + (1.0 - fail) * p
         outs.append(fail)
     return OutageReport(psi=psis, outage=tuple(outs))
-
-
-def _positive_arrival(l: int, config: SystemConfig) -> float:
-    lam = config.layer(l).arrival_rate
-    if lam <= 0:
-        raise ValueError(
-            f"layer {l} has arrival rate 0; the failure probability conditions on m >= 1"
-        )
-    return lam

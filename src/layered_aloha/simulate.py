@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemConfig, snr_gap
+from .model import SystemConfig, _occupied_arrival, snr_gap
 
 # user outcome codes, in increasing report priority
 DECODED = 0
@@ -463,8 +463,8 @@ def estimate_outage(
     layer-l arrivals contribute nothing to layer l.  The standard error
     treats slots as iid (delta method for the ratio).
     """
-    if any(lam <= 0 for lam in config.arrival_rates):
-        raise ValueError("outage estimation needs a positive arrival rate in every layer")
+    for l in range(1, config.num_layers + 1):
+        _occupied_arrival(config, l)
     s = _fsum(_map_batches(_outage_stat, config, num_slots, seed, workers))
     L = config.num_layers
     per_layer = []

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import SystemConfig, interference_variance, snr_gap
+from .model import (SystemConfig, _check_count, _check_non_negative, _check_positive,
+                    interference_variance, snr_gap)
 
 # Reference constants for the two classic baselines, in decoded packets per
 # slot per channel.  The repetition-slotted-ALOHA figure is the published
@@ -167,14 +168,11 @@ def sla_layer_contributions(num_channels: int, tau, rate: float, gamma: float) -
     expected decoded packets, with phi = exp(-nu(rate)/gamma) and
     rho_m = (1 + phi tau_m) exp(-tau_m).
     """
-    if num_channels < 1:
-        raise ValueError(f"num_channels must be >= 1, got {num_channels}")
-    if not gamma > 0:  # NaN too
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    taus = [float(t) for t in tau]
-    if not taus or not all(t >= 0 for t in taus):
+    _check_count("num_channels", num_channels)
+    taus = [_check_non_negative("tau", float(t)) for t in tau]
+    if not taus:
         raise ValueError("tau must be a non-empty list of non-negative values")
-    phi = math.exp(-snr_gap(rate) / gamma)
+    phi = math.exp(-snr_gap(rate) / _check_positive("gamma", gamma))
     contribs = []
     clear = 1.0
     for t in taus:
@@ -197,14 +195,10 @@ def sla_lower_bound(num_channels: int, tau, rate: float, gamma: float) -> float:
 
 def baseline_aloha_max(num_channels: int) -> float:
     """Peak expected decoded packets of plain multichannel slotted ALOHA: N/e."""
-    if num_channels < 1:
-        raise ValueError(f"num_channels must be >= 1, got {num_channels}")
-    return ALOHA_PACKETS_PER_CHANNEL * num_channels
+    return ALOHA_PACKETS_PER_CHANNEL * _check_count("num_channels", num_channels)
 
 
 def baseline_irsa(num_channels: int) -> float:
     """Asymptotic decoded packets of optimized irregular repetition slotted
     ALOHA (literature value 0.965 per channel, repetition capped at 16)."""
-    if num_channels < 1:
-        raise ValueError(f"num_channels must be >= 1, got {num_channels}")
-    return IRSA_PACKETS_PER_CHANNEL * num_channels
+    return IRSA_PACKETS_PER_CHANNEL * _check_count("num_channels", num_channels)

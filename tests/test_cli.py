@@ -259,10 +259,13 @@ def test_validation_errors_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, path", [
-    ("--config", "missing.cfg"), ("--config", "."), ("--out", "."), ("--out", "no-dir/out.txt"),
+    ("--config", "missing.cfg"), ("--config", "."), ("--config", "bin.cfg"),
+    ("--out", "."), ("--out", "no-dir/out.txt"),
 ])
 def test_unusable_file_paths_exit_2_naming_the_flag(tmp_path, capsys, flag, path):
-    # a directory used to pass as a runtime error, exit 1
+    # a directory used to pass as a runtime error, exit 1; a config that is not
+    # UTF-8 was reported without the flag
+    (tmp_path / "bin.cfg").write_bytes(b"layers = 2\n\xff\n")
     argv = ["optimize-rates", *_THREE_LAYERS, "--gamma-db", "10", flag, str(tmp_path / path)]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -471,9 +474,12 @@ _SIMULATE = ["simulate", "--layers", "2", "--channels", "8", "--arrival", "3", "
     (_SIMULATE + ["--noise-power", "nan"], "noise_power"),
     (["optimize-rates"] + _SIMULATE[1:] + ["--gain-mean", "0"], "channel_gain_mean"),
     ("config", "channel_gain_mean"),
+    (_SIMULATE + ["--arrival", "1,-50"], "arrival_rate"),
+    (_SIMULATE + ["--arrival", "1,nan"], "arrival_rate"),
 ])
 def test_bad_system_scalars_exit_2_naming_the_setting(tmp_path, capsys, argv, setting):
-    # the power rule reads these before the config that checks them exists
+    # the power rule reads these before the config that checks them exists; a bad
+    # arrival rate used to be reported as the negative or NaN power formed from it
     if argv == "config":
         cfg = tmp_path / "system.cfg"
         cfg.write_text("layers = 2\nchannels = 8\narrival_rate = 3\ngamma_db = 3\ngain_mean = 0\n")
@@ -482,6 +488,7 @@ def test_bad_system_scalars_exit_2_naming_the_setting(tmp_path, capsys, argv, se
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {setting} must be")
+    assert "power" not in captured.err.removeprefix(f"error: {setting}")
 
 
 def test_unknown_config_key_is_reported_once(tmp_path, capsys):

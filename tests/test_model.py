@@ -8,12 +8,20 @@ from layered_aloha import (
     LayerParams,
     SystemConfig,
     allocate_powers,
+    baseline_aloha_max,
+    baseline_irsa,
     collision_prob,
+    conditional_collision_moment,
     config_from_settings,
     db_to_linear,
     design_config,
+    estimate_outage,
     interference_variance,
+    optimize_arrivals,
+    outage,
     parse_config_text,
+    psi_series,
+    sla_layer_contributions,
     snr_gap,
 )
 
@@ -284,3 +292,75 @@ def test_config_comments_run_to_the_end_of_the_line():
         "# powers = 18, 6, 2      # optional explicit override of the power rule\n"
     )
     assert settings == {"layers": 3, "arrival_rate": 10.0, "rate": 1.0}
+
+
+# Each input rule and the values that break it: a count is an int (not a bool) >= 1
+# (>= 0 for a moment order), a positive or non-negative scalar is finite.
+_BAD = {
+    "count": (True, 2.5, 0, -1),
+    "order": (True, 2.5, -1),
+    "positive": (0.0, -1.0, float("nan"), float("inf")),
+    "non_negative": (-1.0, float("nan"), float("inf")),
+}
+_LP = LayerParams(1.0, 1.0, 1.0)
+
+# (site, rule, setting the message names, call with the bad value)
+_SITES = [
+    ("SystemConfig", "count", "num_channels", lambda v: SystemConfig(v, (_LP,))),
+    ("SystemConfig", "positive", "channel_gain_mean",
+     lambda v: SystemConfig(4, (_LP,), channel_gain_mean=v)),
+    ("SystemConfig", "positive", "noise_power", lambda v: SystemConfig(4, (_LP,), noise_power=v)),
+    ("SystemConfig", "count", "repetition", lambda v: SystemConfig(4, (_LP,), repetition=v)),
+    ("LayerParams", "non_negative", "arrival_rate", lambda v: LayerParams(v, 1.0, 1.0)),
+    ("LayerParams", "positive", "power", lambda v: LayerParams(1.0, v, 1.0)),
+    ("LayerParams", "non_negative", "rate", lambda v: LayerParams(1.0, 1.0, v)),
+    ("collision_prob", "count", "m", lambda v: collision_prob(v, 10, 1)),
+    ("collision_prob", "count", "num_channels", lambda v: collision_prob(2, v, 1)),
+    ("collision_prob", "count", "copies", lambda v: collision_prob(2, 10, v)),
+    ("design_config", "count", "num_layers", lambda v: design_config(v, 10, 1.0, 1.0, 2.0)),
+    ("allocate_powers", "positive", "gamma", lambda v: allocate_powers(v, [1.0, 2.0], 10)),
+    ("allocate_powers", "non_negative", "arrival_rate",
+     lambda v: allocate_powers(2.0, [1.0, v], 10)),
+    ("design_config", "non_negative", "arrival_rate",
+     lambda v: design_config(2, 10, [1.0, v], 1.0, 2.0)),
+    ("optimize_arrivals", "count", "num_layers", lambda v: optimize_arrivals(v, 10, 1.0, 10.0)),
+    ("optimize_arrivals", "count", "num_channels", lambda v: optimize_arrivals(2, v, 1.0, 10.0)),
+    ("optimize_arrivals", "positive", "gamma", lambda v: optimize_arrivals(2, 10, 1.0, v)),
+    ("sla_layer_contributions", "count", "num_channels",
+     lambda v: sla_layer_contributions(v, [1.0, 1.0], 1.0, 10.0)),
+    ("sla_layer_contributions", "positive", "gamma",
+     lambda v: sla_layer_contributions(10, [1.0, 1.0], 1.0, v)),
+    ("sla_layer_contributions", "non_negative", "tau",
+     lambda v: sla_layer_contributions(10, [v, 1.0], 1.0, 10.0)),
+    ("baseline_aloha_max", "count", "num_channels", baseline_aloha_max),
+    ("baseline_irsa", "count", "num_channels", baseline_irsa),
+    ("conditional_collision_moment", "positive", "arrival_rate",
+     lambda v: conditional_collision_moment(1, v, 10, 1)),
+    ("conditional_collision_moment", "order", "moment order",
+     lambda v: conditional_collision_moment(v, 3.0, 10, 1)),
+]
+
+
+@pytest.mark.parametrize("call, bad, setting", [
+    pytest.param(call, bad, setting, id=f"{site}-{setting}-{bad!r}")
+    for site, rule, setting, call in _SITES for bad in _BAD[rule]
+])
+def test_bad_input_raises_naming_its_setting(call, bad, setting):
+    # a bool or a fraction used to scale the baselines and the arrival optimum, an
+    # infinite tau gave NaN contributions, a negative arrival rate was reported as a
+    # power, and a NaN or infinite moment arrival rate never returned
+    with pytest.raises(ValueError, match=setting):
+        call(bad)
+
+
+_EMPTY_LAYER_2 = design_config(3, 10, [2.0, 0.0, 2.0], 1.0, 10.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: outage(_EMPTY_LAYER_2),
+    lambda: psi_series(2, _EMPTY_LAYER_2),
+    lambda: estimate_outage(_EMPTY_LAYER_2, 10, seed=1),
+], ids=["outage", "psi_series", "estimate_outage"])
+def test_outage_of_an_empty_layer_names_the_layer(call):
+    with pytest.raises(ValueError, match="layer 2 has arrival rate 0"):
+        call()

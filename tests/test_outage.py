@@ -321,3 +321,33 @@ def test_conditional_mean_matches_the_generating_function(lam, x):
     rel = 1e-12 + 8 * math.ulp(1.0) * (m * abs(math.log(lam)) + lam + math.lgamma(m + 1))
     assert got == pytest.approx(expected, rel=rel, abs=1e-300)
     assert 0.0 <= got <= 1.0
+
+
+def _unskipped_conditional_mean(lam, weight):
+    # the series summed from m = 1, as it was before it skipped the terms that underflow
+    log_lam = math.log(lam)
+    total = mass = 0.0
+    m = 1
+    while True:
+        p = math.exp(m * log_lam - lam - math.lgamma(m + 1))
+        total += weight(m) * p
+        mass += p
+        q = lam / (m + 1)
+        if q < 1.0 and p * q / (1.0 - q) <= 1e-12 * total:
+            return total / mass
+        m += 1
+
+
+@pytest.mark.parametrize("lam", [1e4, 1e5, 1e6])
+def test_series_work_grows_with_the_root_of_the_arrival_rate(lam):
+    # the terms below lam - 40 sqrt(lam) underflow to 0.0; the sum used to start at m = 1
+    calls = []
+
+    def weight(m):
+        calls.append(m)
+        return 1.0 - 0.9 ** (m - 1)
+
+    got = _conditional_mean(lam, weight)
+    assert len(calls) <= 50 * math.sqrt(lam) + 50
+    if lam <= 1e5:
+        assert got == _unskipped_conditional_mean(lam, lambda m: 1.0 - 0.9 ** (m - 1))
