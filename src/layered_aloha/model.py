@@ -24,16 +24,24 @@ def _check_count(name, value, low=1):
     return value
 
 
+def _finite(value):
+    """math.isfinite, False for a value that is not a real number."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
 def _check_positive(name, value):
-    """Finite and > 0; NaN and inf fail."""
-    if not (math.isfinite(value) and value > 0):
+    """Finite and > 0; NaN, inf and non-numbers fail."""
+    if not (_finite(value) and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     return value
 
 
 def _check_non_negative(name, value):
-    """Finite and >= 0; NaN and inf fail."""
-    if not (math.isfinite(value) and value >= 0):
+    """Finite and >= 0; NaN, inf and non-numbers fail."""
+    if not (_finite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     return value
 

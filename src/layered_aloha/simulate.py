@@ -18,25 +18,29 @@ same-layer collisions.
 Randomness is counter-based (Philox).  The estimators consume fixed-size
 batches of slots, each batch keyed by (seed, batch index), so results are
 bit-identical for any worker count; `sample_slots` hands out the very
-slots they decode.  Every estimator reduces a batch to one flat float64
-vector of sums (its statistic function), adds the batches' vectors
-column by column with math.fsum, which is exactly rounded and hence
+slots they decode.  Every estimator reduces a batch to one flat vector
+of sums (its statistic function), adds the batches' vectors column by
+column with math.fsum, which is exactly rounded and hence
 order-independent, and reads named slices of the total.
 
 The estimators decode a batch in channel space, a tile of slots at a time:
-each tile draws its gains from the batch generator, then one bincount
-counts the copies and one weighted bincount sums the received power of
-every (layer, channel) cell.  The tile size bounds the tile's arrays; it
-is not part of the sampling contract, and the output cannot depend on it:
-slots never share a cell, and each cell's sums are formed in the same
-order whatever the tile.  `sic_decode` is the per-slot reference.
+each tile draws its gains from the batch generator, as standard
+exponentials times the gain mean, then one bincount counts the copies and
+one weighted bincount sums the received power of every (layer, channel)
+cell.  Two budgets size the tile, one on its dense cells and one on its
+expected copies.  The tile size is not part of the sampling contract, and
+the output cannot depend on it: slots never share a cell, and each cell's
+sums are formed in the same order whatever the tile.  `sic_decode` is the
+per-slot reference.
 
 Sampling contract 2 fixes the sample path.  Each stream draws, in order:
 the Poisson user counts of every layer; the channel sets of all users by
 Floyd's algorithm (Bentley & Floyd, CACM 1987), one bounded integer per
 user and copy, O(B) memory per user; then all exponential gains, in one
-draw or tile by tile alike.  With B = 1 the channel draw is one
-`integers(0, N)` call, so single-copy sample paths are those of contract 1.
+draw or tile by tile alike, as standard exponentials scaled by the gain
+mean (bit for bit numpy's `exponential(scale=mean)`).  With B = 1 the
+channel draw is one `integers(0, N)` call, so single-copy sample paths
+are those of contract 1.
 Channel indices are drawn as int32 (int64 only past N = 2^31), which
 yields the same values and stream position as an int64 draw, into one
 (B, T) array with a row per copy: about 4 bytes per copy per batch.  The
@@ -47,7 +51,6 @@ rows as they are.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 
@@ -69,12 +72,11 @@ BATCH_SLOTS = 4096
 #: docstring); bumped whenever a fixed seed stops reproducing old samples.
 SAMPLING_CONTRACT = 2
 
-#: elements per batch-decoder tile, bounding both its cells (L*N per slot)
-#: and its expected copies (B*sum(lambda) per slot): this keeps the tile's
-#: arrays near 96 KiB, under glibc's 128 KiB mmap threshold, so they are
-#: reused, not mapped afresh.  Slots decode independently, so results do
-#: not depend on it.
-_TILE_ELEMS = 12288
+#: batch-decoder tile budgets: _TILE_CELLS bounds a tile's dense cells
+#: (L*N per slot), _TILE_COPIES its expected copies (B*sum(lambda) per
+#: slot).  Slots decode independently, so results do not depend on them.
+_TILE_CELLS = 24576
+_TILE_COPIES = 12288
 
 _KEY_BATCH = 1 << 63
 
@@ -296,7 +298,8 @@ def sample_slots(config: SystemConfig, num_slots: int, seed: int) -> list[SlotRe
     slots = []
     for bi, size in enumerate(_batch_sizes(num_slots, seed)):
         counts, ch, rng = _sample_batch(config, seed, bi, size)
-        gains = rng.exponential(scale=config.channel_gain_mean, size=ch.shape)
+        gains = rng.standard_exponential(size=ch.shape)
+        gains *= config.channel_gain_mean  # bit for bit exponential(scale=mean)
         cuts = np.cumsum(counts.ravel())[:-1]
         ch_parts, gain_parts = np.split(ch, cuts), np.split(gains, cuts)
         slots.extend(SlotRealization(counts[s], ch_parts[s * L: s * L + L], gain_parts[s * L: s * L + L])
@@ -308,19 +311,25 @@ def _decode_batch(batch, config: SystemConfig):
     """Vectorized SIC sweep over a batch of slots, in channel space.
 
     A tile is C slots, a contiguous range of the slot-major copy rows: the
-    most (1 to S) with both L*C*N and C*B*sum(lambda) at most _TILE_ELEMS.
-    Each tile draws its (rows, B) gains from the batch generator, which
-    fills arrays in row-major order, each value continuing the stream, so
-    the tiles' draws are the one-shot (T, B) draw.  Each copy's cell key,
-    layer*(C*N) + (slot in tile)*N + channel, comes from a per-(slot,
-    layer) table; the keys are formed (B, rows) straight from the rows of
-    the sampler's (B, T) channel array, then copied once row-major for the
-    bincounts.  One bincount gives every cell's occupancy and one
-    weighted bincount its received power P_l*g; a running sum of the
-    power rows from layer L down gives the interference each layer sees.
-    The sweep then works on tile-wide boolean rows: a cell decodes when it
-    is open, holds one copy and clears the SINR test, and a user decodes
-    when any of its copies sits on such a cell.
+    most (1 to S) with L*C*N at most _TILE_CELLS and C*B*sum(lambda) at
+    most _TILE_COPIES.  Each tile draws its (rows, B) gains from the batch
+    generator as standard exponentials scaled by the gain mean in place,
+    which is bit for bit `exponential(scale=mean)` (numpy forms it as
+    scale * standard_exponential) and leaves the stream at the same place.
+    The generator fills arrays in row-major order, each value continuing
+    the stream, so the tiles' draws are the one-shot (T, B) draw.  One
+    `np.repeat` gives each copy row its (slot, layer) group, and gathers
+    from per-group tables give its cell offset, layer*(C*N) + (slot in
+    tile)*N, and its layer power.  The keys are formed (B, rows) straight
+    from the rows of the sampler's (B, T) channel array, then copied once
+    row-major for the bincounts.  One bincount gives every cell's
+    occupancy and one weighted bincount its received power P_l*g; a
+    running sum of the power rows from layer L down gives the interference
+    each layer sees.  The sweep then works on tile-wide boolean rows: a
+    cell decodes when it is open, holds one copy and clears the SINR test,
+    and a user decodes when any of its copies sits on such a cell.  The
+    (L, C*N) threshold and boolean rows are written in place (`out=`), and
+    a tile frees its arrays before the next tile allocates its own.
 
     The output does not depend on C.  Slots never share a cell, and the
     floating-point operations are fixed by the data alone: a lone copy's
@@ -328,44 +337,52 @@ def _decode_batch(batch, config: SystemConfig):
     order; the interference adds whole layer rows from L down, an empty
     layer adding an exact 0.0, then the noise; and the SINR test is `>=`.
 
-    Returns per-slot decoded counts (S, L).
+    Returns per-slot decoded counts (S, L), int64.
     """
     counts, ch, rng = batch
     S, L = counts.shape
     N, B = config.num_channels, ch.shape[1]
     copy_rows = ch.T  # (B, T); C-contiguous as `_draw_channels` lays it out
     copies = B * sum(config.arrival_rates)
-    C = min(S, _TILE_ELEMS // (L * N), _TILE_ELEMS // copies if copies else S)
+    C = min(S, _TILE_CELLS // (L * N), _TILE_COPIES // copies if copies else S)
     C = max(1, int(C))
     CN = C * N
     nus = np.array([snr_gap(r) for r in config.rates])[:, None]
+    # per (slot in tile, layer) group, slot-major: its cell offset and power
     group_cell = (np.arange(C)[:, None] * N + np.arange(L) * CN).ravel()
     group_power = np.tile(np.asarray(config.powers, dtype=np.float64), C)
-    row_start = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
-    decoded = np.zeros((S, L))
+    groups = np.arange(C * L)
+    row_start = [0] + np.cumsum(counts.ravel())[L - 1::L].tolist()
+    decoded = np.empty((S, L), dtype=np.int64)
 
     for s0 in range(0, S, C):
         s1 = min(s0 + C, S)
         users = counts[s0:s1].ravel()
         r0, r1 = row_start[s0], row_start[s1]
-        gains = rng.exponential(scale=config.channel_gain_mean, size=(r1 - r0, B))
+        group = np.repeat(groups[: users.size], users)
+        # each copy's received power P_l * g, its gain scaled in place
+        weights = rng.standard_exponential(size=(r1 - r0, B))
+        weights *= config.channel_gain_mean
+        weights *= group_power[group][:, None]
         # (B, rows) keys: any-copy reductions run along contiguous rows
-        key_t = copy_rows[:, r0:r1] + np.repeat(group_cell[: users.size], users)
+        key_t = copy_rows[:, r0:r1] + group_cell[group]
         # row-major (rows, B) order, that of the gains: each cell adds its
         # copies' powers in row order
         flat_key = key_t.T.ravel()
-        group = np.repeat(np.arange(users.size), users)
         occ = np.bincount(flat_key, minlength=L * CN).reshape(L, CN)
-        weights = (gains * np.repeat(group_power[: users.size], users)[:, None]).ravel()
-        power = np.bincount(flat_key, weights=weights, minlength=L * CN).reshape(L, CN)
+        power = np.bincount(flat_key, weights=weights.ravel(), minlength=L * CN).reshape(L, CN)
+        threshold = np.empty((L, CN))
+        ok = np.empty((L, CN), dtype=bool)
+        clear = np.empty((L, CN), dtype=bool)
+        flat_ok = ok.reshape(-1)
         # SINR threshold: nu_l * (every copy of layers l+1..L, summed from L down, + noise)
-        threshold = np.zeros((L, CN))
+        threshold[-1] = 0.0
         for l in range(L - 2, -1, -1):
-            threshold[l] = threshold[l + 1] + power[l + 1]
+            np.add(threshold[l + 1], power[l + 1], out=threshold[l])
         threshold += config.noise_power
         threshold *= nus
-        ok = (occ == 1) & (power >= threshold)
-        flat_ok = ok.reshape(-1)
+        np.greater_equal(power, threshold, out=ok)
+        ok &= np.equal(occ, 1, out=clear)  # `clear` lends its rows to the lone-copy mask
         if config.reopen_cleared_channels:
             # a channel is open while no copy of a lower layer is left on it
             layer = group % L
@@ -376,14 +393,19 @@ def _decode_batch(batch, config: SystemConfig):
                 residual_below += occ[l - 1] - np.bincount(cancelled, minlength=CN)
                 ok[l] &= residual_below == 0
         else:
-            # a collision or failed lone copy stops the channel for deeper layers
-            stalls = (occ > 0) & ~ok
-            blocked = np.zeros(CN, dtype=bool)
-            for l in range(L):
-                ok[l] &= ~blocked
-                blocked |= stalls[l]
+            # a cell is clear when empty or decoded; a collision or failed
+            # lone copy stops its channel for every deeper layer, so the
+            # loop turns row l into "clear at every layer up to l"
+            np.equal(occ, 0, out=clear)
+            clear |= ok
+            for l in range(1, L):
+                ok[l] &= clear[l - 1]
+                clear[l] &= clear[l - 1]
         user_decoded = flat_ok[key_t].any(axis=0)
         decoded[s0:s1] = np.bincount(group[user_decoded], minlength=users.size).reshape(-1, L)
+        # free the tile's arrays before the next tile makes its own, so at
+        # most one tile's arrays are alive at a time
+        del group, weights, key_t, flat_key, occ, power, user_decoded, threshold, ok, clear, flat_ok
     return decoded
 
 
@@ -398,11 +420,13 @@ def _throughput_stat(batch, config):
 
 
 def _outage_stat(batch, config):
-    """[undecoded u, users c, u*u, u*c, c*c], each an L-block of per-layer sums."""
-    counts = batch[0]
-    und = counts - _decode_batch(batch, config)
-    return np.concatenate((und.sum(axis=0), counts.sum(axis=0), (und * und).sum(axis=0),
-                           (und * counts).sum(axis=0), (counts * counts).sum(axis=0)))
+    """[undecoded u, users c, u*u, u*c, c*c], each an L-block of per-layer sums.
+
+    The sums are of integers, exact in any order, so each runs along a
+    contiguous layer-major (L, S) copy."""
+    c = batch[0].T.copy()
+    u = c - _decode_batch(batch, config).T
+    return np.concatenate([x.sum(axis=1) for x in (u, c, u * u, u * c, c * c)])
 
 
 def _batch_worker(args):
@@ -418,8 +442,20 @@ def _map_batches(stat, config, num_slots, seed, workers):
     processes = min(workers, len(tasks), os.cpu_count() or 1)
     if processes == 1:
         return [_batch_worker(t) for t in tasks]
-    with multiprocessing.Pool(processes=processes) as pool:
+    pool_module = globals().get("multiprocessing") or __getattr__("multiprocessing")
+    with pool_module.Pool(processes=processes) as pool:
         return pool.map(_batch_worker, tasks, chunksize=1)
+
+
+def __getattr__(name):
+    # `multiprocessing` is imported on first use, by the pool branch of
+    # `_map_batches` or by a caller that looks it up here to wrap it, so a
+    # serial run never loads it
+    if name != "multiprocessing":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import multiprocessing
+    globals()[name] = multiprocessing
+    return multiprocessing
 
 
 def _fsum(partials) -> list[float]:

@@ -295,12 +295,14 @@ def test_config_comments_run_to_the_end_of_the_line():
 
 
 # Each input rule and the values that break it: a count is an int (not a bool) >= 1
-# (>= 0 for a moment order), a positive or non-negative scalar is finite.
+# (>= 0 for a moment order), a positive or non-negative scalar is finite, and a
+# value that is not a number at all fails the scalar rules too.
 _BAD = {
     "count": (True, 2.5, 0, -1),
     "order": (True, 2.5, -1),
     "positive": (0.0, -1.0, float("nan"), float("inf")),
     "non_negative": (-1.0, float("nan"), float("inf")),
+    "number": ("1", None),
 }
 _LP = LayerParams(1.0, 1.0, 1.0)
 
@@ -338,6 +340,8 @@ _SITES = [
      lambda v: conditional_collision_moment(1, v, 10, 1)),
     ("conditional_collision_moment", "order", "moment order",
      lambda v: conditional_collision_moment(v, 3.0, 10, 1)),
+    ("SystemConfig", "number", "noise_power", lambda v: SystemConfig(4, (_LP,), noise_power=v)),
+    ("LayerParams", "number", "power", lambda v: LayerParams(1.0, v, 1.0)),
 ]
 
 

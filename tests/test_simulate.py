@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -350,27 +353,30 @@ def test_reopen_semantics_difference():
 
 
 class _StoredGains:
-    """Stands in for a batch generator: hands out stored gains in row order."""
+    """Stands in for a batch generator: hands out copies of stored gains, in
+    row order, as its standard exponential draws."""
 
     def __init__(self, gains):
         self.gains, self.next = gains, 0
 
-    def exponential(self, scale, size):
-        out = self.gains[self.next: self.next + size[0]]
+    def standard_exponential(self, size):
+        out = self.gains[self.next: self.next + size[0]].copy()
         assert out.shape == tuple(size)
         self.next += size[0]
         return out
 
 
 class _GainSpy:
-    """Wraps a batch generator and keeps every gain block drawn from it."""
+    """Wraps a batch generator and keeps a copy of every standard exponential
+    block drawn from it (the decoder scales its blocks in place)."""
 
     def __init__(self, rng):
         self.rng, self.draws = rng, []
 
-    def exponential(self, scale, size):
-        self.draws.append(self.rng.exponential(scale=scale, size=size))
-        return self.draws[-1]
+    def standard_exponential(self, size):
+        out = self.rng.standard_exponential(size=size)
+        self.draws.append(out.copy())
+        return out
 
 
 def _batch_from_slots(slots):
@@ -391,6 +397,9 @@ def _batch_from_slots(slots):
 
 
 def _batch_decode_counts(slots, cfg):
+    # the decoder scales its standard draws by the gain mean, which leaves
+    # the slots' gains exact only at mean 1
+    assert cfg.channel_gain_mean == 1.0
     return _decode_batch(_batch_from_slots(slots), cfg)
 
 
@@ -475,29 +484,27 @@ def _tile_configs():
 
 @pytest.mark.parametrize("reopen", [False, True])
 def test_batch_decode_independent_of_tile_size(monkeypatch, reopen):
-    # slots never share a cell and the gains stream through in row order, so
-    # tiles of one slot, of 7 slots (which does not divide the batch) and of
-    # the whole batch must agree exactly.  The cells set the tile at the
-    # B = 4 point (180 cells, 36 copies per slot), the expected copies at the
-    # lambda = 14 point (30 cells, 42 copies)
+    # slots never share a cell, the gains stream through in row order and
+    # every tile sets each of its threshold rows, so tiles of one slot, of 7
+    # slots (which leaves a short last tile of one slot) and of the whole
+    # batch must agree exactly.  Each budget sets the tile in turn,
+    # the other lifted out of the way, at the B = 4 point (180 cells and 36
+    # copies per slot) and the lambda = 14 point (30 cells, 42 copies)
     for k, cfg in enumerate(_tile_configs()):
         cfg = replace(cfg, reopen_cleared_channels=reopen)
-        cells = cfg.num_layers * cfg.num_channels
-        copies = cfg.repetition * sum(cfg.arrival_rates)
-        per_slot = cells if k == 0 else copies
-        assert per_slot == max(cells, copies)
-        limits = [  # (_TILE_ELEMS, tile slots)
-            (per_slot, 1),
-            (7 * per_slot, 7),
-            (10 ** 12, BATCH_SLOTS),
-        ]
+        per_slot = {
+            "_TILE_CELLS": cfg.num_layers * cfg.num_channels,
+            "_TILE_COPIES": cfg.repetition * sum(cfg.arrival_rates),
+        }
         results = []
-        for tile_elems, tile_slots in limits:
-            monkeypatch.setattr(simulate, "_TILE_ELEMS", tile_elems)
-            counts, ch, rng = _sample_batch(cfg, 40 + k, 0, BATCH_SLOTS)
-            spy = _GainSpy(rng)
-            results.append(_decode_batch((counts, ch, spy), cfg))
-            assert len(spy.draws) == -(-BATCH_SLOTS // tile_slots)
+        for budget, other in (("_TILE_CELLS", "_TILE_COPIES"), ("_TILE_COPIES", "_TILE_CELLS")):
+            monkeypatch.setattr(simulate, other, 10 ** 12)
+            for tile_slots in (1, 7, BATCH_SLOTS):
+                monkeypatch.setattr(simulate, budget, tile_slots * per_slot[budget])
+                counts, ch, rng = _sample_batch(cfg, 40 + k, 0, BATCH_SLOTS)
+                spy = _GainSpy(rng)
+                results.append(_decode_batch((counts, ch, spy), cfg))
+                assert len(spy.draws) == -(-BATCH_SLOTS // tile_slots), (budget, tile_slots)
         assert results[0].sum() > 0
         for other in results[1:]:
             assert np.array_equal(results[0], other)
@@ -505,20 +512,25 @@ def test_batch_decode_independent_of_tile_size(monkeypatch, reopen):
 
 @pytest.mark.parametrize("copies", [1, 4, 12])
 def test_tile_gain_draws_equal_one_shot_draw(copies):
-    # the decoder's per-tile gain blocks, concatenated, are the (T, B) gains
-    # drawn in one call from the same batch substream after the channels
-    cfg = design_config(3, 60, 3.0, 1.0, db_to_linear(10.0), repetition=copies)
-    counts, ch, rng = _sample_batch(cfg, 9, 2, BATCH_SLOTS)
-    spy = _GainSpy(rng)
-    _decode_batch((counts, ch, spy), cfg)
-    assert len(spy.draws) > 1
+    # the decoder's per-tile standard exponential blocks, concatenated and
+    # scaled by the gain mean, are the (T, B) gains drawn in one
+    # exponential(scale=mean) call from the same batch substream after the
+    # channels
+    for mean in (1.0, 1.7):
+        cfg = design_config(3, 60, 3.0, 1.0, db_to_linear(10.0), channel_gain_mean=mean,
+                            repetition=copies)
+        counts, ch, rng = _sample_batch(cfg, 9, 2, BATCH_SLOTS)
+        spy = _GainSpy(rng)
+        _decode_batch((counts, ch, spy), cfg)
+        assert len(spy.draws) > 1
 
-    one_shot = simulate._batch_rng(9, 2)
-    assert np.array_equal(one_shot.poisson(cfg.arrival_rates, size=counts.shape), counts)
-    ch_ref = _draw_channels(one_shot, int(counts.sum()), 60, copies)
-    assert np.array_equal(ch, ch_ref)
-    gains_ref = one_shot.exponential(scale=cfg.channel_gain_mean, size=ch_ref.shape)
-    assert np.array_equal(np.concatenate(spy.draws), gains_ref)
+        one_shot = simulate._batch_rng(9, 2)
+        assert np.array_equal(one_shot.poisson(cfg.arrival_rates, size=counts.shape), counts)
+        ch_ref = _draw_channels(one_shot, int(counts.sum()), 60, copies)
+        assert np.array_equal(ch, ch_ref)
+        gains_ref = one_shot.exponential(scale=mean, size=ch_ref.shape)
+        assert (np.concatenate(spy.draws) * mean).tobytes() == gains_ref.tobytes()
+        assert one_shot.random() == rng.random()  # both streams end at the same place
 
 
 def test_batch_decode_memory_scales_with_tile_not_batch():
@@ -549,7 +561,7 @@ def test_batch_worker_holds_one_copy_sized_array(reopen):
         (simulate._throughput_stat, _tile_configs()[1]),
         (simulate._outage_stat, design_config(3, 60, 3.0, 1.0, db_to_linear(10.0), repetition=12)),
     ]
-    tile_bytes = simulate._TILE_ELEMS * 8
+    tile_bytes = simulate._TILE_CELLS * 8
     for stat, cfg in points:
         cfg = replace(cfg, reopen_cleared_channels=reopen)
         channels = _sample_batch(cfg, 5, 0, BATCH_SLOTS)[1]
@@ -617,6 +629,51 @@ def test_pool_size_is_capped_at_the_cpu_count(monkeypatch):
     assert started == [2]
     with pytest.raises(ValueError, match="workers must be >= 1"):
         estimate_throughput(cfg, 3 * BATCH_SLOTS, 3, workers=0)
+
+
+def test_serial_runs_leave_multiprocessing_unloaded():
+    # only the pool branch of `_map_batches` imports it
+    code = ("import sys\n"
+            "from layered_aloha import cli, design_config, estimate_throughput\n"
+            "estimate_throughput(design_config(2, 10, 5.0, 1.0, 2.0), 100, 1)\n"
+            "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'\n")
+    src = os.path.dirname(os.path.dirname(simulate.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _float_count_throughput_stat(counts, decoded, rates):
+    """`_throughput_stat` on float decoded counts, in numpy's sum order:
+    sequential down the slots; across layers left to right below 8 layers,
+    pairwise from 8."""
+    bits = decoded * np.asarray(rates)
+    tot = bits.sum(axis=1)
+    return np.concatenate((bits.sum(axis=0), (bits * bits).sum(axis=0), [tot.sum(), tot @ tot]))
+
+
+def _float_count_outage_stat(counts, decoded):
+    """`_outage_stat` on float decoded counts, summed down the slots."""
+    und = counts - decoded
+    return np.concatenate((und.sum(axis=0), counts.sum(axis=0), (und * und).sum(axis=0),
+                           (und * counts).sum(axis=0), (counts * counts).sum(axis=0)))
+
+
+@pytest.mark.parametrize("layers", range(1, 10))
+def test_batch_stats_equal_the_float_count_oracles(monkeypatch, layers):
+    # the decoder returns int64 counts and `_outage_stat` sums layer-major
+    # copies; both vectors must be bit for bit those formed from float
+    # counts in numpy's order.  8 and 9 layers cross numpy's pairwise edge
+    rng = np.random.default_rng(layers)
+    cfg = design_config(layers, 10, 3.0, rng.uniform(0.1, 3.0, size=layers).tolist(), 2.0)
+    for size in (1, 7, BATCH_SLOTS):
+        counts = rng.poisson(3.0, size=(size, layers))
+        decoded = rng.binomial(counts, 0.6)
+        monkeypatch.setattr(simulate, "_decode_batch", lambda batch, config: decoded)
+        batch = (counts, None, None)
+        assert (simulate._throughput_stat(batch, cfg).tobytes()
+                == _float_count_throughput_stat(counts, decoded.astype(float), cfg.rates).tobytes())
+        assert (simulate._outage_stat(batch, cfg).astype(float).tobytes()
+                == _float_count_outage_stat(counts, decoded.astype(float)).tobytes())
 
 
 def test_estimator_reruns_identically():
