@@ -256,8 +256,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "workers", 1) < 1:  # every command but optimize-rates takes --workers
-            raise ValueError(f"--workers: must be >= 1, got {args.workers}")
+        model._check_count("--workers", getattr(args, "workers", 1))  # optimize-rates has none
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

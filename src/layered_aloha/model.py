@@ -11,23 +11,31 @@ layer 1 is the highest-power layer and is decoded first.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 
-# --- input rules, each written once: every function taking a raw system scalar
-# calls these, which return the value or raise a ValueError naming the setting
+# --- input rules, each written once: every function taking a raw input calls these
+# before any other use of it; each returns the value or raises a ValueError naming it
 
 def _check_count(name, value, low=1):
     """An int (not a bool, an int subclass) >= low."""
     if type(value) is not int or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
+    return value
+
+
+def _check_seed(name, value, points=1):
+    """An int (not a bool) in [0, 2^64 - points]: value + i keys grid point i's streams."""
+    if type(value) is not int or not 0 <= value <= 2 ** 64 - points:
+        raise ValueError(f"{name} must be an integer in [0, 2^64 - {points}], got {value!r}")
     return value
 
 
 def _finite(value):
-    """math.isfinite, False for a value that is not a real number."""
+    """math.isfinite, False for a bool or a value that is not a real number."""
     try:
-        return math.isfinite(value)
+        return not isinstance(value, bool) and math.isfinite(value)
     except TypeError:
         return False
 
@@ -44,6 +52,30 @@ def _check_non_negative(name, value):
     if not (_finite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     return value
+
+
+def _check_probability(name, value):
+    """Finite and in [0, 1]."""
+    if not (_finite(value) and 0 <= value <= 1):
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+    return value
+
+
+def _check_rate(name, value, positive=False):
+    """Finite, >= 0 (> 0 if `positive`) and < 1024, so that 2**value fits a double."""
+    if not (_finite(value) and (value > 0 if positive else value >= 0) and value < 1024):
+        raise ValueError(f"{name} must be finite, {'>' if positive else '>='} 0 and < 1024, "
+                         f"got {value!r}")
+    return value
+
+
+def _layer_values(name, value, rule) -> tuple[float, ...]:
+    """A per-layer value: a number, or a sequence (not a str) of numbers.  Each
+    passes `rule` and is then stored as a float."""
+    values = tuple(value) if isinstance(value, Iterable) and not isinstance(value, str) else (value,)
+    if not values:
+        raise ValueError(f"{name} needs at least one value")
+    return tuple(float(rule(name, v)) for v in values)
 
 
 def _occupied_arrival(config, l):
@@ -78,9 +110,7 @@ class LayerParams:
     def __post_init__(self):
         _check_non_negative("arrival_rate", self.arrival_rate)
         _check_positive("power", self.power)
-        if _check_non_negative("rate", self.rate) >= 1024:
-            raise ValueError(f"rate must be >= 0 and < 1024 (2**rate must fit a double), "
-                             f"got {self.rate}")
+        _check_rate("rate", self.rate)
 
 
 @dataclass(frozen=True)
@@ -144,7 +174,7 @@ class SystemConfig:
 
     def with_rates(self, rates) -> "SystemConfig":
         """Copy of this config with the per-layer rates replaced."""
-        rates = tuple(float(r) for r in rates)
+        rates = _layer_values("rate", rates, _check_rate)
         if len(rates) != self.num_layers:
             raise ValueError(f"expected {self.num_layers} rates, got {len(rates)}")
         return replace(self, layers=tuple(replace(lp, rate=r) for lp, r in zip(self.layers, rates)))
@@ -159,7 +189,7 @@ def db_to_linear(x_db: float) -> float:
 
 def snr_gap(rate: float) -> float:
     """SINR threshold equivalent to a code rate: 2**rate - 1."""
-    return 2.0 ** _check_non_negative("rate", rate) - 1.0
+    return 2.0 ** _check_rate("rate", rate) - 1.0
 
 
 def collision_prob(m: int, num_channels: int, copies: int = 1) -> float:
@@ -207,12 +237,10 @@ def allocate_powers(
     P_l * sigma_h^2 / sigma_bar_l^2 == gamma for every layer, and the powers
     are non-increasing (strictly decreasing below any loaded layer).
     """
-    g = _check_positive("gamma", float(gamma))
+    g = float(_check_positive("gamma", gamma))
     _check_system(num_channels, channel_gain_mean, noise_power)
-    lams = [_check_non_negative("arrival_rate", float(x)) for x in arrival_rates]
+    lams = _layer_values("arrival_rate", arrival_rates, _check_non_negative)
     L = len(lams)
-    if L < 1:
-        raise ValueError("need at least one layer")
     powers = [0.0] * L
     for l in range(L - 1, -1, -1):
         var = noise_power
@@ -235,30 +263,25 @@ def design_config(
 ) -> SystemConfig:
     """Build a SystemConfig, deriving powers from gamma unless given explicitly.
 
-    `arrival_rate` and `rate` may be scalars (applied to every layer) or
-    per-layer sequences of length `num_layers`.
+    `arrival_rate`, `rate` and `powers` are each a number (for every layer)
+    or a sequence of `num_layers` numbers; a str is refused, not split.
     """
     _check_count("num_layers", num_layers)
-    lams = _per_layer(arrival_rate, num_layers, "arrival_rate")
-    rates = _per_layer(rate, num_layers, "rate")
+    lams = _per_layer("arrival_rate", arrival_rate, num_layers, _check_non_negative)
+    rates = _per_layer("rate", rate, num_layers, _check_rate)
     if powers is None:
         pw = allocate_powers(gamma, lams, num_channels, channel_gain_mean, noise_power)
     else:
-        pw = _per_layer(powers, num_layers, "powers")
+        pw = _per_layer("powers", powers, num_layers, _check_positive)
     layers = tuple(LayerParams(a, p, r) for a, p, r in zip(lams, pw, rates))
     return SystemConfig(num_channels, layers, channel_gain_mean, noise_power, repetition)
 
 
-def _per_layer(value, num_layers: int, name: str) -> tuple[float, ...]:
-    try:
-        vals = tuple(float(v) for v in value)
-    except TypeError:
-        return (float(value),) * num_layers
-    if len(vals) == 1:
-        return vals * num_layers
-    if len(vals) != num_layers:
+def _per_layer(name, value, num_layers: int, rule) -> tuple[float, ...]:
+    vals = _layer_values(name, value, rule)
+    if len(vals) not in (1, num_layers):
         raise ValueError(f"{name}: expected 1 or {num_layers} values, got {len(vals)}")
-    return vals
+    return vals * (num_layers // len(vals))
 
 
 # --- config file format -----------------------------------------------------

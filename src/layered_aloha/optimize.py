@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemConfig, _check_count, _check_positive, snr_gap
+from .model import SystemConfig, _check_count, _check_positive, _check_rate, snr_gap
 from .throughput import capture_exponent, capture_prob_exact, capture_prob_lower_bound
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -141,9 +141,7 @@ def optimize_rates(
     exact one.  The search runs on [0, `rate_max`], which must lie in
     (0, 1024) so that 2**rate_max fits a double.
     """
-    if not 0 < rate_max < 1024:  # NaN too
-        raise ValueError(f"rate_max must be > 0 and < 1024 (2**rate_max must fit a double), "
-                         f"got {rate_max}")
+    _check_rate("rate_max", rate_max, positive=True)
     capture = capture_prob_lower_bound if use_bound else capture_prob_exact
     N = config.num_channels
     L = config.num_layers

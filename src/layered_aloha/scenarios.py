@@ -25,7 +25,8 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import NamedTuple
 
-from .model import _CONFIG_KEYS, _INT_KEYS, SystemConfig, db_to_linear, design_args, design_config
+from .model import (_CONFIG_KEYS, _INT_KEYS, SystemConfig, _check_count, _check_seed, db_to_linear,
+                    design_args, design_config)
 from .optimize import RATE_MAX, optimize_arrivals, optimize_rates
 from .outage import outage
 from .simulate import SAMPLING_CONTRACT, estimate_outage, estimate_throughput
@@ -98,8 +99,7 @@ class Scenario:
                 raise ValueError(f"scenario grid must be strictly increasing, got {a!r} then {b!r}")
         if self.integer and not all(float(x).is_integer() for x in self.grid):
             raise ValueError(f"{self.x_name} grid points must be whole numbers, got {list(self.grid)}")
-        if self.slots < 1:
-            raise ValueError(f"slots must be >= 1, got {self.slots}")
+        _check_count("slots", self.slots)
         made = kind.outputs
         bad = [o for o in self.outputs if o not in made]
         if bad:
@@ -342,11 +342,8 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
     the result.
     """
     s = scenario
-    if "simulated" in s.outputs and not 0 <= s.seed <= 2 ** 64 - len(s.grid):
-        raise ValueError(
-            f"seed {s.seed} does not fit a {len(s.grid)}-point grid: point i simulates "
-            f"with seed + i, so the seed must lie in [0, 2^64 - {len(s.grid)}]"
-        )
+    if "simulated" in s.outputs:
+        _check_seed(f"seed of a {len(s.grid)}-point grid, point i using seed + i", s.seed, len(s.grid))
     rows: list[Row] = []
     notes: list[str] = []
     for i, x in enumerate(s.grid):

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemConfig, _occupied_arrival, snr_gap
+from .model import SystemConfig, _check_count, _check_seed, _occupied_arrival, snr_gap
 
 # user outcome codes, in increasing report priority
 DECODED = 0
@@ -263,11 +263,8 @@ def _batch_sizes(num_slots: int, seed: int) -> list[int]:
     """Sizes of the batches holding slots 0..num_slots-1, by batch index:
     full batches of BATCH_SLOTS, then the rest.  Part of the sampling
     contract: it fixes the substream each slot draws from."""
-    if num_slots < 1:
-        raise ValueError(f"num_slots must be >= 1, got {num_slots}")
-    if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    full, rest = divmod(num_slots, BATCH_SLOTS)
+    full, rest = divmod(_check_count("num_slots", num_slots), BATCH_SLOTS)
+    _check_seed("seed", seed)
     return [BATCH_SLOTS] * full + ([rest] if rest else [])
 
 
@@ -288,7 +285,8 @@ def _sample_batch(config: SystemConfig, seed: int, batch_index: int, size: int):
 
 def sample_slots(config: SystemConfig, num_slots: int, seed: int) -> list[SlotRealization]:
     """The first `num_slots` slots that `estimate_*(config, num_slots, seed)`
-    decodes, for inspection with `sic_decode`.
+    decodes, for inspection with `sic_decode`.  `num_slots` is an int >= 1
+    and `seed` an int in [0, 2^64), as for the estimators.
 
     Each batch is sampled by `_sample_batch` and its gains drawn in one
     shot, the very values the batch decoder draws tile by tile; the slots'
@@ -436,10 +434,8 @@ def _batch_worker(args):
 
 def _map_batches(stat, config, num_slots, seed, workers):
     sizes = _batch_sizes(num_slots, seed)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = [(stat, config, seed, bi, size) for bi, size in enumerate(sizes)]
-    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    processes = min(_check_count("workers", workers), len(tasks), os.cpu_count() or 1)
     if processes == 1:
         return [_batch_worker(t) for t in tasks]
     pool_module = globals().get("multiprocessing") or __getattr__("multiprocessing")
@@ -478,7 +474,8 @@ def estimate_throughput(
     """Per-layer and total decoded bits per slot, with standard errors.
 
     One sample per slot: the sum over decoded users of their layer rate.
-    Deterministic for fixed (config, num_slots, seed) whatever `workers`.
+    Deterministic for fixed (config, num_slots, seed) whatever `workers`;
+    `num_slots` and `workers` are ints >= 1, `seed` an int in [0, 2^64).
     """
     s = _fsum(_map_batches(_throughput_stat, config, num_slots, seed, workers))
     L = config.num_layers
@@ -497,7 +494,8 @@ def estimate_outage(
 
     Ratio estimator: undecoded users / present users, so slots without
     layer-l arrivals contribute nothing to layer l.  The standard error
-    treats slots as iid (delta method for the ratio).
+    treats slots as iid (delta method for the ratio).  `num_slots`,
+    `seed` and `workers` follow the rules of `estimate_throughput`.
     """
     for l in range(1, config.num_layers + 1):
         _occupied_arrival(config, l)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .model import (SystemConfig, _check_count, _check_non_negative, _check_positive,
-                    interference_variance, snr_gap)
+                    _check_probability, _layer_values, interference_variance, snr_gap)
 
 # Reference constants for the two classic baselines, in decoded packets per
 # slot per channel.  The repetition-slotted-ALOHA figure is the published
@@ -125,18 +125,15 @@ def eta(l: int, config: SystemConfig, capture_prob: float) -> float:
     """Expected decoded packets at layer l once all lower layers are clear:
     capture_prob * lambda_l * exp(-lambda_l / N)."""
     lam = config.layer(l).arrival_rate
-    if not 0.0 <= capture_prob <= 1.0:
-        raise ValueError(f"capture_prob must be in [0, 1], got {capture_prob}")
+    _check_probability("capture_prob", capture_prob)
     return capture_prob * lam * math.exp(-lam / config.num_channels)
 
 
 def rho(l: int, config: SystemConfig, capture_prob: float) -> float:
     """Probability a given channel is clear after the layer-l pass (empty, or
     a lone decodable signal): (1 + capture_prob * lambda_l / N) * exp(-lambda_l / N)."""
-    lam = config.layer(l).arrival_rate
-    if not 0.0 <= capture_prob <= 1.0:
-        raise ValueError(f"capture_prob must be in [0, 1], got {capture_prob}")
-    x = lam / config.num_channels
+    x = config.layer(l).arrival_rate / config.num_channels
+    _check_probability("capture_prob", capture_prob)
     return (1.0 + capture_prob * x) * math.exp(-x)
 
 
@@ -169,9 +166,7 @@ def sla_layer_contributions(num_channels: int, tau, rate: float, gamma: float) -
     rho_m = (1 + phi tau_m) exp(-tau_m).
     """
     _check_count("num_channels", num_channels)
-    taus = [_check_non_negative("tau", float(t)) for t in tau]
-    if not taus:
-        raise ValueError("tau must be a non-empty list of non-negative values")
+    taus = _layer_values("tau", tau, _check_non_negative)
     phi = math.exp(-snr_gap(rate) / _check_positive("gamma", gamma))
     contribs = []
     clear = 1.0

@@ -568,8 +568,9 @@ def test_values_that_overflow_a_double_exit_2(capsys, argv):
 ], ids=["scenario", "sweep", "outage", "simulate"])
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_workers_below_one_exit_2(capsys, argv, workers):
-    # analytic-only runs too: the first three simulate nothing
+    # analytic-only runs too: the first three simulate nothing; the count rule of
+    # `estimate_*`'s workers checks the flag, naming it
     assert main(argv + ["--workers", workers, "--out", "-"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--workers" in captured.err
+    assert captured.err == f"error: --workers must be >= 1 and an integer, got {workers}\n"

@@ -16,11 +16,16 @@ from layered_aloha import (
     db_to_linear,
     design_config,
     estimate_outage,
+    estimate_throughput,
+    eta,
     interference_variance,
     optimize_arrivals,
+    optimize_rates,
     outage,
     parse_config_text,
     psi_series,
+    rho,
+    sample_slots,
     sla_layer_contributions,
     snr_gap,
 )
@@ -295,16 +300,23 @@ def test_config_comments_run_to_the_end_of_the_line():
 
 
 # Each input rule and the values that break it: a count is an int (not a bool) >= 1
-# (>= 0 for a moment order), a positive or non-negative scalar is finite, and a
-# value that is not a number at all fails the scalar rules too.
+# (>= 0 for a moment order), a seed an int in [0, 2^64), a positive or non-negative
+# scalar is finite, a probability lies in [0, 1], and a rate in [0, 1024).  A value
+# that is not a number at all (a bool included) fails the scalar rules too, and a
+# str is one value, never a sequence of its digits.
 _BAD = {
     "count": (True, 2.5, 0, -1),
     "order": (True, 2.5, -1),
+    "seed": (True, -1, 2 ** 64, 1.0, "1"),
     "positive": (0.0, -1.0, float("nan"), float("inf")),
     "non_negative": (-1.0, float("nan"), float("inf")),
-    "number": ("1", None),
+    "probability": (True, -0.1, 1.1, float("nan"), "0.5"),
+    "rate": (-1.0, float("nan"), float("inf"), 1024, "1", None, True),
+    "number": ("1", None, True),
+    "text": ("12", "93"),
 }
 _LP = LayerParams(1.0, 1.0, 1.0)
+_CFG = SystemConfig(4, (_LP,))
 
 # (site, rule, setting the message names, call with the bad value)
 _SITES = [
@@ -342,6 +354,33 @@ _SITES = [
      lambda v: conditional_collision_moment(v, 3.0, 10, 1)),
     ("SystemConfig", "number", "noise_power", lambda v: SystemConfig(4, (_LP,), noise_power=v)),
     ("LayerParams", "number", "power", lambda v: LayerParams(1.0, v, 1.0)),
+    # per-layer values: a number, or a sequence of numbers, checked before float()
+    ("design_config", "text", "arrival_rate", lambda v: design_config(2, 10, v, 1.0, 3.0)),
+    ("design_config", "number", "arrival_rate", lambda v: design_config(2, 10, [1.0, v], 1.0, 3.0)),
+    ("design_config", "rate", "rate", lambda v: design_config(2, 10, 1.0, [1.0, v], 3.0)),
+    ("design_config", "text", "powers", lambda v: design_config(2, 10, 1.0, 1.0, 3.0, powers=v)),
+    ("design_config", "number", "powers",
+     lambda v: design_config(2, 10, 1.0, 1.0, 3.0, powers=[9.0, v])),
+    ("allocate_powers", "number", "gamma", lambda v: allocate_powers(v, [1.0, 2.0], 10)),
+    ("allocate_powers", "number", "arrival_rate", lambda v: allocate_powers(2.0, v, 10)),
+    ("with_rates", "rate", "rate", lambda v: _CFG.with_rates([v])),
+    ("with_rates", "text", "rate", _CFG.with_rates),
+    ("sla_layer_contributions", "number", "tau",
+     lambda v: sla_layer_contributions(10, v, 1.0, 10.0)),
+    # run parameters
+    ("sample_slots", "count", "num_slots", lambda v: sample_slots(_CFG, v, 1)),
+    ("sample_slots", "seed", "seed", lambda v: sample_slots(_CFG, 1, v)),
+    ("estimate_throughput", "count", "num_slots", lambda v: estimate_throughput(_CFG, v, 1)),
+    ("estimate_throughput", "seed", "seed", lambda v: estimate_throughput(_CFG, 1, v)),
+    ("estimate_outage", "count", "workers", lambda v: estimate_outage(_CFG, 1, 1, workers=v)),
+    # probabilities and the rate bound
+    ("eta", "probability", "capture_prob", lambda v: eta(1, _CFG, v)),
+    ("rho", "probability", "capture_prob", lambda v: rho(1, _CFG, v)),
+    ("snr_gap", "rate", "rate", snr_gap),
+    ("optimize_rates", "rate", "rate_max", lambda v: optimize_rates(_CFG, v)),
+    ("optimize_arrivals", "rate", "rate", lambda v: optimize_arrivals(2, 10, v, 10.0)),
+    ("sla_layer_contributions", "rate", "rate",
+     lambda v: sla_layer_contributions(10, [1.0, 1.0], v, 10.0)),
 ]
 
 
@@ -352,9 +391,25 @@ _SITES = [
 def test_bad_input_raises_naming_its_setting(call, bad, setting):
     # a bool or a fraction used to scale the baselines and the arrival optimum, an
     # infinite tau gave NaN contributions, a negative arrival rate was reported as a
-    # power, and a NaN or infinite moment arrival rate never returned
+    # power, a NaN or infinite moment arrival rate never returned, "12" built the
+    # arrival rates (1.0, 2.0), and a rate of 2000 overflowed in 2**rate
     with pytest.raises(ValueError, match=setting):
         call(bad)
+
+
+def test_numpy_and_int_values_build_the_all_float_config():
+    # the demos pass ints and np.arange rates; every per-layer field is stored as a float
+    floats = design_config(3, 10, [1.0, 2.0, 3.0], 1.0, 2.0)
+    for lams, rate, gamma in [([1, 2, 3], 1, 2),
+                              (np.array([1.0, 2.0, 3.0]), np.float64(1.0), np.float64(2.0)),
+                              (np.arange(1, 4), [np.float64(1.0)], 2)]:
+        cfg = design_config(3, 10, lams, rate, gamma)
+        assert cfg == floats
+        assert all(type(v) is float for v in cfg.arrival_rates + cfg.rates + cfg.powers)
+        rates = cfg.with_rates(np.arange(3) * 0.5).rates
+        assert rates == (0.0, 0.5, 1.0) and all(type(r) is float for r in rates)
+    explicit = design_config(2, 10, 1, 1, 1.0, powers=np.array([9, 3]))
+    assert explicit.powers == (9.0, 3.0) and all(type(p) is float for p in explicit.powers)
 
 
 _EMPTY_LAYER_2 = design_config(3, 10, [2.0, 0.0, 2.0], 1.0, 10.0)

@@ -51,6 +51,9 @@ def test_get_scenario_overrides():
     assert s.seed == 9
     with pytest.raises(ValueError):
         get_scenario("no-such-scenario")
+    for slots in (True, 2.5, 0):  # True used to run with `# slots: True` in the CSV header
+        with pytest.raises(ValueError, match="slots"):
+            get_scenario("outage-vs-copies", slots=slots)
 
 
 def test_scenario_validation():
@@ -255,3 +258,10 @@ def test_unknown_setting_is_named():
 def test_packet_rows_follow_outputs(outputs, quantities):
     s = _tiny(kind="packets", sweep="layers", grid=(1.0, 2.0), outputs=outputs)
     assert {r.quantity for r in run_scenario(s).rows} == quantities
+
+
+@pytest.mark.parametrize("seed", [True, -1, 1.0, "1", 2 ** 64 - 11])
+def test_run_scenario_seed_follows_the_seed_rule(seed):
+    # point i simulates with seed + i, so a 12-point grid needs seed <= 2^64 - 12
+    with pytest.raises(ValueError, match="seed"):
+        run_scenario(get_scenario("outage-vs-copies", slots=1, seed=seed))
