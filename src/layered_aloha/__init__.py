@@ -30,7 +30,6 @@ from .outage import (
     beta_crrd,
     conditional_collision_moment,
     outage,
-    psi_closed_form,
     psi_series,
 )
 from .scenarios import SCENARIOS, Scenario, ScenarioResult, get_scenario, run_scenario

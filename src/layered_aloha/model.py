@@ -40,6 +40,13 @@ def _finite(value):
         return False
 
 
+def _check_finite(name, value):
+    """Finite, of any sign; NaN, inf and non-numbers fail."""
+    if not _finite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 def _check_positive(name, value):
     """Finite and > 0; NaN, inf and non-numbers fail."""
     if not (_finite(value) and value > 0):
@@ -155,9 +162,11 @@ class SystemConfig:
         return len(self.layers)
 
     def layer(self, l: int) -> LayerParams:
-        """Parameters of layer l, 1-based; the one check of a layer index."""
-        if not 1 <= l <= self.num_layers:
-            raise ValueError(f"layer index must be in 1..{self.num_layers}, got {l}")
+        """Parameters of layer l, 1-based; the one check of a layer index, an int
+        (not a bool) in 1..num_layers."""
+        if type(l) is not int or not 1 <= l <= self.num_layers:
+            raise ValueError(f"layer index must be in 1..{self.num_layers} and an integer, "
+                             f"got {l!r}")
         return self.layers[l - 1]
 
     @property
@@ -181,10 +190,12 @@ class SystemConfig:
 
 
 def db_to_linear(x_db: float) -> float:
+    """10^(x_db / 10) for a finite `x_db` of any sign.  The one setting in dB
+    is `gamma_db`, so that is the name an error gives."""
     try:
-        return 10.0 ** (x_db / 10.0)
+        return 10.0 ** (_check_finite("gamma_db", x_db) / 10.0)
     except OverflowError:
-        raise ValueError(f"{x_db} dB overflows a double in linear scale") from None
+        raise ValueError(f"gamma_db = {x_db} dB overflows a double in linear scale") from None
 
 
 def snr_gap(rate: float) -> float:

@@ -8,14 +8,15 @@ as independent gives the per-layer failure probability
     Psi_l = sum_{m>=1} alpha(m)^B P(m | m >= 1).
 
 This is exact for B = 1 and an approximation otherwise (copies of one user
-can share interferers).  The infinite series has an equivalent finite form
-obtained by binomial expansion; both are implemented here and must agree,
-which is how each re-verifies the other.
+can share interferers).  :func:`psi_series` sums this series until its tail
+is bounded relative to the part summed.  Binomial expansion of alpha(m)^B
+gives the same value as a finite sum, with omega = (1 - 1/N)^B,
 
-The finite form needs the moments g(b) = E[p_c(M)^b | M >= 1] in closed form,
-each with a rounding bound from its own terms.  It stands while those bounds,
-weighted as the moments are, stay within `_ROUNDING_TOL` relative to psi; psi
-is taken from the series otherwise, and at omega = 0 (N = 1) or past the float range.
+    Psi_l = sum_{b=0}^B C(B,b) (1-beta)^b beta^{B-b} g(b),
+    g(b) = sum_j C(b,j) (-1)^j omega^-j (e^{-lam(1-omega^j)} - e^-lam) / (1 - e^-lam),
+
+g(b) being E[p_c(M)^b | M >= 1]; its alternating sums cancel where psi is
+small or B is near N, so the tests keep it as an independent check only.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .model import (SystemConfig, _check_count, _check_positive, _occupied_arriv
                     collision_prob, snr_gap)
 from .throughput import capture_exponent
 
-# Largest rounding error the finite form may carry, relative to psi
-_ROUNDING_TOL = 1e-12
 # Largest tail the series may leave, relative to the part summed
 _TAIL_TOL = 1e-12
 # A Poisson log-term below this exponentiates to exactly 0.0 (past e^-745.2)
@@ -100,13 +99,9 @@ def _conditional_mean(lam: float, weight) -> float:
 
 
 def psi_series(l: int, config: SystemConfig) -> float:
-    """Per-layer failure probability by direct truncated summation.
-
-    This is the brute-force evaluation of the conditional expectation
-    E[alpha(M)^B | M >= 1] and serves as the oracle for the finite form in
-    :func:`psi_closed_form`.  The sum stops once its tail is bounded by
-    `_TAIL_TOL` (1e-12) relative to it.
-    """
+    """Per-layer failure probability E[alpha(M)^B | M >= 1], summed until its
+    tail is bounded by `_TAIL_TOL` (1e-12) relative to it; :func:`outage`
+    calls it for every layer."""
     lam = _occupied_arrival(config, l)
     beta = beta_crrd(l, config)
     N, B = config.num_channels, config.repetition
@@ -120,81 +115,15 @@ def psi_series(l: int, config: SystemConfig) -> float:
 
 def conditional_collision_moment(b: int, arrival_rate: float, num_channels: int,
                                  copies: int) -> float:
-    """E[p_c(M)^b | M >= 1] by direct conditional-Poisson summation, to
-    `_TAIL_TOL` (1e-12) relative."""
+    """E[p_c(M)^b | M >= 1] by conditional-Poisson summation, to `_TAIL_TOL` relative."""
     _check_positive("arrival_rate", arrival_rate)
     if _check_count("moment order b", b, low=0) == 0:
         return 1.0
     return _conditional_mean(arrival_rate, lambda m: collision_prob(m, num_channels, copies) ** b)
 
 
-def _collision_moment(b: int, lam: float, omega: float) -> tuple[float, float]:
-    """E[p_c(M)^b | M >= 1] in finite alternating form, and a bound on its rounding:
-
-    g(b) = sum_j C(b,j) (-1)^j omega^-j (e^{-lam(1-omega^j)} - e^-lam) / (1 - e^-lam)
-
-    rounds by at most (b+1) eps sum_j C(b,j) omega^-j (e^{-lam(1-omega^j)} + e^-lam)
-    / (1 - e^-lam) (eps sum |terms| is no bound: each difference cancels when
-    omega^j << 1).  Needs omega > 0 and b ln(2/omega) < 700, so no term overflows.
-    """
-    if b == 0:
-        return 1.0, 0.0
-    denom = -math.expm1(-lam)
-    e_lam = math.exp(-lam)
-    total = scale = 0.0
-    for j in range(b + 1):
-        e_j = math.exp(-lam * (1.0 - omega ** j))
-        total += math.comb(b, j) * (-1.0) ** j * omega ** (-j) * (e_j - e_lam)
-        scale += math.comb(b, j) * omega ** (-j) * (e_j + e_lam)
-    return total / denom, (b + 1) * math.ulp(1.0) * scale / denom
-
-
-def psi_closed_form(l: int, config: SystemConfig) -> float:
-    """Per-layer failure probability as a finite double sum.
-
-    Binomial expansion of alpha(m)^B = (p_c(m) + (1 - p_c(m)) beta)^B turns
-    the series into
-
-        Psi_l = sum_{b=0}^B C(B,b) (1-beta)^b beta^{B-b} g(b)
-
-    with g(b) = E[p_c(M)^b | M >= 1] in closed form (:func:`_collision_moment`).
-    The weights are formed from logs, as C(B, b) leaves the float range past
-    B = 1029, and divided by their sum, so Psi_l <= 1 while every g(b) <= 1.
-    One decision per Psi_l: where the moments' weighted rounding bounds pass
-    `_ROUNDING_TOL` relative to it (small Psi_l, B near N), or the moments
-    cannot be formed, the value is :func:`psi_series`, which it matches to
-    about 1e-12 relative.
-    """
-    lam = _occupied_arrival(config, l)
-    beta = beta_crrd(l, config)
-    N, B = config.num_channels, config.repetition
-    omega = (1.0 - 1.0 / N) ** B
-    if omega == 0.0 or B * math.log(2.0 / omega) >= 700.0:
-        return psi_series(l, config)
-    if beta in (0.0, 1.0):  # every copy decodes or none does: one order holds all the weight
-        weights = {0 if beta else B: 1.0}
-    else:
-        log_q, log_beta, log_fact = math.log1p(-beta), math.log(beta), math.lgamma(B + 1)
-        weights = {b: math.exp(log_fact - math.lgamma(b + 1) - math.lgamma(B - b + 1)
-                               + b * log_q + (B - b) * log_beta) for b in range(B + 1)}
-    norm = math.fsum(weights.values())
-    terms, error = [], 0.0
-    # heaviest orders first: psi <= 1 and the weighted bounds only add up, so a sum
-    # that cannot stand is known after a few orders, not after all B^2 / 2 terms
-    for b in sorted(weights, key=weights.get, reverse=True):
-        if not weights[b]:
-            break  # and no later weight counts either
-        g, e = _collision_moment(b, lam, omega)
-        terms.append(weights[b] * g)
-        error += weights[b] * e / norm
-        if error > _ROUNDING_TOL:
-            return psi_series(l, config)
-    psi = math.fsum(terms) / norm  # a sum below its bound has no known digit
-    return psi if error <= _ROUNDING_TOL * psi else psi_series(l, config)
-
-
 def outage(config: SystemConfig) -> OutageReport:
-    """Per-layer psi (finite form) and the error-propagation cascade.
+    """Per-layer psi (Poisson series) and the error-propagation cascade.
 
     The receiver clears layers in order, so a layer-l user is served only
     when layers 1..l all succeed: P_out,l = 1 - prod_{i<=l}(1 - psi_i).
@@ -202,7 +131,7 @@ def outage(config: SystemConfig) -> OutageReport:
     at least one user).
     """
     L = config.num_layers
-    psis = tuple(psi_closed_form(l, config) for l in range(1, L + 1))
+    psis = tuple(psi_series(l, config) for l in range(1, L + 1))
     outs = []
     fail = 0.0  # running 1 - prod(1 - psi_i), accumulated to keep P_out,1 == psi_1 exact
     for p in psis:

@@ -25,11 +25,11 @@ from layered_aloha import (
     optimize_arrivals,
     optimize_rates,
     outage,
-    psi_closed_form,
     psi_series,
     sla_lower_bound,
     throughput,
 )
+from test_outage import finite_form_psi
 
 
 @pytest.fixture
@@ -104,7 +104,7 @@ def test_criterion_03_closed_form_vs_series(report):
     while checked < 200:
         cfg = _random_crrd(rng)
         for l in range(1, cfg.num_layers + 1):
-            worst = max(worst, abs(psi_series(l, cfg) - psi_closed_form(l, cfg)))
+            worst = max(worst, abs(psi_series(l, cfg) - finite_form_psi(l, cfg)))
         checked += 1
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 5.0
@@ -246,7 +246,7 @@ def test_criterion_08_outage_layer_ordering(report):
 
 def test_criterion_09_outage_approximation_band(report):
     cfg = design_config(3, 60, 3.0, 1.0, 10.0, repetition=4)
-    psi1 = psi_closed_form(1, cfg)
+    psi1 = outage(cfg).psi[0]
     est = estimate_outage(cfg, 100_000, 909, workers=4)
     sim = est.per_layer[0].value
     ratio = sim / psi1

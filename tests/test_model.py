@@ -47,6 +47,7 @@ def test_snr_gap_rejects_bad_rates():
 def test_db_round_trip():
     assert db_to_linear(10.0) == pytest.approx(10.0)
     assert db_to_linear(3.0) == pytest.approx(1.9952623149688795)
+    assert db_to_linear(-10.0) == pytest.approx(0.1)  # a negative gain in dB is valid
 
 
 def test_collision_prob_values():
@@ -300,14 +301,16 @@ def test_config_comments_run_to_the_end_of_the_line():
 
 
 # Each input rule and the values that break it: a count is an int (not a bool) >= 1
-# (>= 0 for a moment order), a seed an int in [0, 2^64), a positive or non-negative
-# scalar is finite, a probability lies in [0, 1], and a rate in [0, 1024).  A value
+# (>= 0 for a moment order), a seed an int in [0, 2^64), a scalar is finite (and
+# positive or non-negative where its rule says so), a probability lies in [0, 1], and
+# a rate in [0, 1024).  A value
 # that is not a number at all (a bool included) fails the scalar rules too, and a
 # str is one value, never a sequence of its digits.
 _BAD = {
     "count": (True, 2.5, 0, -1),
     "order": (True, 2.5, -1),
     "seed": (True, -1, 2 ** 64, 1.0, "1"),
+    "finite": (float("nan"), float("inf"), "3", None, True),
     "positive": (0.0, -1.0, float("nan"), float("inf")),
     "non_negative": (-1.0, float("nan"), float("inf")),
     "probability": (True, -0.1, 1.1, float("nan"), "0.5"),
@@ -352,6 +355,10 @@ _SITES = [
      lambda v: conditional_collision_moment(1, v, 10, 1)),
     ("conditional_collision_moment", "order", "moment order",
      lambda v: conditional_collision_moment(v, 3.0, 10, 1)),
+    ("db_to_linear", "finite", "gamma_db", db_to_linear),
+    ("config_from_settings", "finite", "gamma_db",
+     lambda v: config_from_settings({"layers": 2, "channels": 10, "arrival_rate": 1.0,
+                                     "gamma_db": v})),
     ("SystemConfig", "number", "noise_power", lambda v: SystemConfig(4, (_LP,), noise_power=v)),
     ("LayerParams", "number", "power", lambda v: LayerParams(1.0, v, 1.0)),
     # per-layer values: a number, or a sequence of numbers, checked before float()
@@ -392,7 +399,8 @@ def test_bad_input_raises_naming_its_setting(call, bad, setting):
     # a bool or a fraction used to scale the baselines and the arrival optimum, an
     # infinite tau gave NaN contributions, a negative arrival rate was reported as a
     # power, a NaN or infinite moment arrival rate never returned, "12" built the
-    # arrival rates (1.0, 2.0), and a rate of 2000 overflowed in 2**rate
+    # arrival rates (1.0, 2.0), a rate of 2000 overflowed in 2**rate, a gamma_db of
+    # "3" raised TypeError, and one of True read as 1 dB
     with pytest.raises(ValueError, match=setting):
         call(bad)
 

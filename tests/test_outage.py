@@ -14,16 +14,40 @@ from layered_aloha import (
     conditional_collision_moment,
     design_config,
     outage,
-    psi_closed_form,
     psi_series,
 )
-from layered_aloha.outage import _collision_moment, _conditional_mean
+from layered_aloha.outage import _conditional_mean
 
 
 def _crrd_config(copies=4, arrival=3.0, rate=1.0, num_channels=60, num_layers=3, gamma=10.0):
     return design_config(
         num_layers, num_channels, arrival, rate, gamma, repetition=copies
     )
+
+
+def finite_form_moments(lam, omega, B, mp=None):
+    """g(b) = E[p_c(M)^b | M >= 1] for b = 0..B, as the alternating sums
+    sum_j C(b,j) (-1)^j E[omega^(j(M-1)) | M >= 1], in floats or, given `mp`
+    (mpmath), in its working precision.  No guard: the sums cancel where g(b)
+    is small or omega^-j large.  Each E[omega^(j(M-1)) | M >= 1] = omega^-j
+    (e^-lam(1-omega^j) - e^-lam) / (1 - e^-lam) is written lam phi(lam omega^j)
+    / expm1(lam), phi(x) = expm1(x) / x, which neither cancels nor divides by
+    omega = 0."""
+    num, comb, one = (mp, mp.binomial, mp.mpf(1)) if mp else (math, math.comb, 1.0)
+    pgf = [lam * (num.expm1(x) / x if x else one) / num.expm1(lam)
+           for x in (lam * omega ** j for j in range(B + 1))]
+    return [sum(comb(b, j) * (-1) ** j * pgf[j] for j in range(b + 1)) for b in range(B + 1)]
+
+
+def finite_form_psi(l, cfg, mp=None):
+    """Psi_l in the paper's finite form, sum_b C(B,b) (1-beta)^b beta^(B-b) g(b),
+    independent of the Poisson series `outage` sums (see `finite_form_moments`)."""
+    one = mp.mpf(1) if mp else 1.0
+    comb = mp.binomial if mp else math.comb
+    lam, beta = one * cfg.layer(l).arrival_rate, one * beta_crrd(l, cfg)
+    B = cfg.repetition
+    g = finite_form_moments(lam, (1 - one / cfg.num_channels) ** B, B, mp)
+    return sum(comb(B, b) * (1 - beta) ** b * beta ** (B - b) * g[b] for b in range(B + 1))
 
 
 def _random_crrd_config(rng, max_copies=8):
@@ -91,11 +115,11 @@ def test_collision_moment_g1_hand_value():
 
 def test_collision_moment_order_zero_is_one():
     assert conditional_collision_moment(0, 0.5, 10, 2) == 1.0
-    assert _collision_moment(0, 5.0, 0.7) == (1.0, 0.0)
+    assert finite_form_moments(5.0, 0.7, 0)[0] == 1.0
 
 
 def test_collision_moments_in_unit_interval_and_decreasing_in_order():
-    # and each closed form lies within its own rounding bound of the series
+    # and the series matches the alternating sums in floats
     rng = np.random.default_rng(9)
     for _ in range(100):
         lam = float(rng.uniform(0.05, 20.0))
@@ -103,10 +127,10 @@ def test_collision_moments_in_unit_interval_and_decreasing_in_order():
         B = int(rng.integers(1, 9))
         omega = (1.0 - 1.0 / N) ** B
         prev = 1.0
+        finite = finite_form_moments(lam, omega, B)
         for b in range(0, B + 1):
-            g, bound = _collision_moment(b, lam, omega)
             series = conditional_collision_moment(b, lam, N, B)
-            assert abs(g - series) <= bound + 1e-12 * series
+            assert series == pytest.approx(finite[b], rel=1e-12, abs=1e-12)
             assert 0.0 <= series <= prev + 1e-12  # p_c <= 1 so moments decrease in order
             prev = series
 
@@ -117,7 +141,7 @@ def test_closed_form_matches_series_randomized():
         cfg = _random_crrd_config(rng)
         for l in range(1, cfg.num_layers + 1):
             a = psi_series(l, cfg)
-            b = psi_closed_form(l, cfg)
+            b = finite_form_psi(l, cfg)
             assert abs(a - b) < 1e-10
 
 
@@ -125,15 +149,25 @@ def test_closed_form_fig_config_value():
     cfg = _crrd_config()
     # frozen from the series oracle at B=4, N=60, lambda=3, R=1, gamma=10
     assert psi_series(1, cfg) == pytest.approx(0.008948549608282232, rel=1e-9)
-    assert psi_closed_form(1, cfg) == pytest.approx(psi_series(1, cfg), abs=1e-12)
+    assert finite_form_psi(1, cfg) == pytest.approx(psi_series(1, cfg), abs=1e-12)
+
+
+def test_series_is_within_its_tail_bound_of_the_finite_form():
+    # the series stops once its tail is at most 1e-12 of the part summed, so it
+    # sits that close to the finite form; without its last term it is ~2e-12 off
+    mpmath = pytest.importorskip("mpmath")
+    cfg = _crrd_config()
+    for l in (1, 2, 3):
+        with mpmath.workdps(50):
+            finite = float(finite_form_psi(l, cfg, mpmath))
+        assert psi_series(l, cfg) == pytest.approx(finite, rel=1e-12, abs=0.0)
 
 
 def test_psi_at_least_full_fading_failure():
     rng = np.random.default_rng(31)
     for _ in range(80):
         cfg = _random_crrd_config(rng)
-        for l in range(1, cfg.num_layers + 1):
-            psi = psi_closed_form(l, cfg)
+        for l, psi in enumerate(outage(cfg).psi, start=1):
             beta = beta_crrd(l, cfg)
             assert beta ** cfg.repetition - 1e-12 <= psi <= 1.0 + 1e-12
 
@@ -182,19 +216,16 @@ def test_zero_arrival_is_rejected():
     with pytest.raises(ValueError):
         psi_series(2, cfg)
     with pytest.raises(ValueError):
-        psi_closed_form(2, cfg)
-    with pytest.raises(ValueError):
         outage(cfg)
     with pytest.raises(ValueError):
         conditional_collision_moment(1, 0.0, 10, 1)
 
 
-def test_alternating_form_guard_kicks_in_for_large_arrivals():
-    # large lambda with omega near 1 stresses the alternating sum; the
-    # guarded evaluation must still match the direct series
+def test_finite_form_matches_series_at_large_arrivals():
+    # large lambda with omega near 1 stresses the alternating sum
     cfg = design_config(2, 60, 20.0, 1.0, 10.0, repetition=8)
     a = psi_series(1, cfg)
-    b = psi_closed_form(1, cfg)
+    b = finite_form_psi(1, cfg)
     assert abs(a - b) < 1e-10
 
 
@@ -222,8 +253,8 @@ def test_psi_deep_in_the_poisson_tail_is_relatively_accurate():
 
 
 def test_closed_form_matches_50_digit_series():
-    # B near N: the alternating sum cancels ~8 digits here, so its moments
-    # must come from the series
+    # B near N: the alternating sum cancels ~8 digits here, so the finite form
+    # is summed in 50 digits
     mpmath = pytest.importorskip("mpmath")
     cfg = design_config(1, 28, 4.22, 1.0, 10.0, repetition=24)
     lp, B = cfg.layers[0], cfg.repetition
@@ -233,14 +264,16 @@ def test_closed_form_matches_50_digit_series():
         omega = (1 - mpmath.mpf(1) / cfg.num_channels) ** B
         exact = mpmath.nsum(lambda m: (1 - omega ** (m - 1) * (1 - beta)) ** B
                             * lam ** m / mpmath.factorial(m), [1, mpmath.inf]) / mpmath.expm1(lam)
+        finite = finite_form_psi(1, cfg, mpmath)
     assert float(exact) == pytest.approx(0.3419811974, abs=1e-10)
-    assert psi_closed_form(1, cfg) == pytest.approx(float(exact), abs=1e-10)
+    assert float(finite) == pytest.approx(float(exact), abs=1e-10)
+    assert psi_series(1, cfg) == pytest.approx(float(exact), abs=1e-10)
 
 
 @pytest.mark.parametrize("copies", [13, 14])
 def test_small_psi_is_relatively_accurate(copies):
-    # psi ~ 3e-8 here: an absolute rounding rule on each moment let the finite
-    # form keep an error of ~5e-7 relative (layer 1 at B = 13 read 3.16939143e-08)
+    # psi ~ 3e-8 here: an absolute rounding rule on each moment once let the
+    # finite form keep an error of ~5e-7 relative (layer 1 at B = 13 read 3.16939143e-08)
     mpmath = pytest.importorskip("mpmath")
     cfg = design_config(3, 400, 3.0, 1.0, 10.0, repetition=copies)
     psi = outage(cfg).psi
@@ -277,12 +310,16 @@ def _systems(draw, powers=False):
 @example(design_config(1, 28, 4.22, 1.0, 10.0, repetition=24))
 @example(design_config(2, 10, 3.0, 0.0, 10.0, repetition=3))  # beta = 0
 @example(design_config(2, 10, 3.0, 60.0, 10.0, repetition=3))  # beta = 1
-@example(design_config(1, 3037, 1.0, 0.0, 10.0, repetition=7))  # psi = g(7), below its bound
-@example(design_config(1, 1, 1e4, 0.0, 10.0))  # psi = P(M >= 2 | M >= 1), from the series
+@example(design_config(1, 3037, 1.0, 0.0, 10.0, repetition=7))  # psi = g(7) ~ 1e-19
+@example(design_config(1, 1, 1e4, 0.0, 10.0))  # psi = P(M >= 2 | M >= 1)
 def test_closed_form_matches_series_over_the_domain(cfg):
-    for l in range(1, cfg.num_layers + 1):
-        psi = psi_closed_form(l, cfg)
-        assert psi == pytest.approx(psi_series(l, cfg), abs=1e-10)
+    # every term of the alternating sums is at most C(64, 32) ~ 2e18, so 50 digits
+    # leave the finite form about 30 of them
+    mpmath = pytest.importorskip("mpmath")
+    for l, psi in enumerate(outage(cfg).psi, start=1):
+        with mpmath.workdps(50):
+            finite = float(finite_form_psi(l, cfg, mpmath))
+        assert psi == pytest.approx(finite, abs=1e-10)
         # sums near 1 may land a few ulps above it; they are not clipped
         assert 0.0 <= psi <= 1.0 + 4 * math.ulp(1.0)
 
@@ -296,10 +333,10 @@ def test_psi_grows_with_its_layer_arrival(cfg, data):
     def psi_at(lam):
         layers = list(cfg.layers)
         layers[l - 1] = replace(layers[l - 1], arrival_rate=lam)
-        return psi_closed_form(l, replace(cfg, layers=layers))
+        return outage(replace(cfg, layers=layers)).psi[l - 1]
 
-    # up to the 1e-10 the closed form is held to: the series it falls back on
-    # truncates a tail of about 1e-12, more at large lam
+    # up to the 1e-10 the series is held to: it truncates a tail of about 1e-12,
+    # more at large lam
     assert psi_at(lo) <= psi_at(hi) + 1e-10
 
 

@@ -16,7 +16,6 @@ from layered_aloha import (
     eta,
     interference_variance,
     lone_pair_capture,
-    psi_closed_form,
     psi_series,
     rho,
     sla_layer_contributions,
@@ -272,9 +271,10 @@ def test_baselines():
 def test_layer_index_validation():
     cfg = design_config(2, 10, 5.0, 1.0, 2.0, repetition=2)
     for fn in (capture_prob_exact, capture_prob_lower_bound, interference_variance, beta_crrd,
-               psi_series, psi_closed_form, lambda l, c: capture_prob_exact(l, c, rate=1.0),
+               psi_series, lambda l, c: capture_prob_exact(l, c, rate=1.0),
                lambda l, c: eta(l, c, 0.5), lambda l, c: rho(l, c, 0.5)):
-        for l in (0, 3):
+        # a bool used to read layer 1, and a str raised TypeError
+        for l in (0, 3, True, "1"):
             with pytest.raises(ValueError, match="layer index must be in 1..2"):
                 fn(l, cfg)
     with pytest.raises(ValueError):
