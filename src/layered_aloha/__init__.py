@@ -7,7 +7,6 @@ that serves as the ground truth for the closed forms.
 """
 
 from .model import (
-    LayerParams,
     SystemConfig,
     allocate_powers,
     collision_prob,

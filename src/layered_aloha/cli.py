@@ -82,12 +82,12 @@ def _settings_from_args(args) -> dict:
     return settings
 
 
-def _write(text: str, out: str):
+def _write(text: str, out: str, mode: str = "w"):
     if out == "-":
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with open(out, mode, encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise ValueError(f"--out: {exc}") from None
@@ -156,9 +156,9 @@ def _cmd_optimize_rates(args) -> int:
     except ValueError as exc:  # the one error it raises is for the bound
         raise ValueError(f"--rate-max: {exc}") from None
     lines = ["layer  arrival  power      rate*      partial_value"]
-    for l, lp in enumerate(config.layers):
+    for l, (lam, power) in enumerate(zip(config.arrival_rates, config.powers)):
         lines.append(
-            f"{l + 1:>5}  {lp.arrival_rate:<7g}  {lp.power:<9.6g}  {plan.optimal_rates[l]:<9.6g}"
+            f"{l + 1:>5}  {lam:<7g}  {power:<9.6g}  {plan.optimal_rates[l]:<9.6g}"
             f"  {plan.layer_values[l]:.6g}"
         )
     lines.extend(
@@ -198,7 +198,7 @@ def _cmd_outage(args) -> int:
 
 def _cmd_simulate(args) -> int:
     return _run_one_point(
-        args, lambda config: config.layers[0].arrival_rate,
+        args, lambda config: config.arrival_rates[0],
         name="simulate",
         description="simulated and analytic throughput for one configuration",
         kind="simulate",
@@ -257,6 +257,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         model._check_count("--workers", getattr(args, "workers", 1))  # optimize-rates has none
+        _write("", args.out, "a")  # tries --out before any computation, truncating nothing
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -87,7 +87,7 @@ def _layer_values(name, value, rule) -> tuple[float, ...]:
 
 def _occupied_arrival(config, l):
     """Layer l's arrival rate, which outage needs > 0: it conditions on m >= 1 users."""
-    lam = config.layer(l).arrival_rate
+    lam = config.arrival_rates[config.layer(l)]
     if not lam > 0:
         raise ValueError(f"layer {l} has arrival rate 0; outage conditions on m >= 1 users")
     return lam
@@ -102,31 +102,15 @@ def _check_system(num_channels, channel_gain_mean, noise_power):
 
 
 @dataclass(frozen=True)
-class LayerParams:
-    """Per-layer design parameters.
-
-    arrival_rate: expected number of active users per slot in this layer.
-    power: transmit power of the layer (linear scale, > 0).
-    rate: transmission (code) rate in bits per channel use (>= 0).
-    """
-
-    arrival_rate: float
-    power: float
-    rate: float
-
-    def __post_init__(self):
-        _check_non_negative("arrival_rate", self.arrival_rate)
-        _check_positive("power", self.power)
-        _check_rate("rate", self.rate)
-
-
-@dataclass(frozen=True)
 class SystemConfig:
     """Immutable description of one layered random-access system.
 
-    layers are ordered by decoding position: ``layers[0]`` is layer 1
-    (highest power, decoded first).  ``repetition`` is the number of copies
-    B each user transmits on distinct channels (B = 1 means plain
+    `arrival_rates` (expected active users per slot), `powers` (linear
+    scale, > 0) and `rates` (bits per channel use, >= 0) hold one value per
+    layer, ordered by decoding position: index 0 is layer 1 (highest power,
+    decoded first).  Each is a number or a sequence of numbers, checked
+    and stored as a tuple of floats.  ``repetition`` is the number of
+    copies B each user transmits on distinct channels (B = 1 means plain
     single-copy access).  ``reopen_cleared_channels`` is the receiver's SIC
     sweep rule: by default a channel stopped by a collision or a failed
     lone copy stays stopped for every deeper layer; when set, it reopens
@@ -137,7 +121,9 @@ class SystemConfig:
     """
 
     num_channels: int
-    layers: tuple[LayerParams, ...]
+    arrival_rates: tuple[float, ...]
+    powers: tuple[float, ...]
+    rates: tuple[float, ...]
     channel_gain_mean: float = 1.0
     noise_power: float = 1.0
     repetition: int = 1
@@ -145,12 +131,13 @@ class SystemConfig:
 
     def __post_init__(self):
         _check_system(self.num_channels, self.channel_gain_mean, self.noise_power)
-        object.__setattr__(self, "layers", tuple(self.layers))
-        if len(self.layers) < 1:
-            raise ValueError("need at least one layer")
-        for lp in self.layers:
-            if not isinstance(lp, LayerParams):
-                raise ValueError(f"layers must contain LayerParams, got {lp!r}")
+        for field, name, rule in (("arrival_rates", "arrival_rate", _check_non_negative),
+                                  ("powers", "power", _check_positive),
+                                  ("rates", "rate", _check_rate)):
+            object.__setattr__(self, field, _layer_values(name, getattr(self, field), rule))
+        if not len(self.arrival_rates) == len(self.powers) == len(self.rates):
+            raise ValueError(f"arrival_rates, powers and rates need one value per layer each, got "
+                             f"{len(self.arrival_rates)}, {len(self.powers)} and {len(self.rates)}")
         if _check_count("repetition", self.repetition) > self.num_channels:
             raise ValueError(f"repetition B={self.repetition} exceeds num_channels={self.num_channels}")
         if not isinstance(self.reopen_cleared_channels, bool):
@@ -159,34 +146,19 @@ class SystemConfig:
 
     @property
     def num_layers(self) -> int:
-        return len(self.layers)
+        return len(self.arrival_rates)
 
-    def layer(self, l: int) -> LayerParams:
-        """Parameters of layer l, 1-based; the one check of a layer index, an int
-        (not a bool) in 1..num_layers."""
+    def layer(self, l: int) -> int:
+        """The tuple index, l - 1, of 1-based layer l; the one check of a layer
+        index, an int (not a bool) in 1..num_layers."""
         if type(l) is not int or not 1 <= l <= self.num_layers:
             raise ValueError(f"layer index must be in 1..{self.num_layers} and an integer, "
                              f"got {l!r}")
-        return self.layers[l - 1]
-
-    @property
-    def arrival_rates(self) -> tuple[float, ...]:
-        return tuple(lp.arrival_rate for lp in self.layers)
-
-    @property
-    def powers(self) -> tuple[float, ...]:
-        return tuple(lp.power for lp in self.layers)
-
-    @property
-    def rates(self) -> tuple[float, ...]:
-        return tuple(lp.rate for lp in self.layers)
+        return l - 1
 
     def with_rates(self, rates) -> "SystemConfig":
         """Copy of this config with the per-layer rates replaced."""
-        rates = _layer_values("rate", rates, _check_rate)
-        if len(rates) != self.num_layers:
-            raise ValueError(f"expected {self.num_layers} rates, got {len(rates)}")
-        return replace(self, layers=tuple(replace(lp, rate=r) for lp, r in zip(self.layers, rates)))
+        return replace(self, rates=rates)
 
 
 def db_to_linear(x_db: float) -> float:
@@ -228,8 +200,8 @@ def interference_variance(l: int, config: SystemConfig) -> float:
     L = config.num_layers
     total = config.noise_power
     for i in range(l, L):  # 0-based layers l..L-1 are the 1-based layers l+1..L
-        lp = config.layers[i]
-        total += config.channel_gain_mean * lp.power * lp.arrival_rate / config.num_channels
+        total += (config.channel_gain_mean * config.powers[i] * config.arrival_rates[i]
+                  / config.num_channels)
     return total
 
 
@@ -258,6 +230,9 @@ def allocate_powers(
         for i in range(l + 1, L):
             var += channel_gain_mean * powers[i] * lams[i] / num_channels
         powers[l] = g * var / channel_gain_mean
+        if not math.isfinite(powers[l]):  # no power was set, so name what set it
+            raise ValueError(f"the power rule overflows a double at layer {l + 1}: "
+                             "gamma_db or arrival_rate is too large")
     return tuple(powers)
 
 
@@ -284,8 +259,7 @@ def design_config(
         pw = allocate_powers(gamma, lams, num_channels, channel_gain_mean, noise_power)
     else:
         pw = _per_layer("powers", powers, num_layers, _check_positive)
-    layers = tuple(LayerParams(a, p, r) for a, p, r in zip(lams, pw, rates))
-    return SystemConfig(num_channels, layers, channel_gain_mean, noise_power, repetition)
+    return SystemConfig(num_channels, lams, pw, rates, channel_gain_mean, noise_power, repetition)
 
 
 def _per_layer(name, value, num_layers: int, rule) -> tuple[float, ...]:
@@ -321,17 +295,21 @@ def parse_setting(key: str, text: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse `key = value` config text into a dict of typed settings."""
-    settings = {}
+    """Parse `key = value` config text into a dict of typed settings; a key
+    set twice is an error."""
+    settings, line_of = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in line_of:
+            raise ValueError(f"config line {lineno}: {key} is already set on line {line_of[key]}")
+        line_of[key] = lineno
         try:
-            settings[key.strip()] = parse_setting(key.strip(), value.strip())
+            settings[key] = parse_setting(key, value)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from None
     return settings

@@ -150,7 +150,7 @@ def optimize_rates(
     hits = []
     value_above = 0.0
     for l in range(L, 0, -1):
-        lam = config.layers[l - 1].arrival_rate
+        lam = config.arrival_rates[l - 1]
         if lam == 0.0:
             # empty layer: eta = 0 and rho = 1, objective flat in R
             rates[l - 1] = 0.0

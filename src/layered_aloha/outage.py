@@ -34,6 +34,11 @@ from .throughput import capture_exponent
 _TAIL_TOL = 1e-12
 # A Poisson log-term below this exponentiates to exactly 0.0 (past e^-745.2)
 _LOG_TERM_MIN = -800.0
+# Most terms one series may sum (at lam = 1.5e10, just inside, `outage` took 8 s on a
+# 2-vCPU host), and the terms per sqrt(lam) it may span: 40 below the mode from log-term
+# _LOG_TERM_MIN, at most 39 above it to where terms underflow (47 measured at lam >= 1e4)
+_TERM_BUDGET = 10_000_000
+_TERMS_PER_ROOT = 80
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,7 @@ def beta_crrd(l: int, config: SystemConfig) -> float:
 
     Reduces to 1 - capture_prob_exact(l) when B = 1.
     """
-    nu = snr_gap(config.layer(l).rate)
+    nu = snr_gap(config.rates[config.layer(l)])
     return 1.0 - math.exp(-capture_exponent(l, config, nu, copies=config.repetition))
 
 
@@ -79,8 +84,13 @@ def _conditional_mean(lam: float, weight) -> float:
 
     The log-term rises on [1, floor(lam)]; the sum starts at the first m there
     reaching `_LOG_TERM_MIN`, as the terms before add exactly 0.0 and have q >= 1
-    (no stop), so it costs O(sqrt(lam)) terms, not O(lam).
+    (no stop), so it costs O(sqrt(lam)) terms, not O(lam).  A lam whose series
+    could pass `_TERM_BUDGET` terms is refused before any is summed.
     """
+    terms = _TERMS_PER_ROOT * math.sqrt(lam)
+    if terms > _TERM_BUDGET:
+        raise ValueError(f"arrival_rate {lam:g} needs up to {terms:.3g} outage series terms, "
+                         f"over the budget of {_TERM_BUDGET:g}")
     log_lam = math.log(lam)
 
     def log_term(m):

@@ -53,14 +53,13 @@ def capture_exponent(l: int, config: SystemConfig, nu, bound: bool = False, copi
     probabilities below, the optimizer's whole-grid evaluation and
     `outage.beta_crrd`.  ``l`` is 1-based and not checked here.
     """
-    lp = config.layers[l - 1]
+    lams, powers, p_l = config.arrival_rates, config.powers, config.powers[l - 1]
     if bound:
-        gamma_l = lp.power * config.channel_gain_mean / interference_variance(l, config)
+        gamma_l = p_l * config.channel_gain_mean / interference_variance(l, config)
         return nu / gamma_l
-    expo = nu * config.noise_power / (lp.power * config.channel_gain_mean)
+    expo = nu * config.noise_power / (p_l * config.channel_gain_mean)
     for i in range(l, config.num_layers):
-        up = config.layers[i]
-        expo += (up.arrival_rate * copies / config.num_channels) * nu * up.power / (lp.power + nu * up.power)
+        expo += (lams[i] * copies / config.num_channels) * nu * powers[i] / (p_l + nu * powers[i])
     return expo
 
 
@@ -77,8 +76,8 @@ def capture_prob_exact(l: int, config: SystemConfig, rate: float | None = None) 
     with s2 the mean channel gain.  ``l`` is 1-based; `rate` overrides the
     layer's configured rate (handy for rate searches).
     """
-    lp = config.layer(l)
-    nu = snr_gap(lp.rate if rate is None else rate)
+    i = config.layer(l)
+    nu = snr_gap(config.rates[i] if rate is None else rate)
     return math.exp(-capture_exponent(l, config, nu))
 
 
@@ -116,15 +115,15 @@ def capture_prob_lower_bound(l: int, config: SystemConfig, rate: float | None = 
     interference replaced by its mean.  Tight (equal to the exact value)
     for the top layer, which sees no interference.
     """
-    lp = config.layer(l)
-    nu = snr_gap(lp.rate if rate is None else rate)
+    i = config.layer(l)
+    nu = snr_gap(config.rates[i] if rate is None else rate)
     return math.exp(-capture_exponent(l, config, nu, bound=True))
 
 
 def eta(l: int, config: SystemConfig, capture_prob: float) -> float:
     """Expected decoded packets at layer l once all lower layers are clear:
     capture_prob * lambda_l * exp(-lambda_l / N)."""
-    lam = config.layer(l).arrival_rate
+    lam = config.arrival_rates[config.layer(l)]
     _check_probability("capture_prob", capture_prob)
     return capture_prob * lam * math.exp(-lam / config.num_channels)
 
@@ -132,7 +131,7 @@ def eta(l: int, config: SystemConfig, capture_prob: float) -> float:
 def rho(l: int, config: SystemConfig, capture_prob: float) -> float:
     """Probability a given channel is clear after the layer-l pass (empty, or
     a lone decodable signal): (1 + capture_prob * lambda_l / N) * exp(-lambda_l / N)."""
-    x = config.layer(l).arrival_rate / config.num_channels
+    x = config.arrival_rates[config.layer(l)] / config.num_channels
     _check_probability("capture_prob", capture_prob)
     return (1.0 + capture_prob * x) * math.exp(-x)
 
@@ -148,7 +147,7 @@ def throughput(config: SystemConfig) -> AnalyticReport:
     per_layer = []
     clear = 1.0  # probability all lower layers are clear at this channel
     for l in range(L):
-        per_layer.append(config.layers[l].rate * clear * etas[l])
+        per_layer.append(config.rates[l] * clear * etas[l])
         clear *= rhos[l]
     return AnalyticReport(
         capture_exact=cap_exact,

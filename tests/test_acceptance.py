@@ -160,11 +160,11 @@ def test_criterion_05_rate_optimizer_dominance(report):
     plan2 = optimize_rates(cfg2)
     r = np.linspace(0.0, 8.0, 4001)
     nu = 2.0 ** r - 1.0
-    l1, l2 = cfg2.layers
-    phi1 = np.exp(-nu / l1.power - nu * l2.power / (l1.power + nu * l2.power))
+    p1, p2 = cfg2.powers
+    phi1 = np.exp(-nu / p1 - nu * p2 / (p1 + nu * p2))
     eta1 = phi1 * 10.0 * math.exp(-1.0)
     rho1 = (1.0 + phi1) * math.exp(-1.0)
-    phi2 = np.exp(-nu / l2.power)
+    phi2 = np.exp(-nu / p2)
     eta2 = phi2 * 10.0 * math.exp(-1.0)
     grid_best = float(((r * eta1)[:, None] + rho1[:, None] * (r * eta2)[None, :]).max())
     grid_gap = abs(plan2.achieved_throughput - grid_best)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from layered_aloha import (
@@ -256,6 +258,10 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+    # a key set twice used to run with the later value, without a word
+    bad.write_text("layers = 2\nchannels = 10\nlayers = 3\narrival_rate = 5\ngamma_db = 3\n")
+    assert main(["optimize-rates", "--config", str(bad)]) == 2
+    assert "config line 3: layers is already set on line 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, path", [
@@ -271,6 +277,44 @@ def test_unusable_file_paths_exit_2_naming_the_flag(tmp_path, capsys, flag, path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag}: ")
+
+
+def test_an_unwritable_out_is_refused_before_any_computation(tmp_path, capsys, monkeypatch):
+    # the whole scenario used to run before the path was tried
+    def never(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr("layered_aloha.scenarios.outage", never)
+    monkeypatch.setattr("layered_aloha.scenarios.estimate_outage", never)
+    argv = ["scenario", "outage-vs-copies", "--slots", "20000",
+            "--out", str(tmp_path / "no-dir" / "x.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out: ")
+
+
+def test_out_check_leaves_an_existing_file_whole_until_the_run_writes(tmp_path, capsys):
+    out = tmp_path / "rates.txt"
+    out.write_text("kept\n")
+    argv = ["optimize-rates", *_THREE_LAYERS, "--gamma-db", "10", "--out", str(out)]
+    assert main(argv + ["--rate-max", "0"]) == 2  # refused after the check: nothing truncated
+    assert out.read_text() == "kept\n"
+    assert main(argv) == 0
+    assert out.read_text().startswith("layer  arrival")
+
+
+@pytest.mark.parametrize("arrival", ["1.6e10", "1e14", "1e19"])
+def test_outage_past_the_series_term_budget_is_refused_at_once(capsys, arrival):
+    # 1e14 ran for minutes and 1e19 failed with a runtime error, exit 1
+    start = time.perf_counter()
+    code = main(["outage", "--layers", "1", "--channels", "1", "--arrival", arrival,
+                 "--rate", "1", "--gamma-db", "10"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: arrival_rate {float(arrival):g} needs up to ")
+    assert "over the budget of 1e+07" in err
 
 
 def test_reopen_flag_accepted(capsys):

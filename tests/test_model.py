@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from layered_aloha import (
-    LayerParams,
     SystemConfig,
     allocate_powers,
     baseline_aloha_max,
@@ -88,10 +87,8 @@ def test_collision_prob_full_repetition_no_special_case():
 
 
 def _two_layer_config():
-    return SystemConfig(
-        num_channels=10,
-        layers=(LayerParams(5.0, 6.0, 1.0), LayerParams(10.0, 2.0, 1.0)),
-    )
+    return SystemConfig(num_channels=10, arrival_rates=(5.0, 10.0), powers=(6.0, 2.0),
+                        rates=(1.0, 1.0))
 
 
 def test_interference_variance_values():
@@ -129,7 +126,9 @@ def test_allocate_powers_holds_target_sinr_identity():
         powers = allocate_powers(gamma, lams, N, s2, n0)
         cfg = SystemConfig(
             num_channels=N,
-            layers=tuple(LayerParams(a, p, 1.0) for a, p in zip(lams, powers)),
+            arrival_rates=lams,
+            powers=powers,
+            rates=(1.0,) * L,
             channel_gain_mean=s2,
             noise_power=n0,
         )
@@ -144,41 +143,43 @@ def test_allocate_powers_holds_target_sinr_identity():
 
 
 def test_layer_params_validation():
-    with pytest.raises(ValueError):
-        LayerParams(-1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        LayerParams(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        LayerParams(1.0, 1.0, -2.0)
-    with pytest.raises(ValueError):
-        LayerParams(float("nan"), 1.0, 1.0)
+    # each per-layer value is checked under its singular name, at every layer
+    for field, name, bad in [(0, "arrival_rate", -1.0), (1, "power", 0.0), (2, "rate", -2.0),
+                             (0, "arrival_rate", float("nan"))]:
+        values = [[1.0, 1.0] for _ in range(3)]
+        values[field][1] = bad
+        with pytest.raises(ValueError, match=name):
+            SystemConfig(4, *values)
+    with pytest.raises(ValueError, match="one value per layer each, got 2, 1 and 2"):
+        SystemConfig(4, (1.0, 1.0), 1.0, (1.0, 1.0))
+    cfg = SystemConfig(4, [1, 2], np.array([3.0, 1.0]), np.ones(2))
+    assert (cfg.arrival_rates, cfg.powers, cfg.rates) == ((1.0, 2.0), (3.0, 1.0), (1.0, 1.0))
+    assert all(type(v) is float for v in cfg.arrival_rates + cfg.powers + cfg.rates)
 
 
 def test_system_config_validation():
-    lp = LayerParams(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        SystemConfig(num_channels=0, layers=(lp,))
+        SystemConfig(0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        SystemConfig(num_channels=4, layers=())
+        SystemConfig(4, (), (), ())
     with pytest.raises(ValueError):
-        SystemConfig(num_channels=4, layers=(lp,), repetition=5)
+        SystemConfig(4, 1.0, 1.0, 1.0, repetition=5)
     with pytest.raises(ValueError):
-        SystemConfig(num_channels=4, layers=(lp,), noise_power=0.0)
+        SystemConfig(4, 1.0, 1.0, 1.0, noise_power=0.0)
     for switch in (1, "yes", None):  # the SIC sweep rule is a bool
         with pytest.raises(ValueError, match="reopen_cleared_channels"):
-            SystemConfig(num_channels=4, layers=(lp,), reopen_cleared_channels=switch)
-    cfg = SystemConfig(num_channels=4, layers=(lp,), repetition=4)
+            SystemConfig(4, 1.0, 1.0, 1.0, reopen_cleared_channels=switch)
+    cfg = SystemConfig(4, 1.0, 1.0, 1.0, repetition=4)
     assert cfg.num_layers == 1
     assert cfg.reopen_cleared_channels is False
 
 
 def test_a_bool_is_not_an_integer_setting():
     # isinstance(True, int) holds, so both used to build a one-channel system
-    lp = LayerParams(1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="num_channels"):
-        SystemConfig(True, (lp,), repetition=True)
+        SystemConfig(True, 1.0, 1.0, 1.0, repetition=True)
     with pytest.raises(ValueError, match="repetition"):
-        SystemConfig(4, (lp,), repetition=True)
+        SystemConfig(4, 1.0, 1.0, 1.0, repetition=True)
     with pytest.raises(ValueError, match="num_channels"):
         design_config(2, True, 1.0, 1.0, 2.0, repetition=True)
 
@@ -232,7 +233,7 @@ def test_with_rates_replaces_only_rates():
     # every other field is carried over, the SIC sweep rule included
     other = replace(cfg, noise_power=0.5, channel_gain_mean=2.0, repetition=2,
                     reopen_cleared_channels=True)
-    assert other.with_rates([0.25, 4.0]) == replace(other, layers=new.layers)
+    assert other.with_rates([0.25, 4.0]) == replace(other, rates=(0.25, 4.0))
 
 
 CONFIG_TEXT = """
@@ -268,6 +269,8 @@ def test_config_errors():
         parse_config_text("layers: 3\n")
     with pytest.raises(ValueError):
         parse_config_text("mystery = 3\n")
+    with pytest.raises(ValueError, match="config line 4: layers is already set on line 1"):
+        parse_config_text("layers = 2\nchannels = 8\n# layers = 4\nlayers = 3\n")
     with pytest.raises(ValueError):
         config_from_settings({"layers": 2, "channels": 8})  # no arrival_rate
     with pytest.raises(ValueError):
@@ -317,20 +320,21 @@ _BAD = {
     "rate": (-1.0, float("nan"), float("inf"), 1024, "1", None, True),
     "number": ("1", None, True),
     "text": ("12", "93"),
+    "huge": (1e300, 1e308),  # a large value whose power under the power rule overflows
 }
-_LP = LayerParams(1.0, 1.0, 1.0)
-_CFG = SystemConfig(4, (_LP,))
+_CFG = SystemConfig(4, 1.0, 1.0, 1.0)
 
 # (site, rule, setting the message names, call with the bad value)
 _SITES = [
-    ("SystemConfig", "count", "num_channels", lambda v: SystemConfig(v, (_LP,))),
+    ("SystemConfig", "count", "num_channels", lambda v: SystemConfig(v, 1.0, 1.0, 1.0)),
     ("SystemConfig", "positive", "channel_gain_mean",
-     lambda v: SystemConfig(4, (_LP,), channel_gain_mean=v)),
-    ("SystemConfig", "positive", "noise_power", lambda v: SystemConfig(4, (_LP,), noise_power=v)),
-    ("SystemConfig", "count", "repetition", lambda v: SystemConfig(4, (_LP,), repetition=v)),
-    ("LayerParams", "non_negative", "arrival_rate", lambda v: LayerParams(v, 1.0, 1.0)),
-    ("LayerParams", "positive", "power", lambda v: LayerParams(1.0, v, 1.0)),
-    ("LayerParams", "non_negative", "rate", lambda v: LayerParams(1.0, 1.0, v)),
+     lambda v: SystemConfig(4, 1.0, 1.0, 1.0, channel_gain_mean=v)),
+    ("SystemConfig", "positive", "noise_power",
+     lambda v: SystemConfig(4, 1.0, 1.0, 1.0, noise_power=v)),
+    ("SystemConfig", "count", "repetition", lambda v: SystemConfig(4, 1.0, 1.0, 1.0, repetition=v)),
+    ("SystemConfig", "non_negative", "arrival_rate", lambda v: SystemConfig(4, v, 1.0, 1.0)),
+    ("SystemConfig", "positive", "power", lambda v: SystemConfig(4, 1.0, v, 1.0)),
+    ("SystemConfig", "non_negative", "rate", lambda v: SystemConfig(4, 1.0, 1.0, v)),
     ("collision_prob", "count", "m", lambda v: collision_prob(v, 10, 1)),
     ("collision_prob", "count", "num_channels", lambda v: collision_prob(2, v, 1)),
     ("collision_prob", "count", "copies", lambda v: collision_prob(2, 10, v)),
@@ -359,8 +363,10 @@ _SITES = [
     ("config_from_settings", "finite", "gamma_db",
      lambda v: config_from_settings({"layers": 2, "channels": 10, "arrival_rate": 1.0,
                                      "gamma_db": v})),
-    ("SystemConfig", "number", "noise_power", lambda v: SystemConfig(4, (_LP,), noise_power=v)),
-    ("LayerParams", "number", "power", lambda v: LayerParams(1.0, v, 1.0)),
+    ("SystemConfig", "number", "noise_power",
+     lambda v: SystemConfig(4, 1.0, 1.0, 1.0, noise_power=v)),
+    ("SystemConfig", "number", "power", lambda v: SystemConfig(4, 1.0, v, 1.0)),
+    ("SystemConfig", "text", "arrival_rate", lambda v: SystemConfig(4, v, 1.0, 1.0)),
     # per-layer values: a number, or a sequence of numbers, checked before float()
     ("design_config", "text", "arrival_rate", lambda v: design_config(2, 10, v, 1.0, 3.0)),
     ("design_config", "number", "arrival_rate", lambda v: design_config(2, 10, [1.0, v], 1.0, 3.0)),
@@ -372,6 +378,11 @@ _SITES = [
     ("allocate_powers", "number", "arrival_rate", lambda v: allocate_powers(2.0, v, 10)),
     ("with_rates", "rate", "rate", lambda v: _CFG.with_rates([v])),
     ("with_rates", "text", "rate", _CFG.with_rates),
+    # the power rule's result: no power was set, so the settings it came from are named
+    ("allocate_powers", "huge", "gamma_db", lambda v: allocate_powers(2.0, [v] * 3, 10)),
+    ("config_from_settings", "huge", "arrival_rate",
+     lambda v: config_from_settings({"layers": 3, "channels": 10, "arrival_rate": v,
+                                     "gamma_db": 3.0})),
     ("sla_layer_contributions", "number", "tau",
      lambda v: sla_layer_contributions(10, v, 1.0, 10.0)),
     # run parameters

@@ -43,18 +43,18 @@ def test_single_layer_matches_dense_grid_oracle():
 def _brute_force_two_layer(cfg, r_hi=8.0, steps=2001):
     """Exhaustive 2-D scan of T(R1, R2) from the raw formulas."""
     N = cfg.num_channels
-    (l1, l2) = cfg.layers
+    (p1, p2), (lam1, lam2) = cfg.powers, cfg.arrival_rates
     r = np.linspace(0.0, r_hi, steps)
     nu = 2.0 ** r - 1.0
     # layer 1 terms under layer-2 interference
     phi1 = np.exp(
-        -nu * cfg.noise_power / (l1.power * cfg.channel_gain_mean)
-        - (l2.arrival_rate / N) * nu * l2.power / (l1.power + nu * l2.power)
+        -nu * cfg.noise_power / (p1 * cfg.channel_gain_mean)
+        - (lam2 / N) * nu * p2 / (p1 + nu * p2)
     )
-    eta1 = phi1 * l1.arrival_rate * math.exp(-l1.arrival_rate / N)
-    rho1 = (1.0 + phi1 * l1.arrival_rate / N) * math.exp(-l1.arrival_rate / N)
-    phi2 = np.exp(-nu * cfg.noise_power / (l2.power * cfg.channel_gain_mean))
-    eta2 = phi2 * l2.arrival_rate * math.exp(-l2.arrival_rate / N)
+    eta1 = phi1 * lam1 * math.exp(-lam1 / N)
+    rho1 = (1.0 + phi1 * lam1 / N) * math.exp(-lam1 / N)
+    phi2 = np.exp(-nu * cfg.noise_power / (p2 * cfg.channel_gain_mean))
+    eta2 = phi2 * lam2 * math.exp(-lam2 / N)
     t_grid = (r * eta1)[:, None] + rho1[:, None] * (r * eta2)[None, :]
     i, j = np.unravel_index(np.argmax(t_grid), t_grid.shape)
     return float(t_grid[i, j]), float(r[i]), float(r[j])
@@ -100,7 +100,7 @@ def test_recursion_consistency_when_tail_pinned():
     # the reported partial objective is its value at the reported optimum
     N = cfg.num_channels
     for l in (2, 1):
-        lam = cfg.layers[l - 1].arrival_rate
+        lam = cfg.arrival_rates[l - 1]
         r = plan.optimal_rates[l - 1]
         phi = capture_prob_exact(l, cfg, rate=r)
         t_here = r * phi * lam * math.exp(-lam / N) + (
@@ -115,7 +115,7 @@ def test_layer_values_dominate_scaled_tail():
     for l in (1, 2):
         for r in np.linspace(0.0, 8.0, 33):
             phi = capture_prob_exact(l, cfg, rate=r)
-            lam = cfg.layers[l - 1].arrival_rate
+            lam = cfg.arrival_rates[l - 1]
             rho_r = (1.0 + phi * lam / cfg.num_channels) * math.exp(-lam / cfg.num_channels)
             assert plan.layer_values[l - 1] >= rho_r * plan.layer_values[l] - 1e-12
 

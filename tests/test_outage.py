@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from layered_aloha import (
-    LayerParams,
     SystemConfig,
     beta_crrd,
     capture_prob_exact,
@@ -44,7 +43,7 @@ def finite_form_psi(l, cfg, mp=None):
     independent of the Poisson series `outage` sums (see `finite_form_moments`)."""
     one = mp.mpf(1) if mp else 1.0
     comb = mp.binomial if mp else math.comb
-    lam, beta = one * cfg.layer(l).arrival_rate, one * beta_crrd(l, cfg)
+    lam, beta = one * cfg.arrival_rates[l - 1], one * beta_crrd(l, cfg)
     B = cfg.repetition
     g = finite_form_moments(lam, (1 - one / cfg.num_channels) ** B, B, mp)
     return sum(comb(B, b) * (1 - beta) ** b * beta ** (B - b) * g[b] for b in range(B + 1))
@@ -80,11 +79,7 @@ def test_beta_reduces_to_capture_complement_for_single_copy():
 
 
 def test_beta_two_layer_hand_value():
-    cfg = SystemConfig(
-        10,
-        (LayerParams(5.0, 6.0, 1.0), LayerParams(10.0, 2.0, 1.0)),
-        repetition=2,
-    )
+    cfg = SystemConfig(10, (5.0, 10.0), (6.0, 2.0), (1.0, 1.0), repetition=2)
     # 1 - exp(-1/6 - (10*2/10) * 2/8)
     assert beta_crrd(1, cfg) == pytest.approx(0.486582880967408, rel=1e-12)
 
@@ -257,10 +252,10 @@ def test_closed_form_matches_50_digit_series():
     # is summed in 50 digits
     mpmath = pytest.importorskip("mpmath")
     cfg = design_config(1, 28, 4.22, 1.0, 10.0, repetition=24)
-    lp, B = cfg.layers[0], cfg.repetition
+    B = cfg.repetition
     with mpmath.workdps(50):
-        lam, nu = mpmath.mpf(lp.arrival_rate), 2 ** mpmath.mpf(lp.rate) - 1
-        beta = -mpmath.expm1(-nu * cfg.noise_power / (lp.power * cfg.channel_gain_mean))
+        lam, nu = mpmath.mpf(cfg.arrival_rates[0]), 2 ** mpmath.mpf(cfg.rates[0]) - 1
+        beta = -mpmath.expm1(-nu * cfg.noise_power / (cfg.powers[0] * cfg.channel_gain_mean))
         omega = (1 - mpmath.mpf(1) / cfg.num_channels) ** B
         exact = mpmath.nsum(lambda m: (1 - omega ** (m - 1) * (1 - beta)) ** B
                             * lam ** m / mpmath.factorial(m), [1, mpmath.inf]) / mpmath.expm1(lam)
@@ -331,9 +326,9 @@ def test_psi_grows_with_its_layer_arrival(cfg, data):
     lo, hi = sorted(data.draw(st.lists(_ARRIVALS, min_size=2, max_size=2)))
 
     def psi_at(lam):
-        layers = list(cfg.layers)
-        layers[l - 1] = replace(layers[l - 1], arrival_rate=lam)
-        return outage(replace(cfg, layers=layers)).psi[l - 1]
+        lams = list(cfg.arrival_rates)
+        lams[l - 1] = lam
+        return outage(replace(cfg, arrival_rates=lams)).psi[l - 1]
 
     # up to the 1e-10 the series is held to: it truncates a tail of about 1e-12,
     # more at large lam

@@ -17,7 +17,6 @@ from layered_aloha import (
     COLLIDED,
     DECODED,
     SINR_FAILURE,
-    LayerParams,
     SlotRealization,
     SystemConfig,
     conditional_collision_moment,
@@ -237,7 +236,7 @@ def test_decoding_ignores_copy_order():
 def test_sic_decode_hand_trace():
     # channel 0 carries one user in each layer; the strong layer decodes at
     # SINR 60/3 = 20, is cancelled, then the weak layer decodes at SNR 2.
-    cfg = SystemConfig(2, (LayerParams(1.0, 6.0, 1.0), LayerParams(1.0, 2.0, 1.0)))
+    cfg = SystemConfig(2, (1.0, 1.0), (6.0, 2.0), (1.0, 1.0))
     slot = _slot([1, 1], [[0], [0]], [[10.0], [1.0]])
     rep = sic_decode(slot, cfg)
     assert rep.decoded_per_layer == (1, 1)
@@ -248,7 +247,7 @@ def test_sic_decode_hand_trace():
 
 
 def test_sic_decode_collision_blocks_channel():
-    cfg = SystemConfig(2, (LayerParams(1.0, 6.0, 1.0), LayerParams(1.0, 2.0, 1.0)))
+    cfg = SystemConfig(2, (1.0, 1.0), (6.0, 2.0), (1.0, 1.0))
     slot = _slot([2, 1], [[0, 0], [0]], [[10.0, 9.0], [5.0]])
     rep = sic_decode(slot, cfg)
     assert rep.decoded_per_layer == (0, 0)
@@ -259,7 +258,7 @@ def test_sic_decode_collision_blocks_channel():
 
 
 def test_sic_decode_sinr_failure_blocks_channel():
-    cfg = SystemConfig(2, (LayerParams(1.0, 6.0, 3.0), LayerParams(1.0, 2.0, 1.0)))
+    cfg = SystemConfig(2, (1.0, 1.0), (6.0, 2.0), (3.0, 1.0))
     # nu(3) = 7; 6 * 1.0 < 7 * 1.0 so the lone layer-1 signal fails
     slot = _slot([1, 1], [[0], [0]], [[1.0], [50.0]])
     rep = sic_decode(slot, cfg)
@@ -280,7 +279,7 @@ def test_sic_decode_empty_slot():
 def test_interference_uses_upper_layer_power():
     # one layer-1 user, one layer-2 interferer on the same channel with a
     # known gain: decoding flips exactly at the SINR threshold
-    base = SystemConfig(2, (LayerParams(1.0, 6.0, 1.0), LayerParams(1.0, 2.0, 1.0)))
+    base = SystemConfig(2, (1.0, 1.0), (6.0, 2.0), (1.0, 1.0))
     # interference = 2*g2 + 1; success iff 6*g1 >= 1*(2*g2 + 1)
     ok = _slot([1, 1], [[0], [0]], [[1.0], [2.4]])  # 6 >= 5.8
     rep = sic_decode(ok, base)
@@ -335,11 +334,7 @@ def test_monotone_blocking_under_injection():
 def test_reopen_semantics_difference():
     # layer-1 user decodes on channel 0 but leaves a failed copy on channel
     # 1; the layer-2 user there is stuck unless cancellation reopens it.
-    cfg = SystemConfig(
-        3,
-        (LayerParams(1.0, 6.0, 1.0), LayerParams(1.0, 2.0, 1.0)),
-        repetition=2,
-    )
+    cfg = SystemConfig(3, (1.0, 1.0), (6.0, 2.0), (1.0, 1.0), repetition=2)
     slot = SlotRealization(
         counts=np.array([1, 1]),
         channels=[np.array([[0, 1]]), np.array([[1, 2]])],
@@ -424,13 +419,13 @@ def test_batch_decode_matches_per_slot_decoder():
 
 
 # an exact SINR tie on channel 0: layer 1 sees 6 * 1.0 == nu(1) * (2 * 2.5 + 1)
-_TIE_CONFIG = SystemConfig(2, (LayerParams(1.0, 6.0, 1.0), LayerParams(1.0, 2.0, 1.0)))
+_TIE_CONFIG = SystemConfig(2, (1.0, 1.0), (6.0, 2.0), (1.0, 1.0))
 _TIE_SLOT = _slot([1, 1], [[0], [0]], [[1.0], [2.5]])
 
 
 # a one-ulp tie: layer 1's gain equals (noise + g3) + g2, while the
 # decoders' (g3 + g2) + noise rounds one ulp higher, so layer 1 fails
-_ULP_TIE_CONFIG = SystemConfig(1, (LayerParams(1.0, 1.0, 1.0),) * 3)
+_ULP_TIE_CONFIG = SystemConfig(1, (1.0,) * 3, (1.0,) * 3, (1.0,) * 3)
 _ULP_TIE_SLOT = _slot([1, 1, 1], [[0], [0], [0]],
                       [[1.9449261518806789], [0.49543508709194095], [0.4494910647887381]])
 

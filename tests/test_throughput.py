@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from layered_aloha import (
-    LayerParams,
     SystemConfig,
     baseline_aloha_max,
     baseline_irsa,
@@ -52,13 +52,13 @@ def test_capture_exact_single_layer():
 
 
 def test_capture_exact_two_layer_hand_value():
-    cfg = SystemConfig(10, (LayerParams(5.0, 6.0, 1.0), LayerParams(10.0, 2.0, 1.0)))
+    cfg = SystemConfig(10, (5.0, 10.0), (6.0, 2.0), (1.0, 1.0))
     # exp(-1/6 - (10/10) * 2/(6+2)) = exp(-1/6 - 1/4)
     assert capture_prob_exact(1, cfg) == pytest.approx(0.6592406302004438, rel=1e-12)
 
 
 def test_capture_bound_two_layer_hand_value():
-    cfg = SystemConfig(10, (LayerParams(5.0, 6.0, 1.0), LayerParams(10.0, 2.0, 1.0)))
+    cfg = SystemConfig(10, (5.0, 10.0), (6.0, 2.0), (1.0, 1.0))
     # gamma_1 = 6/3 = 2 -> exp(-1/2), below the exact value
     bound = capture_prob_lower_bound(1, cfg)
     assert bound == pytest.approx(math.exp(-0.5), rel=1e-12)
@@ -87,21 +87,19 @@ def test_capture_exact_monotonicity():
     # non-increasing in any upper-layer arrival rate
     base = capture_prob_exact(1, cfg)
     for lam2 in (9.0, 12.0, 20.0):
-        layers = list(cfg.layers)
-        layers[1] = LayerParams(lam2, layers[1].power, layers[1].rate)
-        heavier = SystemConfig(cfg.num_channels, tuple(layers))
+        heavier = replace(cfg, arrival_rates=(cfg.arrival_rates[0], lam2, cfg.arrival_rates[2]))
         assert capture_prob_exact(1, heavier) <= base
         base = capture_prob_exact(1, heavier)
 
 
 @pytest.mark.parametrize("layers, gain_mean, noise", [
-    ((LayerParams(4.0, 5.0, 1.3), LayerParams(6.0, 1.5, 0.9)), 1.7, 0.6),
-    ((LayerParams(2.0, 30.0, 2.5), LayerParams(3.0, 0.8, 0.4)), 0.4, 2.2),
+    (((4.0, 6.0), (5.0, 1.5), (1.3, 0.9)), 1.7, 0.6),  # (arrival_rates, powers, rates)
+    (((2.0, 3.0), (30.0, 0.8), (2.5, 0.4)), 0.4, 2.2),
 ])
 def test_lone_pair_capture_matches_numeric_integration(layers, gain_mean, noise):
     # integrate over both exponential gains: layer 1 decodes when
     # P1 g1 >= nu1 (P2 g2 + N0), then layer 2 when P2 g2 >= nu2 N0
-    cfg = SystemConfig(10, layers, channel_gain_mean=gain_mean, noise_power=noise)
+    cfg = SystemConfig(10, *layers, channel_gain_mean=gain_mean, noise_power=noise)
     (p1, p2), s = cfg.powers, gain_mean
     nu1, nu2 = (snr_gap(r) for r in cfg.rates)
 
@@ -215,10 +213,8 @@ def test_throughput_empty_top_layer_is_noop():
         lams = list(rng.uniform(0.5, 15.0, size=L - 1)) + [0.0]
         rates = list(rng.uniform(0.1, 4.0, size=L))
         powers = list(rng.uniform(0.5, 50.0, size=L))
-        full = SystemConfig(
-            N, tuple(LayerParams(a, p, r) for a, p, r in zip(lams, powers, rates))
-        )
-        trunc = SystemConfig(N, full.layers[: L - 1])
+        full = SystemConfig(N, lams, powers, rates)
+        trunc = SystemConfig(N, lams[:-1], powers[:-1], rates[:-1])
         assert throughput(full).total_throughput == pytest.approx(
             throughput(trunc).total_throughput, rel=1e-12
         )
