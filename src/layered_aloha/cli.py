@@ -131,13 +131,17 @@ def _cmd_sweep(args) -> int:
     settings = {"gamma_db": 10.0} | _settings_from_args(args)
     if kind == "outage":  # outage rows read a fixed rate
         settings = {"rate": 1.0} | settings
+    try:
+        grid = _parse_grid(args.grid)
+    except ValueError as exc:
+        raise ValueError(f"--grid: {exc}") from None
     scenario = Scenario(
         name="sweep",
         # a setting's CSV name is its flag's, with '_' for '-'
         description=f"ad-hoc sweep over {args.var.replace('-', '_')}",
         kind=kind,
         sweep=key,
-        grid=_parse_grid(args.grid),
+        grid=grid,
         outputs=tuple(args.outputs.split(",")),
         slots=args.slots,
         seed=args.seed,

@@ -265,7 +265,8 @@ def design_config(
 def _per_layer(name, value, num_layers: int, rule) -> tuple[float, ...]:
     vals = _layer_values(name, value, rule)
     if len(vals) not in (1, num_layers):
-        raise ValueError(f"{name}: expected 1 or {num_layers} values, got {len(vals)}")
+        expected = "1 value" if num_layers == 1 else f"1 or {num_layers} values"
+        raise ValueError(f"{name}: expected {expected}, got {len(vals)}")
     return vals * (num_layers // len(vals))
 
 

@@ -20,14 +20,13 @@ being strictly greater, so numpy's last-ulp differences from libm never
 decide.  Ties break toward the smallest argument; a NaN never wins, and a
 NaN at the grid's first point keeps that point.  A layer whose grid rate
 optimum is the upper search end is recorded in the plan's `bound_hits`.
+numpy is imported by the searches when they run, not with this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import SystemConfig, _check_count, _check_positive, _check_rate, snr_gap
 from .throughput import capture_exponent, capture_prob_exact, capture_prob_lower_bound
@@ -106,6 +105,7 @@ def _maximize_scalar(f, upper: float) -> tuple[float, float, bool]:
     picks among them in ascending order under a strict `>`, so the first
     of equal grid values wins and a NaN never does.
     """
+    import numpy as np
     n = _GRID_POINTS
     xs = upper * np.arange(n + 1) / n
     with np.errstate(all="ignore"):
@@ -141,6 +141,7 @@ def optimize_rates(
     exact one.  The search runs on [0, `rate_max`], which must lie in
     (0, 1024) so that 2**rate_max fits a double.
     """
+    import numpy as np
     _check_rate("rate_max", rate_max, positive=True)
     capture = capture_prob_lower_bound if use_bound else capture_prob_exact
     N = config.num_channels
@@ -188,6 +189,7 @@ def optimize_arrivals(
     returned value is scaled by `num_channels`.  The search runs on
     [0, `_ARRIVAL_MAX`].
     """
+    import numpy as np
     _check_count("num_layers", num_layers)
     _check_count("num_channels", num_channels)
     phi = math.exp(-snr_gap(rate) / _check_positive("gamma", gamma))

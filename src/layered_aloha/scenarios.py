@@ -337,13 +337,18 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
     """Evaluate every grid point of a scenario and collect the CSV rows.
 
     Grid point i uses seed `scenario.seed + i` for its simulations, echoed
-    in the rows; the whole range of per-point seeds is checked up front.
-    A grid point whose optimized rates hit the search bound gets a note in
-    the result.
+    in the rows; the whole range of per-point seeds, and the system at
+    every point, are checked up front, so a bad point late in the grid
+    costs no computation.  A grid point whose optimized rates hit the
+    search bound gets a note in the result.
     """
     s = scenario
     if "simulated" in s.outputs:
         _check_seed(f"seed of a {len(s.grid)}-point grid, point i using seed + i", s.seed, len(s.grid))
+    # each point is built again at its turn: holding every point's config
+    # would cost memory in the sum of their layer counts
+    for x in s.grid:
+        _point_config(s, x)
     rows: list[Row] = []
     notes: list[str] = []
     for i, x in enumerate(s.grid):

@@ -46,6 +46,10 @@ yields the same values and stream position as an int64 draw, into one
 (B, T) array with a row per copy: about 4 bytes per copy per batch.  The
 sampler hands out its (T, B) transpose view; the batch decoder reads the
 rows as they are.
+
+numpy is imported inside the functions that sample, decode or reduce, and
+`multiprocessing` on the first pool, so importing this module (and with it
+the package and its CLI) loads neither.
 """
 
 from __future__ import annotations
@@ -53,8 +57,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import SystemConfig, _check_count, _check_seed, _occupied_arrival, snr_gap
 
@@ -82,6 +84,7 @@ _KEY_BATCH = 1 << 63
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
+    import numpy as np
     # the key must be handed over as uint64; a plain int list would be
     # coerced through float64 and silently truncate large stream ids
     key = np.array([seed, _KEY_BATCH + batch_index], dtype=np.uint64)
@@ -104,6 +107,7 @@ class SlotRealization:
     def __eq__(self, other):
         if not isinstance(other, SlotRealization):
             return NotImplemented
+        import numpy as np
         return (
             np.array_equal(self.counts, other.counts)
             and all(np.array_equal(a, b) for a, b in zip(self.channels, other.channels))
@@ -169,6 +173,7 @@ def _draw_channels(rng, total: int, num_channels: int, copies: int) -> np.ndarra
     its row of the (B, T) array and tested against the earlier rows in two
     preallocated boolean buffers, so the peak is about T*(4B + 6) bytes.
     """
+    import numpy as np
     dtype = np.int32 if num_channels <= 2 ** 31 else np.int64
     rows = np.empty((copies, total), dtype=dtype)
     taken, hit = np.empty(total, dtype=bool), np.empty(total, dtype=bool)
@@ -188,6 +193,7 @@ def _draw_channels(rng, total: int, num_channels: int, copies: int) -> np.ndarra
 
 def sic_decode(slot: SlotRealization, config: SystemConfig) -> DecodeReport:
     """Run the layer-by-layer SIC sweep on one slot (see module docstring)."""
+    import numpy as np
     N = config.num_channels
     L = config.num_layers
     P = config.powers
@@ -292,6 +298,7 @@ def sample_slots(config: SystemConfig, num_slots: int, seed: int) -> list[SlotRe
     shot, the very values the batch decoder draws tile by tile; the slots'
     arrays are views into their batch's arrays.
     """
+    import numpy as np
     L = config.num_layers
     slots = []
     for bi, size in enumerate(_batch_sizes(num_slots, seed)):
@@ -337,6 +344,7 @@ def _decode_batch(batch, config: SystemConfig):
 
     Returns per-slot decoded counts (S, L), int64.
     """
+    import numpy as np
     counts, ch, rng = batch
     S, L = counts.shape
     N, B = config.num_channels, ch.shape[1]
@@ -412,6 +420,7 @@ def _decode_batch(batch, config: SystemConfig):
 
 def _throughput_stat(batch, config):
     """[bits per layer (L), their squares (L), total bits, its square]."""
+    import numpy as np
     bits = _decode_batch(batch, config) * np.asarray(config.rates)
     tot = bits.sum(axis=1)
     return np.concatenate((bits.sum(axis=0), (bits * bits).sum(axis=0), [tot.sum(), tot @ tot]))
@@ -422,6 +431,7 @@ def _outage_stat(batch, config):
 
     The sums are of integers, exact in any order, so each runs along a
     contiguous layer-major (L, S) copy."""
+    import numpy as np
     c = batch[0].T.copy()
     u = c - _decode_batch(batch, config).T
     return np.concatenate([x.sum(axis=1) for x in (u, c, u * u, u * c, c * c)])

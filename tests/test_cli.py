@@ -294,6 +294,35 @@ def test_an_unwritable_out_is_refused_before_any_computation(tmp_path, capsys, m
     assert captured.err.startswith("error: --out: ")
 
 
+def test_a_bad_grid_point_is_refused_before_any_point_is_computed(capsys, monkeypatch):
+    # B = 3 > N = 2 at the last point: the first two points used to be simulated first
+    def never(*args, **kwargs):
+        raise AssertionError("a point was computed before the grid was checked")
+
+    monkeypatch.setattr("layered_aloha.scenarios.outage", never)
+    monkeypatch.setattr("layered_aloha.scenarios.estimate_outage", never)
+    code = main(["sweep", "--var", "copies", "--grid", "1:3:1", "--channels", "2", "--layers", "2",
+                 "--arrival", "3", "--gamma-db", "3", "--rate", "1",
+                 "--outputs", "analytic,simulated", "--slots", "400000"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: repetition B=3 exceeds num_channels=2\n"
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("1,2,x", "could not convert string to float: 'x'"),
+    ("1:2", "grid must be 'start:stop:step' or a comma list"),
+    (",", "empty grid"),
+    ("2:1:1", "bad grid range"),
+])
+def test_grid_errors_name_the_flag(capsys, grid, message):
+    code = main(["sweep", "--var", "copies", f"--grid={grid}", "--layers", "2",
+                 "--channels", "10", "--arrival", "3"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: --grid: {message}")
+
+
 def test_out_check_leaves_an_existing_file_whole_until_the_run_writes(tmp_path, capsys):
     out = tmp_path / "rates.txt"
     out.write_text("kept\n")

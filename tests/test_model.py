@@ -321,6 +321,7 @@ _BAD = {
     "number": ("1", None, True),
     "text": ("12", "93"),
     "huge": (1e300, 1e308),  # a large value whose power under the power rule overflows
+    "two_values": ((5.0, 5.0), [1.0, 2.0]),  # one value too many for a single layer
 }
 _CFG = SystemConfig(4, 1.0, 1.0, 1.0)
 
@@ -385,6 +386,11 @@ _SITES = [
                                      "gamma_db": 3.0})),
     ("sla_layer_contributions", "number", "tau",
      lambda v: sla_layer_contributions(10, v, 1.0, 10.0)),
+    # a list for one layer: the message says "1 value", not "1 or 1 values"
+    ("design_config", "two_values", "^arrival_rate: expected 1 value, got 2$",
+     lambda v: design_config(1, 10, v, 1.0, 3.0)),
+    ("design_config", "two_values", "^rate: expected 1 value, got 2$",
+     lambda v: design_config(1, 10, 1.0, v, 3.0)),
     # run parameters
     ("sample_slots", "count", "num_slots", lambda v: sample_slots(_CFG, v, 1)),
     ("sample_slots", "seed", "seed", lambda v: sample_slots(_CFG, 1, v)),

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
 
@@ -632,6 +633,34 @@ def test_serial_runs_leave_multiprocessing_unloaded():
             "from layered_aloha import cli, design_config, estimate_throughput\n"
             "estimate_throughput(design_config(2, 10, 5.0, 1.0, 2.0), 100, 1)\n"
             "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'\n")
+    src = os.path.dirname(os.path.dirname(simulate.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_the_package_and_its_analytic_commands_leave_numpy_unloaded():
+    # only the simulator and the optimizer's grid import numpy, on first use
+    code = textwrap.dedent('''\
+        import contextlib, io, sys
+        import layered_aloha, layered_aloha.cli
+        from layered_aloha.cli import build_parser, main
+        system = ["--layers", "3", "--channels", "60", "--arrival", "3", "--gamma-db", "10"]
+        build_parser().parse_args(["outage", *system, "--slots", "100"])
+        assert "numpy" not in sys.modules, "numpy was imported at start-up"
+
+        def run(argv):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                return main(argv)
+
+        for argv, code in [(["outage", *system, "--rate", "1", "--copies", "4"], 0),
+                           (["sweep", "--var", "copies", "--grid", "1,2", *system], 0),
+                           (["scenario", "--list"], 0),
+                           (["outage", *system, "--channels", "abc"], 2)]:
+            assert run(argv) == code, argv
+            assert "numpy" not in sys.modules, argv
+        assert run(["outage", *system, "--rate", "1", "--slots", "100"]) == 0
+        assert "numpy" in sys.modules, "the simulated outage ran without numpy"
+    ''')
     src = os.path.dirname(os.path.dirname(simulate.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -19,6 +19,10 @@ def _namespaces():
     # fetched by import path: the package's `outage` function shadows the module
     mods = {n: importlib.import_module("layered_aloha." + n)
             for n in ("cli", "model", "optimize", "outage", "scenarios", "simulate")}
+    # `simulate` imports `multiprocessing` on first lookup and keeps it as a
+    # module global; the tracer's lookup would add that global mid-test, so
+    # look it up here, before any snapshot of the module's names is taken
+    mods["simulate"].multiprocessing  # noqa: B018
     return {**mods, "SystemConfig": mods["model"].SystemConfig,
             "ScenarioResult": mods["scenarios"].ScenarioResult}
 
