@@ -13,24 +13,40 @@ failure.
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import sys
 from dataclasses import replace
 
 from . import model
-from .optimize import RATE_MAX, optimize_rates
-from .outage import outage  # noqa: F401  (unused; bench/tracing.py patches it here)
-from .scenarios import (
-    SCENARIOS,
-    Scenario,
-    ScenarioResult,
-    _float_grid,
-    get_scenario,
-    run_point,
-    run_scenario,
-)
-from .simulate import estimate_throughput  # noqa: F401  (unused; bench/tracing.py patches it here)
-from .throughput import throughput  # noqa: F401  (unused; bench/tracing.py patches it here)
+
+#: library name -> the module that defines it.  A command reads these through
+#: `_lib` as this module's globals when it runs, so a value set here first is
+#: the one called (bench/tracing.py wraps get_scenario, run_scenario,
+#: optimize_rates, throughput, outage and estimate_throughput); each is bound
+#: on its first lookup, so importing this module and parsing an argv load
+#: none of scenarios, simulate and optimize
+_LAZY = {name: module for module, names in (
+    ("optimize", ("RATE_MAX", "optimize_rates")),
+    ("outage", ("outage",)),
+    ("scenarios", ("SCENARIOS", "GridError", "Scenario", "ScenarioResult", "_float_grid",
+                   "get_scenario", "run_point", "run_scenario")),
+    ("simulate", ("estimate_throughput",)),
+    ("throughput", ("throughput",)),
+) for name in names}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__package__}.{_LAZY[name]}"), name)
+    return value
+
+
+def _lib(name):
+    """This module's global `name`, bound by `__getattr__` on first lookup."""
+    return getattr(sys.modules[__name__], name)
+
 
 #: system flag -> (config-file key, help); the key is the flag's argparse dest,
 #: and the flag's value parses as that key's would in a config file
@@ -106,7 +122,7 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
                              "of grid points, so they may not be strictly increasing")
         if (stop - start) / step >= _MAX_GRID_POINTS:  # floor of it, plus 1, is the point count
             raise ValueError(f"grid range {spec!r} has more than {_MAX_GRID_POINTS} points")
-        return _float_grid(start, stop, step)
+        return _lib("_float_grid")(start, stop, step)
     vals = tuple(float(v) for v in spec.split(",") if v.strip())
     if not vals:
         raise ValueError("empty grid")
@@ -115,12 +131,13 @@ def _parse_grid(spec: str) -> tuple[float, ...]:
 
 def _cmd_scenario(args) -> int:
     if args.list or args.name is None:
-        width = max(len(n) for n in SCENARIOS)
-        for name in sorted(SCENARIOS):
-            print(f"{name:<{width}}  {SCENARIOS[name].description}")
+        scenarios = _lib("SCENARIOS")
+        width = max(len(n) for n in scenarios)
+        for name in sorted(scenarios):
+            print(f"{name:<{width}}  {scenarios[name].description}")
         return 0
-    scenario = get_scenario(args.name, slots=args.slots, seed=args.seed)
-    result = run_scenario(scenario, workers=args.workers)
+    scenario = _lib("get_scenario")(args.name, slots=args.slots, seed=args.seed)
+    result = _lib("run_scenario")(scenario, workers=args.workers)
     _write(result.to_csv(), args.out)
     return 0
 
@@ -135,28 +152,31 @@ def _cmd_sweep(args) -> int:
         grid = _parse_grid(args.grid)
     except ValueError as exc:
         raise ValueError(f"--grid: {exc}") from None
-    scenario = Scenario(
-        name="sweep",
-        # a setting's CSV name is its flag's, with '_' for '-'
-        description=f"ad-hoc sweep over {args.var.replace('-', '_')}",
-        kind=kind,
-        sweep=key,
-        grid=grid,
-        outputs=tuple(args.outputs.split(",")),
-        slots=args.slots,
-        seed=args.seed,
-        settings=settings,
-    )
-    result = run_scenario(scenario, workers=args.workers)
+    try:
+        scenario = _lib("Scenario")(
+            name="sweep",
+            # a setting's CSV name is its flag's, with '_' for '-'
+            description=f"ad-hoc sweep over {args.var.replace('-', '_')}",
+            kind=kind,
+            sweep=key,
+            grid=grid,
+            outputs=tuple(args.outputs.split(",")),
+            slots=args.slots,
+            seed=args.seed,
+            settings=settings,
+        )
+    except _lib("GridError") as exc:
+        raise ValueError(f"--grid: {exc}") from None
+    result = _lib("run_scenario")(scenario, workers=args.workers)
     _write(result.to_csv(), args.out)
     return 0
 
 
 def _cmd_optimize_rates(args) -> int:
-    # looked up on the module at call time, where bench/tracing.py patches it
     config = model.config_from_settings(_settings_from_args(args))
+    rate_max = _lib("RATE_MAX") if isinstance(args.rate_max, _RateMaxDefault) else args.rate_max
     try:
-        plan = optimize_rates(config, args.rate_max, use_bound=args.use_bound)
+        plan = _lib("optimize_rates")(config, rate_max, use_bound=args.use_bound)
     except ValueError as exc:  # the one error it raises is for the bound
         raise ValueError(f"--rate-max: {exc}") from None
     lines = ["layer  arrival  power      rate*      partial_value"]
@@ -166,7 +186,7 @@ def _cmd_optimize_rates(args) -> int:
             f"  {plan.layer_values[l]:.6g}"
         )
     lines.extend(
-        f"note: layer {l} rate optimum at the search bound --rate-max {args.rate_max:g}"
+        f"note: layer {l} rate optimum at the search bound --rate-max {rate_max:g}"
         for l in plan.bound_hits
     )
     lines.append(f"total throughput: {plan.achieved_throughput:.9g}")
@@ -181,9 +201,9 @@ def _run_one_point(args, x_of, **fields) -> int:
     config = replace(model.config_from_settings(settings),
                      reopen_cleared_channels=args.reopen_cleared_channels)
     x = x_of(config)
-    scenario = Scenario(grid=(x,), seed=args.seed, settings=settings, **fields)
-    rows, notes = run_point(scenario, config, x, args.seed, args.workers)
-    _write(ScenarioResult(scenario, tuple(rows), tuple(notes), config).to_csv(), args.out)
+    scenario = _lib("Scenario")(grid=(x,), seed=args.seed, settings=settings, **fields)
+    rows, notes = _lib("run_point")(scenario, config, x, args.seed, args.workers)
+    _write(_lib("ScenarioResult")(scenario, tuple(rows), tuple(notes), config).to_csv(), args.out)
     return 0
 
 
@@ -212,6 +232,14 @@ def _cmd_simulate(args) -> int:
     )
 
 
+class _RateMaxDefault:
+    """`--rate-max`'s default, `optimize.RATE_MAX`, read when the help
+    prints or the command runs, not when the parser is built."""
+
+    def __str__(self):
+        return f"{_lib('RATE_MAX'):g}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="layered-aloha",
@@ -236,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize-rates", help="recursively optimized per-layer rates")
     _add_config_flags(p)
-    p.add_argument("--rate-max", type=float, default=RATE_MAX,
-                   help=f"rate search upper bound (default {RATE_MAX:g})")
+    p.add_argument("--rate-max", type=float, default=_RateMaxDefault(),
+                   help="rate search upper bound (default %(default)s)")
     p.add_argument("--use-bound", action="store_true", help="optimize the capture lower bound")
     p.add_argument("--out", default="-", metavar="PATH")
     p.set_defaults(func=_cmd_optimize_rates)

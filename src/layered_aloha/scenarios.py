@@ -56,6 +56,11 @@ QUANTITIES = frozenset(
     }
 )
 
+
+class GridError(ValueError):
+    """A scenario grid that breaks a grid rule (the CLI names `--grid` for it)."""
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One sweep: fixed system family, grid over a single variable.
@@ -93,12 +98,12 @@ class Scenario:
             raise ValueError(f"{self.name}: powers would override the power rule at every "
                              "gamma_db grid point")
         if not self.grid:
-            raise ValueError("scenario grid must be non-empty")
+            raise GridError("scenario grid must be non-empty")
         for a, b in zip(self.grid, self.grid[1:]):
             if not a < b:  # a repeated point would write its rows twice
-                raise ValueError(f"scenario grid must be strictly increasing, got {a!r} then {b!r}")
+                raise GridError(f"scenario grid must be strictly increasing, got {a!r} then {b!r}")
         if self.integer and not all(float(x).is_integer() for x in self.grid):
-            raise ValueError(f"{self.x_name} grid points must be whole numbers, got {list(self.grid)}")
+            raise GridError(f"{self.x_name} grid points must be whole numbers, got {list(self.grid)}")
         _check_count("slots", self.slots)
         made = kind.outputs
         bad = [o for o in self.outputs if o not in made]

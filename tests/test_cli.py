@@ -315,6 +315,9 @@ def test_a_bad_grid_point_is_refused_before_any_point_is_computed(capsys, monkey
     ("1:2", "grid must be 'start:stop:step' or a comma list"),
     (",", "empty grid"),
     ("2:1:1", "bad grid range"),
+    # the scenario's grid rules
+    ("1,1", "scenario grid must be strictly increasing, got 1.0 then 1.0"),
+    ("1.5", "copies grid points must be whole numbers, got [1.5]"),
 ])
 def test_grid_errors_name_the_flag(capsys, grid, message):
     code = main(["sweep", "--var", "copies", f"--grid={grid}", "--layers", "2",

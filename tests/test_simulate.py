@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import layered_aloha
 from layered_aloha import (
     BLOCKED,
     COLLIDED,
@@ -633,6 +635,10 @@ def test_serial_runs_leave_multiprocessing_unloaded():
             "from layered_aloha import cli, design_config, estimate_throughput\n"
             "estimate_throughput(design_config(2, 10, 5.0, 1.0, 2.0), 100, 1)\n"
             "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'\n")
+    _run_in_a_fresh_interpreter(code)
+
+
+def _run_in_a_fresh_interpreter(code):
     src = os.path.dirname(os.path.dirname(simulate.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
@@ -661,9 +667,85 @@ def test_the_package_and_its_analytic_commands_leave_numpy_unloaded():
         assert run(["outage", *system, "--rate", "1", "--slots", "100"]) == 0
         assert "numpy" in sys.modules, "the simulated outage ran without numpy"
     ''')
-    src = os.path.dirname(os.path.dirname(simulate.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    _run_in_a_fresh_interpreter(code)
+
+
+def test_the_package_and_argv_parsing_leave_the_simulator_and_optimizer_unloaded():
+    # the package loads model, throughput and outage; the CLI binds the rest
+    # of the library on the first lookup of a name a command calls
+    code = textwrap.dedent('''\
+        import contextlib, io, sys
+        import layered_aloha
+        from layered_aloha.cli import build_parser
+        parser = build_parser()
+        workloads = [["scenario", name, "--workers", "1", "--slots", "50000", "--seed", "1",
+                      "--out", "-"] for name in ("throughput-vs-arrival", "outage-vs-copies")]
+        for argv in [*workloads, ["optimize-rates", "--rate-max", "3"]]:
+            parser.parse_args(argv)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            try:
+                parser.parse_args(["--help"])
+            except SystemExit as exc:
+                assert exc.code == 0
+        assert "optimize-rates" in out.getvalue()
+        loaded = {f"layered_aloha.{m}" for m in ("scenarios", "simulate", "optimize")} & sys.modules.keys()
+        assert not loaded, f"loaded at start-up: {sorted(loaded)}"
+    ''')
+    _run_in_a_fresh_interpreter(code)
+
+
+#: every name the package exported when it imported all of its submodules
+_PUBLIC_NAMES = {
+    "model": ("SystemConfig", "allocate_powers", "collision_prob", "config_from_settings",
+              "db_to_linear", "design_config", "interference_variance", "load_config_file",
+              "parse_config_text", "snr_gap"),
+    "optimize": ("ArrivalPlan", "RatePlan", "optimize_arrivals", "optimize_rates"),
+    "outage": ("OutageReport", "beta_crrd", "conditional_collision_moment", "outage",
+               "psi_series"),
+    "scenarios": ("SCENARIOS", "Scenario", "ScenarioResult", "get_scenario", "run_scenario"),
+    "simulate": ("BLOCKED", "COLLIDED", "DECODED", "SINR_FAILURE", "DecodeReport",
+                 "EstimatorOutput", "OutageEstimate", "SlotRealization", "ThroughputEstimate",
+                 "estimate_outage", "estimate_throughput", "sample_slots", "sic_decode"),
+    "throughput": ("AnalyticReport", "baseline_aloha_max", "baseline_irsa", "capture_prob_exact",
+                   "capture_prob_lower_bound", "eta", "lone_pair_capture", "rho",
+                   "sla_layer_contributions", "sla_lower_bound", "throughput"),
+}
+
+
+def test_the_package_exports_the_same_names_as_when_it_imported_every_submodule():
+    names = {name for names in _PUBLIC_NAMES.values() for name in names}
+    assert set(layered_aloha.__all__) == names
+    assert names <= set(dir(layered_aloha))
+    for module, module_names in _PUBLIC_NAMES.items():
+        mod = importlib.import_module("layered_aloha." + module)
+        for name in module_names:
+            assert getattr(layered_aloha, name) is getattr(mod, name), name
+    star = {}
+    exec("from layered_aloha import *", star)
+    assert all(star[name] is getattr(layered_aloha, name) for name in names)
+
+
+def test_the_package_outage_and_throughput_stay_functions_as_their_modules_load():
+    # in a fresh interpreter, so that each step is the one that first loads a module
+    code = textwrap.dedent('''\
+        import contextlib, importlib, inspect, io
+        import layered_aloha
+        assert layered_aloha.simulate.SAMPLING_CONTRACT == 2
+
+        def check(step):
+            for name in ("outage", "throughput"):
+                assert inspect.isfunction(getattr(layered_aloha, name)), (name, step)
+
+        import layered_aloha.outage
+        check("import layered_aloha.outage")
+        assert inspect.ismodule(importlib.import_module("layered_aloha.outage"))
+        check("importlib.import_module")
+        from layered_aloha.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["scenario", "outage-vs-copies", "--slots", "50"]) == 0
+        check("scenario outage-vs-copies")
+    ''')
+    _run_in_a_fresh_interpreter(code)
 
 
 def _float_count_throughput_stat(counts, decoded, rates):

@@ -23,6 +23,9 @@ def _namespaces():
     # module global; the tracer's lookup would add that global mid-test, so
     # look it up here, before any snapshot of the module's names is taken
     mods["simulate"].multiprocessing  # noqa: B018
+    # so does `cli` with the library names its commands call
+    for name in mods["cli"]._LAZY:
+        getattr(mods["cli"], name)
     return {**mods, "SystemConfig": mods["model"].SystemConfig,
             "ScenarioResult": mods["scenarios"].ScenarioResult}
 
