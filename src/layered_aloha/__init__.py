@@ -36,10 +36,11 @@ _LAZY = {name: module for module, names in (
                     "sla_layer_contributions", "sla_lower_bound")),
 ) for name in names}
 
-__all__ = sorted({"outage", "throughput", *_LAZY})
-
-#: submodules reachable as package attributes, like `layered_aloha.simulate`
+#: submodules that are package attributes, like `layered_aloha.simulate`, and
+#: that `from layered_aloha import *` binds, as when the package imported them
 _SUBMODULES = ("optimize", "scenarios", "simulate")
+
+__all__ = sorted({"model", "outage", "throughput", *_SUBMODULES, *_LAZY})
 
 
 def __getattr__(name):
@@ -52,4 +53,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, *_SUBMODULES})
+    return sorted({*globals(), *__all__})

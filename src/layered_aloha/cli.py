@@ -19,20 +19,20 @@ import sys
 from dataclasses import replace
 
 from . import model
+from .outage import outage  # noqa: F401  (unused; bench/tracing.py patches it here)
+from .throughput import throughput  # noqa: F401  (unused; bench/tracing.py patches it here)
 
 #: library name -> the module that defines it.  A command reads these through
 #: `_lib` as this module's globals when it runs, so a value set here first is
 #: the one called (bench/tracing.py wraps get_scenario, run_scenario,
-#: optimize_rates, throughput, outage and estimate_throughput); each is bound
-#: on its first lookup, so importing this module and parsing an argv load
-#: none of scenarios, simulate and optimize
+#: optimize_rates and estimate_throughput); each is bound on its first lookup,
+#: so importing this module and parsing an argv load none of scenarios,
+#: simulate and optimize
 _LAZY = {name: module for module, names in (
-    ("optimize", ("RATE_MAX", "optimize_rates")),
-    ("outage", ("outage",)),
+    ("optimize", ("optimize_rates",)),
     ("scenarios", ("SCENARIOS", "GridError", "Scenario", "ScenarioResult", "_float_grid",
                    "get_scenario", "run_point", "run_scenario")),
     ("simulate", ("estimate_throughput",)),
-    ("throughput", ("throughput",)),
 ) for name in names}
 
 
@@ -45,7 +45,7 @@ def __getattr__(name):
 
 def _lib(name):
     """This module's global `name`, bound by `__getattr__` on first lookup."""
-    return getattr(sys.modules[__name__], name)
+    return globals().get(name) or __getattr__(name)
 
 
 #: system flag -> (config-file key, help); the key is the flag's argparse dest,
@@ -174,9 +174,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_optimize_rates(args) -> int:
     config = model.config_from_settings(_settings_from_args(args))
-    rate_max = _lib("RATE_MAX") if isinstance(args.rate_max, _RateMaxDefault) else args.rate_max
     try:
-        plan = _lib("optimize_rates")(config, rate_max, use_bound=args.use_bound)
+        plan = _lib("optimize_rates")(config, args.rate_max, use_bound=args.use_bound)
     except ValueError as exc:  # the one error it raises is for the bound
         raise ValueError(f"--rate-max: {exc}") from None
     lines = ["layer  arrival  power      rate*      partial_value"]
@@ -186,7 +185,7 @@ def _cmd_optimize_rates(args) -> int:
             f"  {plan.layer_values[l]:.6g}"
         )
     lines.extend(
-        f"note: layer {l} rate optimum at the search bound --rate-max {rate_max:g}"
+        f"note: layer {l} rate optimum at the search bound --rate-max {args.rate_max:g}"
         for l in plan.bound_hits
     )
     lines.append(f"total throughput: {plan.achieved_throughput:.9g}")
@@ -232,14 +231,6 @@ def _cmd_simulate(args) -> int:
     )
 
 
-class _RateMaxDefault:
-    """`--rate-max`'s default, `optimize.RATE_MAX`, read when the help
-    prints or the command runs, not when the parser is built."""
-
-    def __str__(self):
-        return f"{_lib('RATE_MAX'):g}"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="layered-aloha",
@@ -264,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize-rates", help="recursively optimized per-layer rates")
     _add_config_flags(p)
-    p.add_argument("--rate-max", type=float, default=_RateMaxDefault(),
-                   help="rate search upper bound (default %(default)s)")
+    p.add_argument("--rate-max", type=float, default=model.RATE_MAX,
+                   help=f"rate search upper bound (default {model.RATE_MAX:g})")
     p.add_argument("--use-bound", action="store_true", help="optimize the capture lower bound")
     p.add_argument("--out", default="-", metavar="PATH")
     p.set_defaults(func=_cmd_optimize_rates)

@@ -68,6 +68,10 @@ def _check_probability(name, value):
     return value
 
 
+#: default upper end of the rate search, in bits per channel use
+RATE_MAX = 16.0
+
+
 def _check_rate(name, value, positive=False):
     """Finite, >= 0 (> 0 if `positive`) and < 1024, so that 2**value fits a double."""
     if not (_finite(value) and (value > 0 if positive else value >= 0) and value < 1024):

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import SystemConfig, _check_count, _check_positive, _check_rate, snr_gap
+from .model import RATE_MAX, SystemConfig, _check_count, _check_positive, _check_rate, snr_gap
 from .throughput import capture_exponent, capture_prob_exact, capture_prob_lower_bound
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -41,9 +41,6 @@ _SHORTLIST_MARGIN = 1e-9
 # golden-section refinement stops at a bracket of width _REFINE_TOL.
 _GRID_POINTS = 2048
 _REFINE_TOL = 1e-9
-
-#: default upper end of the rate search, in bits per channel use
-RATE_MAX = 16.0
 
 # Upper end of the normalized-arrival search.  Layer l's objective
 # f(tau) = phi tau e^-tau + (1 + phi tau) e^-tau T, with T >= 0 the value

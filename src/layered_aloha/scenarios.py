@@ -25,9 +25,9 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import NamedTuple
 
-from .model import (_CONFIG_KEYS, _INT_KEYS, SystemConfig, _check_count, _check_seed, db_to_linear,
-                    design_args, design_config)
-from .optimize import RATE_MAX, optimize_arrivals, optimize_rates
+from .model import (_CONFIG_KEYS, _INT_KEYS, RATE_MAX, SystemConfig, _check_count, _check_seed,
+                    db_to_linear, design_args, design_config)
+from .optimize import optimize_arrivals, optimize_rates
 from .outage import outage
 from .simulate import SAMPLING_CONTRACT, estimate_outage, estimate_throughput
 from .throughput import (
