@@ -48,27 +48,15 @@ def _lib(name):
     return globals().get(name) or __getattr__(name)
 
 
-#: system flag -> (config-file key, help); the key is the flag's argparse dest,
-#: and the flag's value parses as that key's would in a config file
-_SYSTEM_FLAGS = {
-    "--channels": ("channels", "number of channels per layer"),
-    "--layers": ("layers", "number of layers"),
-    "--arrival": ("arrival_rate", "arrival rate per layer (scalar or comma list)"),
-    "--rate": ("rate", "code rate per layer (scalar or comma list)"),
-    "--gamma-db": ("gamma_db", "target SINR in dB for power allocation"),
-    "--copies": ("repetition", "copies per packet (repetition factor B)"),
-    "--noise-power": ("noise_power", "noise power (linear), default 1"),
-    "--gain-mean": ("gain_mean", "mean channel power gain, default 1"),
-}
-
 #: most points a `start:stop:step` grid may have; the registry's largest has 60
 _MAX_GRID_POINTS = 100_000
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", metavar="FILE", help="key = value config file")
-    for flag, (key, help_) in _SYSTEM_FLAGS.items():
-        p.add_argument(flag, dest=key, help=help_)
+    for key, (_, flag, help_) in model._SETTINGS.items():
+        if flag:  # the flag's dest is its setting's key
+            p.add_argument(flag, dest=key, help=help_)
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
@@ -88,8 +76,8 @@ def _settings_from_args(args) -> dict:
             raise ValueError(f"--config: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"--config: {args.config}: {exc}") from None
-    for flag, (key, _) in _SYSTEM_FLAGS.items():
-        text = getattr(args, key)
+    for key, (_, flag, _) in model._SETTINGS.items():
+        text = getattr(args, key, None)  # None when the flag is not given or does not exist
         if text is not None:
             try:
                 settings[key] = model.parse_setting(key, text)
@@ -143,7 +131,7 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    key = _SYSTEM_FLAGS["--" + args.var][0]
+    key = next(k for k, (_, flag, _) in model._SETTINGS.items() if flag == "--" + args.var)
     kind = "outage" if key == "repetition" else "throughput"
     settings = {"gamma_db": 10.0} | _settings_from_args(args)
     if kind == "outage":  # outage rows read a fixed rate
@@ -193,42 +181,32 @@ def _cmd_optimize_rates(args) -> int:
     return 0
 
 
-def _run_one_point(args, x_of, **fields) -> int:
-    """Write the CSV of the system the flags describe as the one-point
-    scenario that `fields` describe, at grid point `x_of(config)`."""
+#: one-point command -> (description, kind, the setting its one grid point
+#: sets, that point's value in the config the flags describe)
+_ONE_POINT = {
+    "outage": ("per-layer outage for one configuration", "outage", "repetition",
+               lambda config: float(config.repetition)),
+    "simulate": ("simulated and analytic throughput for one configuration", "simulate",
+                 "arrival_rate", lambda config: config.arrival_rates[0]),
+}
+
+
+def _cmd_one_point(args) -> int:
+    """Write the CSV of the system the flags describe as a one-point scenario
+    of the command's `_ONE_POINT` entry; it simulates when `--slots` is set."""
+    description, kind, sweep, x_of = _ONE_POINT[args.command]
     settings = {"rate": 1.0} | _settings_from_args(args)  # one point never optimizes rates
     config = replace(model.config_from_settings(settings),
                      reopen_cleared_channels=args.reopen_cleared_channels)
     x = x_of(config)
-    scenario = _lib("Scenario")(grid=(x,), seed=args.seed, settings=settings, **fields)
+    simulated = args.slots is not None
+    scenario = _lib("Scenario")(
+        name=args.command, description=description, kind=kind, sweep=sweep, grid=(x,),
+        outputs=("analytic", "simulated") if simulated else ("analytic",),
+        slots=args.slots if simulated else 1, seed=args.seed, settings=settings)
     rows, notes = _lib("run_point")(scenario, config, x, args.seed, args.workers)
     _write(_lib("ScenarioResult")(scenario, tuple(rows), tuple(notes), config).to_csv(), args.out)
     return 0
-
-
-def _cmd_outage(args) -> int:
-    simulated = args.slots is not None
-    return _run_one_point(
-        args, lambda config: float(config.repetition),
-        name="outage",
-        description="per-layer outage for one configuration",
-        kind="outage",
-        sweep="repetition",
-        outputs=("analytic", "simulated") if simulated else ("analytic",),
-        slots=args.slots if simulated else 1,
-    )
-
-
-def _cmd_simulate(args) -> int:
-    return _run_one_point(
-        args, lambda config: config.arrival_rates[0],
-        name="simulate",
-        description="simulated and analytic throughput for one configuration",
-        kind="simulate",
-        sweep="arrival_rate",
-        outputs=("analytic", "simulated"),
-        slots=args.slots,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,16 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", metavar="PATH")
     p.set_defaults(func=_cmd_optimize_rates)
 
-    for name, help_, func, slots in (
-        ("outage", "per-layer outage (analytic, plus simulated with --slots)", _cmd_outage, None),
-        ("simulate", "simulated vs analytic throughput for one config", _cmd_simulate, 10000),
+    for name, help_, slots in (
+        ("outage", "per-layer outage (analytic, plus simulated with --slots)", None),
+        ("simulate", "simulated vs analytic throughput for one config", 10000),
     ):
         p = sub.add_parser(name, help=help_)
         _add_config_flags(p)
         _add_run_flags(p)
         p.add_argument("--reopen-cleared-channels", action="store_true",
                        help="alternative SIC semantics: fully cancelled channels reopen")
-        p.set_defaults(func=func, slots=slots, seed=1)
+        p.set_defaults(func=_cmd_one_point, slots=slots, seed=1)
 
     return parser
 

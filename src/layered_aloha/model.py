@@ -276,27 +276,42 @@ def _per_layer(name, value, num_layers: int, rule) -> tuple[float, ...]:
 
 # --- config file format -----------------------------------------------------
 #
-# Line-oriented `key = value` text.  Keys: layers, channels, arrival_rate,
-# rate (scalar or comma-separated per-layer list), gamma_db, noise_power,
-# gain_mean, repetition, powers (optional comma list, overrides gamma_db).
-# A '#' starts a comment that runs to the end of the line.
+# Line-oriented `key = value` text, one line per key of `_SETTINGS`.  A '#'
+# starts a comment that runs to the end of the line.
 
-_SCALAR_KEYS = {"gamma_db", "noise_power", "gain_mean"}
-_INT_KEYS = {"layers", "channels", "repetition"}
-_LIST_KEYS = {"arrival_rate", "rate", "powers"}
-_CONFIG_KEYS = _SCALAR_KEYS | _INT_KEYS | _LIST_KEYS
+def _list_text(text):
+    """A comma list of numbers, as a tuple."""
+    return tuple(float(p) for p in text.split(",") if p.strip())
+
+
+def _per_layer_text(text):
+    """A per-layer value: one number for every layer, or a comma list of them."""
+    vals = _list_text(text)
+    return vals[0] if len(vals) == 1 else vals
+
+
+#: the one list of settings: config-file key -> (parser of its text, CLI flag
+#: or None, the flag's help), in the order a sweep's `# config:` line echoes
+#: them.  A setting's CSV name is its flag's, with '_' for '-'; `powers`
+#: (overriding gamma_db) has no flag.
+_SETTINGS = {
+    "layers": (int, "--layers", "number of layers"),
+    "channels": (int, "--channels", "number of channels per layer"),
+    "arrival_rate": (_per_layer_text, "--arrival", "arrival rate per layer (scalar or comma list)"),
+    "rate": (_per_layer_text, "--rate", "code rate per layer (scalar or comma list)"),
+    "gamma_db": (float, "--gamma-db", "target SINR in dB for power allocation"),
+    "repetition": (int, "--copies", "copies per packet (repetition factor B)"),
+    "powers": (_list_text, None, None),
+    "noise_power": (float, "--noise-power", "noise power (linear), default 1"),
+    "gain_mean": (float, "--gain-mean", "mean channel power gain, default 1"),
+}
 
 
 def parse_setting(key: str, text: str):
     """Typed value of setting `key` from its text, on a config line or in a CLI flag."""
-    if key in _INT_KEYS:
-        return int(text)
-    if key in _SCALAR_KEYS:
-        return float(text)
-    if key in _LIST_KEYS:
-        vals = tuple(float(p) for p in text.split(",") if p.strip())
-        return vals[0] if len(vals) == 1 and key != "powers" else vals
-    raise ValueError(f"unknown key {key!r}")
+    if key not in _SETTINGS:
+        raise ValueError(f"unknown key {key!r}")
+    return _SETTINGS[key][0](text)
 
 
 def parse_config_text(text: str) -> dict:
@@ -330,9 +345,9 @@ def design_args(settings: dict) -> dict:
 
     Powers come from the `powers` key when present, otherwise they are
     allocated from `gamma_db` via the descending power rule.  A key outside
-    the config-file key set is an error, however the settings were built.
+    `_SETTINGS` is an error, however the settings were built.
     """
-    unknown = sorted(settings.keys() - _CONFIG_KEYS)
+    unknown = sorted(settings.keys() - _SETTINGS.keys())
     if unknown:
         raise ValueError(f"unknown settings keys: {', '.join(unknown)}")
     missing = [k for k in ("layers", "channels", "arrival_rate") if k not in settings]

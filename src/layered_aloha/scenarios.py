@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
-from .model import (_CONFIG_KEYS, _INT_KEYS, RATE_MAX, SystemConfig, _check_count, _check_seed,
-                    db_to_linear, design_args, design_config)
+from .model import (_SETTINGS, RATE_MAX, SystemConfig, _check_count, _check_seed, db_to_linear,
+                    design_args, design_config)
 from .optimize import optimize_arrivals, optimize_rates
 from .outage import outage
 from .simulate import SAMPLING_CONTRACT, estimate_outage, estimate_throughput
@@ -69,7 +69,8 @@ class Scenario:
     becomes rows; `sweep` is the config-file key each grid point sets.
     `settings` holds the system as config-file settings (see
     `model.parse_config_text`); without a `rate`, throughput kinds
-    optimize the rates at every grid point.
+    optimize the rates at every grid point.  Grid point i simulates with
+    `seed + i`, so the seed rule covers the whole grid, whatever the outputs.
     """
 
     name: str
@@ -86,7 +87,7 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.sweep not in _CONFIG_KEYS:
+        if self.sweep not in _SETTINGS:
             raise ValueError(f"cannot sweep {self.sweep!r}: not a config-file key")
         kind = KINDS[self.kind]
         power_rule = () if "powers" in self.settings else ("gamma_db",)
@@ -105,6 +106,8 @@ class Scenario:
         if self.integer and not all(float(x).is_integer() for x in self.grid):
             raise GridError(f"{self.x_name} grid points must be whole numbers, got {list(self.grid)}")
         _check_count("slots", self.slots)
+        _check_seed(f"seed of a {len(self.grid)}-point grid, point i using seed + i", self.seed,
+                    len(self.grid))
         made = kind.outputs
         bad = [o for o in self.outputs if o not in made]
         if bad:
@@ -114,13 +117,15 @@ class Scenario:
 
     @property
     def x_name(self) -> str:
-        """The swept variable, as named in the CSV (and by its `sweep --var` flag)."""
-        return {"arrival_rate": "arrival", "repetition": "copies"}.get(self.sweep, self.sweep)
+        """The swept variable, as named in the CSV: its flag with '_' for '-', or
+        its key if it has no flag."""
+        flag = _SETTINGS[self.sweep][1]
+        return flag[2:].replace("-", "_") if flag else self.sweep
 
     @property
     def integer(self) -> bool:
         """Whether grid points must be whole numbers: an integer setting is swept."""
-        return self.sweep in _INT_KEYS
+        return _SETTINGS[self.sweep][0] is int
 
 
 @dataclass(frozen=True)
@@ -175,19 +180,18 @@ class ScenarioResult:
     def _config_echo(self) -> list[str]:
         c = self.config
         if c is not None:
-            # a receiver switch (a field off by default) is echoed only when on,
-            # so a default run's line stays as it was
-            switches = [f.name for f in fields(c) if f.default is False and getattr(c, f.name)]
+            # the receiver switch is echoed only when on, so a default run's line
+            # stays as it was
             return [f"layers={c.num_layers}", f"channels={c.num_channels}",
                     f"arrival_rate={_fmt_all(c.arrival_rates)}", f"rate={_fmt_all(c.rates)}",
                     f"power={_fmt_all(c.powers)}", f"noise_power={_fmt(c.noise_power)}",
                     f"gain_mean={_fmt(c.channel_gain_mean)}", f"repetition={c.repetition}",
-                    *(f"{name}=true" for name in switches)]
+                    *(["reopen_cleared_channels=true"] if c.reopen_cleared_channels else [])]
         s = self.scenario
         shown = ({"rate": "optimized", "repetition": "1"}
                  | {k: _fmt_setting(v) for k, v in s.settings.items()}
                  | {s.sweep: "sweep"})
-        return [f"{k}={shown[k]}" for k in _ECHOED if k in shown]
+        return [f"{k}={shown[k]}" for k in _SETTINGS if k in shown]
 
     def _data_lines(self) -> list[str]:
         s = self.scenario
@@ -221,11 +225,6 @@ def _fmt_all(values) -> str:
 
 def _fmt_setting(v) -> str:
     return _fmt_all(v) if isinstance(v, tuple) else str(v) if isinstance(v, int) else _fmt(v)
-
-
-#: settings a sweep's `# config:` line echoes, in this order
-_ECHOED = ("layers", "channels", "arrival_rate", "rate", "gamma_db", "repetition",
-           "powers", "noise_power", "gain_mean")
 
 
 # --- row producers ------------------------------------------------------------
@@ -342,14 +341,12 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
     """Evaluate every grid point of a scenario and collect the CSV rows.
 
     Grid point i uses seed `scenario.seed + i` for its simulations, echoed
-    in the rows; the whole range of per-point seeds, and the system at
-    every point, are checked up front, so a bad point late in the grid
-    costs no computation.  A grid point whose optimized rates hit the
-    search bound gets a note in the result.
+    in the rows; `Scenario` checks the whole range of per-point seeds, and
+    the system at every point is checked up front, so a bad point late in
+    the grid costs no computation.  A grid point whose optimized rates hit
+    the search bound gets a note in the result.
     """
     s = scenario
-    if "simulated" in s.outputs:
-        _check_seed(f"seed of a {len(s.grid)}-point grid, point i using seed + i", s.seed, len(s.grid))
     # each point is built again at its turn: holding every point's config
     # would cost memory in the sum of their layer counts
     for x in s.grid:
@@ -361,10 +358,6 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
         rows.extend(point_rows)
         notes.extend(point_notes)
     return ScenarioResult(scenario=s, rows=tuple(rows), notes=tuple(notes))
-
-
-def _int_grid(lo, hi, step=1):
-    return tuple(float(v) for v in range(lo, hi + 1, step))
 
 
 def _float_grid(lo, hi, step):
@@ -384,7 +377,7 @@ def build_registry() -> dict[str, Scenario]:
             name=f"throughput-vs-arrival{suffix}",
             description=f"per-layer and total throughput vs arrival rate; {L} layers, "
                         "10 channels, target SINR 3 dB, rates optimized per point",
-            kind="throughput", sweep="arrival_rate", grid=_int_grid(1, 14),
+            kind="throughput", sweep="arrival_rate", grid=_float_grid(1, 14, 1),
             outputs=("analytic", "simulated"), slots=20000, seed=20230,
             settings=dict(layers=L, channels=10, gamma_db=3.0),
         ))
@@ -392,7 +385,7 @@ def build_registry() -> dict[str, Scenario]:
             name=f"power-vs-arrival{suffix}",
             description=f"average allocated transmit power vs arrival rate; {L} layers, "
                         "10 channels, target SINR 3 dB",
-            kind="power", sweep="arrival_rate", grid=_int_grid(1, 14),
+            kind="power", sweep="arrival_rate", grid=_float_grid(1, 14, 1),
             outputs=("analytic",), slots=1, seed=0,
             settings=dict(layers=L, channels=10, gamma_db=3.0),
         ))
@@ -408,7 +401,7 @@ def build_registry() -> dict[str, Scenario]:
             name=f"throughput-vs-gamma{suffix}",
             description=f"total throughput vs target SINR; {L} layers, 10 channels, "
                         "arrival 10 per layer, rates optimized per point",
-            kind="throughput", sweep="gamma_db", grid=_int_grid(0, 12),
+            kind="throughput", sweep="gamma_db", grid=_float_grid(0, 12, 1),
             outputs=("analytic", "simulated"), slots=20000, seed=20600,
             settings=dict(layers=L, channels=10, arrival_rate=10.0),
         ))
@@ -417,7 +410,7 @@ def build_registry() -> dict[str, Scenario]:
             name=f"throughput-vs-layers{suffix}",
             description="total throughput vs number of layers; 10 channels, "
                         f"arrival {lam:g} per layer, target SINR 3 dB, optimized rates",
-            kind="throughput", sweep="layers", grid=_int_grid(1, 8),
+            kind="throughput", sweep="layers", grid=_float_grid(1, 8, 1),
             outputs=("analytic", "simulated"), slots=20000, seed=20700,
             settings=dict(channels=10, arrival_rate=lam, gamma_db=3.0),
         ))
@@ -426,7 +419,7 @@ def build_registry() -> dict[str, Scenario]:
         description="decoded-packet lower bound vs number of layers, arrivals "
                     "optimized per layer, against multichannel-ALOHA and IRSA "
                     "reference constants; 10 channels, common rate 1",
-        kind="packets", sweep="layers", grid=_int_grid(1, 8),
+        kind="packets", sweep="layers", grid=_float_grid(1, 8, 1),
         outputs=("bound", "baselines"), slots=1, seed=0,
         settings=dict(channels=10, arrival_rate=0.0, rate=1.0, gamma_db=10.0),
         notes=("target SINR 10 dB assumed for the layer sweep",),
@@ -436,7 +429,7 @@ def build_registry() -> dict[str, Scenario]:
             name=f"compare-irsa-scaling{suffix}",
             description=f"decoded-packet lower bound vs number of channels; {L} layers, "
                         "common rate 1, target SINR 10 dB, optimized arrivals",
-            kind="packets", sweep="channels", grid=_int_grid(10, 100, 10),
+            kind="packets", sweep="channels", grid=_float_grid(10, 100, 10),
             outputs=("bound", "baselines"), slots=1, seed=0,
             settings=dict(layers=L, arrival_rate=0.0, rate=1.0, gamma_db=10.0),
         ))
@@ -452,7 +445,7 @@ def build_registry() -> dict[str, Scenario]:
         name="outage-vs-copies",
         description="per-layer outage vs repetition factor; 3 layers, 60 channels, "
                     "arrival 3 per layer, common rate 1, target SINR 10 dB",
-        kind="outage", sweep="repetition", grid=_int_grid(1, 12),
+        kind="outage", sweep="repetition", grid=_float_grid(1, 12, 1),
         outputs=("analytic", "simulated"), slots=20000, seed=21000,
         settings=dict(layers=3, channels=60, arrival_rate=3.0, rate=1.0, gamma_db=10.0),
     ))
@@ -460,7 +453,7 @@ def build_registry() -> dict[str, Scenario]:
         name="outage-vs-arrival",
         description="per-layer outage vs arrival rate under 4-copy repetition; "
                     "3 layers, 60 channels, common rate 1, target SINR 10 dB",
-        kind="outage", sweep="arrival_rate", grid=_int_grid(1, 10),
+        kind="outage", sweep="arrival_rate", grid=_float_grid(1, 10, 1),
         outputs=("analytic", "simulated"), slots=20000, seed=21100,
         settings=dict(layers=3, channels=60, rate=1.0, gamma_db=10.0, repetition=4),
     ))

@@ -11,7 +11,8 @@ from layered_aloha import (
     psi_series,
     throughput,
 )
-from layered_aloha.cli import _SYSTEM_FLAGS, _parse_grid, _settings_from_args, build_parser, main
+from layered_aloha.cli import _parse_grid, _settings_from_args, build_parser, main
+from layered_aloha.model import _SETTINGS
 from layered_aloha.scenarios import CSV_HEADER, SCENARIOS
 
 
@@ -172,7 +173,7 @@ def test_sweep_grid_spec(capsys):
 ])
 def test_sweep_writes_the_rows_of_the_registry_scenario_it_restates(capsys, var, name):
     s = SCENARIOS[name]
-    flag_of = {key: flag for flag, (key, _) in _SYSTEM_FLAGS.items()}
+    flag_of = {key: flag for key, (_, flag, _) in _SETTINGS.items()}
     system = [arg for key, value in s.settings.items() for arg in (flag_of[key], str(value))]
     assert main(["scenario", name, "--slots", "200"]) == 0
     expected = _parse_csv(capsys.readouterr().out)
@@ -516,8 +517,10 @@ _PER_LAYER_FILE = ("layers = 3\nchannels = 12\narrival_rate = 2,3,4\nrate = 1.5,
 
 
 def test_flags_parse_like_config_keys(tmp_path, capsys):
-    args = build_parser().parse_args(["simulate"] + _PER_LAYER_FLAGS)
-    assert _settings_from_args(args) == parse_config_text(_PER_LAYER_FILE)
+    for command in (["simulate"], ["outage"], ["optimize-rates"],
+                    ["sweep", "--var", "copies", "--grid", "1"]):
+        args = build_parser().parse_args(command + _PER_LAYER_FLAGS)
+        assert _settings_from_args(args) == parse_config_text(_PER_LAYER_FILE), command
     cfg = tmp_path / "system.cfg"
     cfg.write_text(_PER_LAYER_FILE)
     run = ["simulate", "--slots", "300", "--seed", "3", "--out", "-"]
@@ -593,6 +596,22 @@ def test_per_command_defaults(capsys, argv, header, quantities):
     assert {r["quantity"] for r in rows} == quantities
     assert {r["seed"] for r in rows if r["seed"]} <= {"1"}
     assert {r["slots"] for r in rows if r["slots"]} <= {"10000"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["outage", "--layers", "2", "--channels", "10", "--arrival", "3", "--gamma-db", "3",
+     "--seed", "-1"],
+    ["sweep", "--var", "arrival", "--grid", "1,2", "--layers", "2", "--channels", "10",
+     "--gamma-db", "3", "--outputs", "analytic", "--seed", "-1"],
+    ["scenario", "power-vs-arrival", "--seed", str(2 ** 64 - 1)],
+], ids=["outage", "sweep", "scenario"])
+def test_a_seed_outside_the_seed_rule_exits_2_without_simulating(capsys, argv):
+    # point i of a grid seeds with seed + i, so every command checks the seed,
+    # whether or not its outputs simulate; analytic runs used to echo any seed
+    assert main(argv + ["--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: seed of a ")
 
 
 def test_scenario_keeps_its_registry_seed(capsys):

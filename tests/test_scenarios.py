@@ -94,7 +94,10 @@ def test_integer_variables_reject_fractional_grid_points(kind, sweep):
 
 
 @pytest.mark.parametrize("sweep, x_name", [("arrival_rate", "arrival"), ("repetition", "copies"),
-                                           ("gamma_db", "gamma_db"), ("layers", "layers")])
+                                           ("gamma_db", "gamma_db"), ("layers", "layers"),
+                                           ("rate", "rate"), ("channels", "channels"),
+                                           ("noise_power", "noise_power"),
+                                           ("gain_mean", "gain_mean"), ("powers", "powers")])
 def test_x_name_follows_the_swept_setting(sweep, x_name):
     assert _tiny(sweep=sweep, grid=(1.0, 2.0)).x_name == x_name
 
