@@ -6,11 +6,11 @@ depends only on its own rate once powers and arrivals are fixed.  The
 optimal rates therefore come from L scalar maximizations run from the top
 layer down, each treating the next layer's optimum as a constant.  The
 same backward recursion applies to the normalized-arrival optimization of
-the common-rate lower bound.
+the common-rate lower bound, where each layer's optimum has a closed form.
 
-Scalar maximization is a coarse uniform grid followed by golden-section
+The rate search is a coarse uniform grid followed by golden-section
 refinement of the best bracket; the per-layer objective is not known to be
-unimodal, so the grid stage guards against local maxima.  Each objective
+unimodal, so the grid stage guards against local maxima.  The objective
 accepts a float or an ndarray and evaluates one formula either way.  The
 whole grid is evaluated once in numpy, but only to shortlist candidates:
 index 0 and every point within a relative 1e-9 of the largest non-NaN
@@ -20,7 +20,7 @@ being strictly greater, so numpy's last-ulp differences from libm never
 decide.  Ties break toward the smallest argument; a NaN never wins, and a
 NaN at the grid's first point keeps that point.  A layer whose grid rate
 optimum is the upper search end is recorded in the plan's `bound_hits`.
-numpy is imported by the searches when they run, not with this module.
+numpy is imported by the rate search when it runs, not with this module.
 """
 
 from __future__ import annotations
@@ -41,13 +41,6 @@ _SHORTLIST_MARGIN = 1e-9
 # golden-section refinement stops at a bracket of width _REFINE_TOL.
 _GRID_POINTS = 2048
 _REFINE_TOL = 1e-9
-
-# Upper end of the normalized-arrival search.  Layer l's objective
-# f(tau) = phi tau e^-tau + (1 + phi tau) e^-tau T, with T >= 0 the value
-# above and 0 <= phi <= 1, has f'(tau) = e^-tau [phi (1 - tau)(1 + T) - T],
-# which is <= 0 for tau >= 1.  The grid holds tau = 1 and ties go to the
-# smaller point, so the optimum never reaches this end.
-_ARRIVAL_MAX = 4.0
 
 
 @dataclass(frozen=True)
@@ -182,23 +175,23 @@ def optimize_arrivals(
 
     With phi = exp(-nu(rate)/gamma) fixed, the per-layer term
     phi tau exp(-tau) and clear probability (1 + phi tau) exp(-tau) depend
-    only on that layer's tau, so the same backward recursion applies.  The
-    returned value is scaled by `num_channels`.  The search runs on
-    [0, `_ARRIVAL_MAX`].
+    only on that layer's tau, so the same backward recursion applies.
+    Layer l's objective f(tau) = phi tau e^-tau + (1 + phi tau) e^-tau T,
+    with T the value of the layers above, has
+    f'(tau) = e^-tau [phi (1 - tau)(1 + T) - T], whose bracket falls
+    linearly in tau; so f peaks at tau = 1 - T / (phi (1 + T)), or at 0
+    if that is negative or phi = 0.  The returned value is scaled by
+    `num_channels`.
     """
-    import numpy as np
     _check_count("num_layers", num_layers)
     _check_count("num_channels", num_channels)
     phi = math.exp(-snr_gap(rate) / _check_positive("gamma", gamma))
     taus = [0.0] * num_layers
     value_above = 0.0
     for l in range(num_layers - 1, -1, -1):
-
-        def objective(t, tail=value_above):
-            decay = np.exp(-t) if isinstance(t, np.ndarray) else math.exp(-t)
-            return phi * t * decay + (1.0 + phi * t) * decay * tail
-
-        t_star, v_star, _ = _maximize_scalar(objective, _ARRIVAL_MAX)
-        taus[l] = t_star
-        value_above = v_star
+        t = value_above
+        tau = max(0.0, 1.0 - t / (phi * (1.0 + t))) if phi > 0.0 else 0.0
+        decay = math.exp(-tau)
+        taus[l] = tau
+        value_above = phi * tau * decay + (1.0 + phi * tau) * decay * t
     return ArrivalPlan(tuple(taus), num_channels * value_above)

@@ -277,7 +277,8 @@ def _outage_rows(s: Scenario, config: SystemConfig, x: float, seed: int, workers
 def _packet_rows(s: Scenario, config: SystemConfig, x: float, *_):
     rows = []
     if "bound" in s.outputs:
-        rate, gamma = s.settings["rate"], db_to_linear(s.settings["gamma_db"])
+        p = s.settings | {s.sweep: x}  # the rate or gamma_db may be the swept setting
+        rate, gamma = p["rate"], db_to_linear(p["gamma_db"])
         plan = optimize_arrivals(config.num_layers, config.num_channels, rate, gamma)
         contribs = sla_layer_contributions(config.num_channels, plan.optimal_tau, rate, gamma)
         rows = [Row(x, str(l + 1), "bound_throughput", c) for l, c in enumerate(contribs)]

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -148,8 +147,46 @@ def test_optimize_rates_rate_max_validation():
 def test_optimize_arrivals_single_layer():
     # the single-layer term tau e^-tau peaks at tau = 1
     plan = optimize_arrivals(1, 10, 1.0, 10.0)
-    assert plan.optimal_tau[0] == pytest.approx(1.0, abs=1e-6)
+    assert plan.optimal_tau == (1.0,)
     assert plan.value == pytest.approx(10.0 * math.exp(-0.1) * math.exp(-1.0), rel=1e-9)
+
+
+def test_optimize_arrivals_two_layers_exactly():
+    # the top layer peaks at tau = 1 with value phi/e, so layer 1's
+    # f'(tau) = e^-tau [phi (1 - tau)(1 + T) - T] vanishes at 1 - T/(phi (1 + T))
+    phi = math.exp(-0.1)
+    tau1, tau2 = optimize_arrivals(2, 10, 1.0, 10.0).optimal_tau
+    assert tau2 == 1.0
+    assert tau1 == pytest.approx(1.0 - math.exp(-1.0) / (1.0 + phi * math.exp(-1.0)), rel=1e-15, abs=0)
+
+
+def _arrival_objective(t, phi, tail):
+    """Layer objective of the arrival recursion, f(tau), as a float or an array."""
+    decay = np.exp(-t)
+    return phi * t * decay + (1.0 + phi * t) * decay * tail
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    num_layers=st.integers(1, 8),
+    rate=st.floats(0.0, 1023.0),
+    gamma_db=st.floats(-40.0, 80.0),
+)
+@example(1, 0.0, 80.0)  # phi = 1: the top layer's optimum is tau = 1 itself
+@example(8, 1023.0, -40.0)  # phi = 0: every objective falls from tau = 0
+def test_arrival_optimum_is_each_layers_maximum(num_layers, rate, gamma_db):
+    gamma = db_to_linear(gamma_db)
+    phi = math.exp(-(2.0 ** rate - 1.0) / gamma)
+    taus = optimize_arrivals(num_layers, 1, rate, gamma).optimal_tau
+    grid = np.linspace(0.0, 4.0, 100001)
+    for l, tau in enumerate(taus):
+        tail = sla_lower_bound(1, taus[l + 1:], rate, gamma) if l + 1 < num_layers else 0.0
+        best = float(_arrival_objective(grid, phi, tail).max())
+        # a few ulps for the two exp implementations and the tail's rounding
+        assert _arrival_objective(tau, phi, tail) >= best * (1.0 - 1e-14)
+        assert 0.0 <= tau <= 1.0
+        if tau > 0.0:  # f'(tau) / e^-tau, whose terms are at most 1 + 2T
+            assert abs(phi * (1.0 - tau) * (1.0 + tail) - tail) <= 1e-14 * (1.0 + tail)
 
 
 def test_optimize_arrivals_matches_2d_grid():
@@ -193,23 +230,6 @@ def test_rate_optimum_at_the_search_bound_is_flagged():
     assert optimize_rates(_cfg(3, 10.0, db_to_linear(10.0))).bound_hits == ()
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    num_layers=st.integers(1, 8),
-    num_channels=st.integers(1, 1000),
-    rate=st.floats(0.0, 1023.0),
-    gamma_db=st.floats(-40.0, 80.0),
-)
-@example(1, 10, 0.0, 80.0)  # phi = 1: the top layer's optimum is tau = 1 itself
-@example(8, 1000, 1023.0, -40.0)  # phi = 0: every objective falls from tau = 0
-def test_arrival_optimum_never_reaches_the_search_bound(num_layers, num_channels, rate, gamma_db):
-    # each layer's objective falls for tau >= 1 (see optimize._ARRIVAL_MAX), so
-    # no optimum passes 1 by more than the golden refinement's float noise at a
-    # quadratic peak, a few sqrt(eps)
-    plan = optimize_arrivals(num_layers, num_channels, rate, db_to_linear(gamma_db))
-    assert max(plan.optimal_tau) <= 1.0 + 4.0 * math.sqrt(sys.float_info.epsilon)
-
-
 def _reference_maximize(f, upper):
     """The scalar grid scan the array shortlist replaced: every grid point
     through the scalar objective, strict `>`, then golden refinement."""
@@ -230,12 +250,8 @@ def _reference_maximize(f, upper):
     return xs[best_i], best_v, best_i == n
 
 
-def _all_plans(cfg, rate_max, rate, gamma):
-    return (
-        optimize_rates(cfg, rate_max),
-        optimize_rates(cfg, rate_max, use_bound=True),
-        optimize_arrivals(cfg.num_layers, cfg.num_channels, rate, gamma),
-    )
+def _all_plans(cfg, rate_max):
+    return optimize_rates(cfg, rate_max), optimize_rates(cfg, rate_max, use_bound=True)
 
 
 @settings(max_examples=25, deadline=None)
@@ -246,21 +262,19 @@ def _all_plans(cfg, rate_max, rate, gamma):
     gamma_db=st.floats(-10.0, 60.0),
     grid_points=st.integers(2, 4096),
     rate_max=st.floats(1e-3, 1023.0),
-    rate=st.floats(0.0, 30.0),
 )
-@example(3, 10, 10.0, 60.0, 2048, 16.0, 1.0)  # rate optima at the bound
-@example(3, 10, 10.0, 60.0, 2048, 1000.0, 1.0)  # NaN on the top of the grid
-@example(3, 1, 800.0, -10.0, 2048, 16.0, 30.0)  # every objective flat at 0
+@example(3, 10, 10.0, 60.0, 2048, 16.0)  # rate optima at the bound
+@example(3, 10, 10.0, 60.0, 2048, 1000.0)  # NaN on the top of the grid
+@example(3, 1, 800.0, -10.0, 2048, 16.0)  # every objective flat at 0
 def test_grid_shortlist_gives_the_scalar_scan_plans(
-    num_layers, num_channels, arrival, gamma_db, grid_points, rate_max, rate
+    num_layers, num_channels, arrival, gamma_db, grid_points, rate_max
 ):
-    gamma = db_to_linear(gamma_db)
-    cfg = design_config(num_layers, num_channels, arrival, 0.0, gamma)
+    cfg = design_config(num_layers, num_channels, arrival, 0.0, db_to_linear(gamma_db))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize, "_GRID_POINTS", grid_points)
-        plans = _all_plans(cfg, rate_max, rate, gamma)
+        plans = _all_plans(cfg, rate_max)
         mp.setattr(optimize, "_maximize_scalar", _reference_maximize)
-        assert plans == _all_plans(cfg, rate_max, rate, gamma)
+        assert plans == _all_plans(cfg, rate_max)
 
 
 class _UlpObjective:

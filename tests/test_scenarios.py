@@ -263,6 +263,24 @@ def test_packet_rows_follow_outputs(outputs, quantities):
     assert {r.quantity for r in run_scenario(s).rows} == quantities
 
 
+@pytest.mark.parametrize("sweep, grid, fixed", [("gamma_db", (0.0, 10.0, 20.0), 3.0),
+                                                ("rate", (0.5, 1.0, 2.0), None)])
+def test_packet_rows_read_a_swept_rate_or_gamma(sweep, grid, fixed):
+    # the bound rows used to take both from the fixed settings: a gamma_db sweep
+    # wrote the rows of the fixed gamma_db at every point, and a rate sweep
+    # without a fixed rate raised KeyError
+    swept = _tiny(kind="packets", sweep=sweep, grid=grid, outputs=("bound",),
+                  **{sweep: fixed})
+    rows = run_scenario(swept).rows
+    for x in grid:
+        # the same system with the value fixed, at a one-point grid over another setting
+        one = _tiny(kind="packets", sweep="layers", grid=(2.0,), outputs=("bound",), **{sweep: x})
+        want = [(r.layer, r.value) for r in run_scenario(one).rows]
+        assert [(r.layer, r.value) for r in rows if r.x_value == x] == want
+    totals = [r.value for r in rows if r.layer == "total"]
+    assert len(set(totals)) == len(grid)
+
+
 @pytest.mark.parametrize("seed", [True, -1, 1.0, "1", 2 ** 64 - 11])
 def test_run_scenario_seed_follows_the_seed_rule(seed):
     # point i simulates with seed + i, so a 12-point grid needs seed <= 2^64 - 12
