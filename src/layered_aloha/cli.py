@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import math
 import sys
 from dataclasses import replace
 
@@ -30,8 +29,8 @@ from .throughput import throughput  # noqa: F401  (unused; bench/tracing.py patc
 #: simulate and optimize
 _LAZY = {name: module for module, names in (
     ("optimize", ("optimize_rates",)),
-    ("scenarios", ("SCENARIOS", "GridError", "Scenario", "ScenarioResult", "_float_grid",
-                   "get_scenario", "run_point", "run_scenario")),
+    ("scenarios", ("SCENARIOS", "GridError", "Scenario", "ScenarioResult", "get_scenario",
+                   "parse_grid", "run_point", "run_scenario")),
     ("simulate", ("estimate_throughput",)),
 ) for name in names}
 
@@ -46,10 +45,6 @@ def __getattr__(name):
 def _lib(name):
     """This module's global `name`, bound by `__getattr__` on first lookup."""
     return globals().get(name) or __getattr__(name)
-
-
-#: most points a `start:stop:step` grid may have; the registry's largest has 60
-_MAX_GRID_POINTS = 100_000
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
@@ -97,26 +92,6 @@ def _write(text: str, out: str, mode: str = "w"):
         raise ValueError(f"--out: {exc}") from None
 
 
-def _parse_grid(spec: str) -> tuple[float, ...]:
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid must be 'start:stop:step' or a comma list, got {spec!r}")
-        start, stop, step = (float(p) for p in parts)
-        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
-            raise ValueError(f"bad grid range {spec!r}")
-        if step < 1e-10:  # _float_grid rounds to 10 decimals; refuse before building the points
-            raise ValueError(f"grid step {step:g} in {spec!r} is below 1e-10, the resolution "
-                             "of grid points, so they may not be strictly increasing")
-        if (stop - start) / step >= _MAX_GRID_POINTS:  # floor of it, plus 1, is the point count
-            raise ValueError(f"grid range {spec!r} has more than {_MAX_GRID_POINTS} points")
-        return _lib("_float_grid")(start, stop, step)
-    vals = tuple(float(v) for v in spec.split(",") if v.strip())
-    if not vals:
-        raise ValueError("empty grid")
-    return vals
-
-
 def _cmd_scenario(args) -> int:
     if args.list or args.name is None:
         scenarios = _lib("SCENARIOS")
@@ -137,17 +112,13 @@ def _cmd_sweep(args) -> int:
     if kind == "outage":  # outage rows read a fixed rate
         settings = {"rate": 1.0} | settings
     try:
-        grid = _parse_grid(args.grid)
-    except ValueError as exc:
-        raise ValueError(f"--grid: {exc}") from None
-    try:
         scenario = _lib("Scenario")(
             name="sweep",
             # a setting's CSV name is its flag's, with '_' for '-'
             description=f"ad-hoc sweep over {args.var.replace('-', '_')}",
             kind=kind,
             sweep=key,
-            grid=grid,
+            grid=_lib("parse_grid")(args.grid),
             outputs=tuple(args.outputs.split(",")),
             slots=args.slots,
             seed=args.seed,

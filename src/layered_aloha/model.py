@@ -184,13 +184,16 @@ def collision_prob(m: int, num_channels: int, copies: int = 1) -> float:
 
     Each of the other m-1 users places `copies` copies uniformly on distinct
     channels, so a given channel is hit by none of them with probability
-    (1 - 1/N)**(B(m-1)).
+    (1 - 1/N)**(B(m-1)), formed as exp(B(m-1) log1p(-1/N)): a power of the
+    rounded 1 - 1/N would multiply its rounding by B(m-1).
     """
     _check_count("m", m)
     _check_count("num_channels", num_channels)
     if _check_count("copies", copies) > num_channels:
         raise ValueError(f"copies must satisfy 1 <= B <= N, got B={copies}, N={num_channels}")
-    return 1.0 - (1.0 - 1.0 / num_channels) ** (copies * (m - 1))
+    if num_channels == 1:  # then B = 1, and log1p(-1) raises: others always collide
+        return float(m > 1)
+    return 0.0 - math.expm1(copies * (m - 1) * math.log1p(-1.0 / num_channels))
 
 
 def interference_variance(l: int, config: SystemConfig) -> float:

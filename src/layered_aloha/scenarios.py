@@ -195,24 +195,11 @@ class ScenarioResult:
 
     def _data_lines(self) -> list[str]:
         s = self.scenario
-        lines = []
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        s.name,
-                        s.x_name,
-                        _fmt(r.x_value),
-                        r.layer,
-                        r.quantity,
-                        _fmt(r.value),
-                        "" if r.stderr is None else _fmt(r.stderr),
-                        "" if r.slots is None else str(r.slots),
-                        "" if r.seed is None else str(r.seed),
-                    ]
-                )
-            )
-        return lines
+        return [",".join([s.name, s.x_name, _fmt(r.x_value), r.layer, r.quantity, _fmt(r.value),
+                          "" if r.stderr is None else _fmt(r.stderr),
+                          "" if r.slots is None else str(r.slots),
+                          "" if r.seed is None else str(r.seed)])
+                for r in self.rows]
 
 
 def _fmt(v: float) -> str:
@@ -361,10 +348,48 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioResult:
     return ScenarioResult(scenario=s, rows=tuple(rows), notes=tuple(notes))
 
 
+#: most points a `start:stop:step` grid may have; the registry's largest has 60
+_MAX_GRID_POINTS = 100_000
+
+
 def _float_grid(lo, hi, step):
-    """lo, lo + step, ... up to the last point at most hi (to 1e-9 steps)."""
-    n = math.floor((hi - lo) / step + 1e-9)
-    return tuple(round(lo + k * step, 10) for k in range(n + 1))
+    """lo, then each lo + k step (k = 1, 2, ...; counted to 1e-9 steps) rounded to
+    10 decimals, which cancels the float error of forming it, that lies past the
+    point before and at most hi."""
+    points = [lo]
+    for k in range(1, math.floor((hi - lo) / step + 1e-9) + 1):
+        x = round(lo + k * step, 10)
+        if points[-1] < x <= hi:
+            points.append(x)
+    return tuple(points)
+
+
+def parse_grid(text: str) -> tuple[float, ...]:
+    """The grid `text` names: a comma list of points, or a `start:stop:step`
+    range of `_float_grid` points, refused before any point is built if its
+    step is finer than their 10 decimals or it has over `_MAX_GRID_POINTS`.
+    Every refusal is a `GridError`."""
+    is_range = ":" in text
+    parts = text.split(":") if is_range else [v for v in text.split(",") if v.strip()]
+    if is_range and len(parts) != 3:
+        raise GridError(f"grid must be 'start:stop:step' or a comma list, got {text!r}")
+    try:
+        points = tuple(map(float, parts))
+    except ValueError as exc:
+        raise GridError(str(exc)) from None
+    if not points:
+        raise GridError("empty grid")
+    if not is_range:
+        return points
+    start, stop, step = points
+    if not all(map(math.isfinite, points)) or step <= 0 or stop < start:
+        raise GridError(f"bad grid range {text!r}")
+    if step < 1e-10:
+        raise GridError(f"grid step {step:g} in {text!r} is below 1e-10, the resolution "
+                        "of grid points, so they may not be strictly increasing")
+    if (stop - start) / step >= _MAX_GRID_POINTS:  # floor of it, plus 1, is the point count
+        raise GridError(f"grid range {text!r} has more than {_MAX_GRID_POINTS} points")
+    return _float_grid(start, stop, step)
 
 
 def build_registry() -> dict[str, Scenario]:

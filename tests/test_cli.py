@@ -11,9 +11,9 @@ from layered_aloha import (
     psi_series,
     throughput,
 )
-from layered_aloha.cli import _parse_grid, _settings_from_args, build_parser, main
+from layered_aloha.cli import _settings_from_args, build_parser, main
 from layered_aloha.model import _SETTINGS
-from layered_aloha.scenarios import CSV_HEADER, SCENARIOS
+from layered_aloha.scenarios import CSV_HEADER, SCENARIOS, parse_grid
 
 
 def _parse_csv(text):
@@ -192,7 +192,7 @@ def test_sweep_writes_the_rows_of_the_registry_scenario_it_restates(capsys, var,
     ("0.1:6.0:0.1", tuple(k / 10 for k in range(1, 61))),
 ])
 def test_grid_range_stops_at_or_below_stop(spec, points):
-    assert _parse_grid(spec) == points
+    assert parse_grid(spec) == points
 
 
 def test_sweep_grid_range_never_passes_the_channel_count(capsys):

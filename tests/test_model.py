@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,10 +81,30 @@ def test_collision_prob_monotone_and_zero_iff_single():
 
 def test_collision_prob_full_repetition_no_special_case():
     # B = N is single-channel contention with N-fold diversity; the formula
-    # applies unchanged.
+    # applies unchanged, exact to rounding
     for N in (1, 2, 5, 10):
         for m in (1, 2, 3, 7):
-            assert collision_prob(m, N, N) == 1.0 - (1.0 - 1.0 / N) ** (N * (m - 1))
+            exact = 1 - (1 - Fraction(1, N)) ** (N * (m - 1))
+            assert collision_prob(m, N, N) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("m, N, B", [(10 ** 8, 10 ** 8, 1), (10 ** 7, 10 ** 7, 2),
+                                     (2, 10 ** 8, 1), (3, 7, 2)])
+def test_collision_prob_is_exact_to_rounding_at_any_channel_count(m, N, B):
+    # a power of the rounded 1 - 1/N carries its rounding times B(m-1): at
+    # N = m = 1e8 that was 2.5e-9 relative
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        exact = float(1 - (1 - mpmath.mpf(1) / N) ** (B * (m - 1)))
+    assert collision_prob(m, N, B) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
+def test_collision_prob_edges():
+    # one channel: a lone user never collides and any other user always hits it
+    assert [collision_prob(m, 1) for m in (1, 2, 10 ** 9)] == [0.0, 1.0, 1.0]
+    for N, B in ((1, 1), (2, 2), (10 ** 8, 3)):  # m = 1: nobody else, so +0.0 exactly
+        p = collision_prob(1, N, B)
+        assert p == 0.0 and math.copysign(1.0, p) == 1.0
 
 
 def _two_layer_config():

@@ -284,6 +284,30 @@ def test_small_psi_is_relatively_accurate(copies):
         assert psi[0] == pytest.approx(3.16939127723e-8, rel=1e-11, abs=0.0)
 
 
+@pytest.mark.parametrize("lam", [1e5, 1e6, 1e7])
+def test_single_copy_psi_at_many_channels_matches_its_closed_form(lam):
+    # B = 1 is exact: psi = 1 - (1 - beta) (e^{-lam(1-w)} - e^-lam) / (w (1 - e^-lam)),
+    # w = 1 - 1/N.  A power of the rounded w in p_c once left 1e-11 .. 3e-10 here
+    mpmath = pytest.importorskip("mpmath")
+    N = int(lam)
+    cfg = design_config(1, N, lam, 1.0, 10.0)
+    with mpmath.workdps(50):
+        w, lam_mp = 1 - mpmath.mpf(1) / N, mpmath.mpf(lam)
+        survive = (mpmath.exp(-lam_mp / N) - mpmath.exp(-lam_mp)) / (w * -mpmath.expm1(-lam_mp))
+        exact = float(1 - (1 - mpmath.mpf(beta_crrd(1, cfg))) * survive)
+    assert psi_series(1, cfg) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lam, copies", [(1e6, 4), (1e7, 2)])
+def test_repeated_copies_psi_at_many_channels_matches_the_finite_form(lam, copies):
+    mpmath = pytest.importorskip("mpmath")
+    cfg = design_config(3, int(lam), lam, 1.0, 10.0, repetition=copies)
+    for l in (1, 3):
+        with mpmath.workdps(50):
+            finite = float(finite_form_psi(l, cfg, mpmath))
+        assert psi_series(l, cfg) == pytest.approx(finite, rel=1e-12, abs=0.0)
+
+
 _ARRIVALS = st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e)  # 1e-3 .. 1e4, log-uniform
 
 

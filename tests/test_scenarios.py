@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from layered_aloha import (
     SCENARIOS,
@@ -9,7 +11,7 @@ from layered_aloha import (
     get_scenario,
     run_scenario,
 )
-from layered_aloha.scenarios import CSV_HEADER, KINDS, QUANTITIES, Row
+from layered_aloha.scenarios import CSV_HEADER, KINDS, QUANTITIES, Row, parse_grid
 from layered_aloha.simulate import SAMPLING_CONTRACT
 
 
@@ -286,3 +288,32 @@ def test_run_scenario_seed_follows_the_seed_rule(seed):
     # point i simulates with seed + i, so a 12-point grid needs seed <= 2^64 - 12
     with pytest.raises(ValueError, match="seed"):
         run_scenario(get_scenario("outage-vs-copies", slots=1, seed=seed))
+
+
+@st.composite
+def _grid_ranges(draw):
+    """Finite start <= stop and step >= 1e-10 with under 100000 points: stop
+    anywhere up to a log-uniform number of steps past start, or on that step."""
+    start = draw(st.floats(allow_nan=False, allow_infinity=False))
+    step = draw(st.floats(1e-10, 1e300))
+    steps = 10.0 ** draw(st.floats(0.0, 5.0)) - 1.0
+    last = start + steps * step
+    stop = draw(st.one_of(st.floats(start, last if math.isfinite(last) else None,
+                                    allow_infinity=False),
+                          st.just(start + math.floor(steps) * step)))
+    assume(math.isfinite(stop) and start <= stop and (stop - start) / step < 100_000)
+    return start, stop, step
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grid_ranges())
+@example((-2.2410877196188614e-274, 0.0, 1.0))  # start below 10 decimals: it read 0.0
+@example((-1.0, -3.339377532540185e-307, 1.0))  # the last point read 0.0, past stop
+@example((1e6, 1000000.000000005, 1e-10))  # points a float apart repeated after rounding
+@example((0.1, 6.0, 0.1))
+def test_grid_ranges_are_valid_scenario_grids(grid_range):
+    start, stop, step = grid_range
+    points = parse_grid(f"{start!r}:{stop!r}:{step!r}")
+    assert points[0] == start and points[-1] <= stop
+    assert all(a < b for a, b in zip(points, points[1:]))
+    _tiny(grid=points)  # breaks no grid rule

@@ -470,6 +470,35 @@ def test_batch_decode_matches_per_slot_oracle(case, reopen):
     assert np.array_equal(_batch_decode_counts(slots, cfg), expected)
 
 
+@st.composite
+def _random_systems(draw):
+    """L 1-4, N 1-12, B 1..N, and per-layer arrivals, powers and rates, gain mean and noise."""
+    L = draw(st.integers(1, 4))
+    N = draw(st.integers(1, 12))
+
+    def per_layer(lo, hi):
+        return tuple(draw(st.lists(st.floats(lo, hi), min_size=L, max_size=L)))
+
+    return SystemConfig(N, per_layer(0.0, 30.0), per_layer(0.1, 100.0), per_layer(0.0, 6.0),
+                        channel_gain_mean=draw(st.floats(0.1, 10.0)),
+                        noise_power=draw(st.floats(0.01, 10.0)),
+                        repetition=draw(st.integers(1, N)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_systems(), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+def test_reopen_rule_decodes_everyone_the_default_rule_does(cfg, num_slots, seed):
+    # a channel open under the default rule holds only empty cells or decoded
+    # lone copies of lower layers; by induction over the layers those users
+    # decode under the reopen rule too, so their copies cancel and it is open there
+    reopen = replace(cfg, reopen_cleared_channels=True)
+    for slot in sample_slots(cfg, num_slots, seed):
+        for plain, reopened in zip(sic_decode(slot, cfg).outcomes, sic_decode(slot, reopen).outcomes):
+            assert (reopened[plain == DECODED] == DECODED).all()
+    plain, reopened = (_decode_batch(_sample_batch(c, seed, 0, 256), c) for c in (cfg, reopen))
+    assert (reopened >= plain).all()
+
+
 def _tile_configs():
     """The outage-vs-copies B = 4 point and the throughput-vs-arrival
     lambda = 14 point (rates optimized as the scenario does)."""
