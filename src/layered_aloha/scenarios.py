@@ -195,11 +195,24 @@ class ScenarioResult:
 
     def _data_lines(self) -> list[str]:
         s = self.scenario
-        return [",".join([s.name, s.x_name, _fmt(r.x_value), r.layer, r.quantity, _fmt(r.value),
-                          "" if r.stderr is None else _fmt(r.stderr),
-                          "" if r.slots is None else str(r.slots),
-                          "" if r.seed is None else str(r.seed)])
-                for r in self.rows]
+        lines = []
+        for r in self.rows:
+            lines.append(
+                ",".join(
+                    [
+                        s.name,
+                        s.x_name,
+                        _fmt(r.x_value),
+                        r.layer,
+                        r.quantity,
+                        _fmt(r.value),
+                        "" if r.stderr is None else _fmt(r.stderr),
+                        "" if r.slots is None else str(r.slots),
+                        "" if r.seed is None else str(r.seed),
+                    ]
+                )
+            )
+        return lines
 
 
 def _fmt(v: float) -> str:
@@ -353,22 +366,15 @@ _MAX_GRID_POINTS = 100_000
 
 
 def _float_grid(lo, hi, step):
-    """lo, then each lo + k step (k = 1, 2, ...; counted to 1e-9 steps) rounded to
-    10 decimals, which cancels the float error of forming it, that lies past the
-    point before and at most hi."""
-    points = [lo]
-    for k in range(1, math.floor((hi - lo) / step + 1e-9) + 1):
-        x = round(lo + k * step, 10)
-        if points[-1] < x <= hi:
-            points.append(x)
-    return tuple(points)
+    """lo, then each lo + k step (k = 1, 2, ...; counted to 1e-9 steps) rounded to 10
+    decimals, which cancels the float error of forming it, and held at most hi."""
+    n = math.floor((hi - lo) / step + 1e-9)
+    return (lo, *(min(round(lo + k * step, 10), hi) for k in range(1, n + 1)))
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
-    """The grid `text` names: a comma list of points, or a `start:stop:step`
-    range of `_float_grid` points, refused before any point is built if its
-    step is finer than their 10 decimals or it has over `_MAX_GRID_POINTS`.
-    Every refusal is a `GridError`."""
+    """`--grid` text as grid points: a comma list, or a `start:stop:step` range
+    of `_float_grid` points. Every refusal is a `GridError`."""
     is_range = ":" in text
     parts = text.split(":") if is_range else [v for v in text.split(",") if v.strip()]
     if is_range and len(parts) != 3:
@@ -384,7 +390,7 @@ def parse_grid(text: str) -> tuple[float, ...]:
     start, stop, step = points
     if not all(map(math.isfinite, points)) or step <= 0 or stop < start:
         raise GridError(f"bad grid range {text!r}")
-    if step < 1e-10:
+    if step < 1e-10:  # points that round to 10 decimals would repeat
         raise GridError(f"grid step {step:g} in {text!r} is below 1e-10, the resolution "
                         "of grid points, so they may not be strictly increasing")
     if (stop - start) / step >= _MAX_GRID_POINTS:  # floor of it, plus 1, is the point count

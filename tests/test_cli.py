@@ -211,10 +211,12 @@ def test_sweep_rejects_non_finite_grid_ranges(capsys, spec):
     assert "bad grid range" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", ["1,1", "1:1.00000000001:1e-12", "1:2:1e-11"])
+@pytest.mark.parametrize("grid", ["1,1", "1:1.00000000001:1e-12", "1:2:1e-11",
+                                  "1e6:1000000.000000005:1e-10"])
 def test_sweep_rejects_repeated_grid_points(capsys, grid):
-    # the ranges' points round to repeated values at 10 decimals; a step
-    # below 1e-10 is refused before its 10^11 points would be built
+    # the ranges' points round to repeated values at 10 decimals, or at 1e6 to
+    # floats a spacing apart; a step below 1e-10 is refused before its 10^11
+    # points would be built
     code = main(["sweep", "--var", "arrival", "--grid", grid, "--layers", "2", "--channels",
                  "10", "--gamma-db", "3", "--outputs", "analytic"])
     assert code == 2
