@@ -13,38 +13,25 @@ failure.
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 from dataclasses import replace
 
 from . import model
-from .outage import outage  # noqa: F401  (unused; bench/tracing.py patches it here)
-from .throughput import throughput  # noqa: F401  (unused; bench/tracing.py patches it here)
-
-#: library name -> the module that defines it.  A command reads these through
-#: `_lib` as this module's globals when it runs, so a value set here first is
-#: the one called (bench/tracing.py wraps get_scenario, run_scenario,
-#: optimize_rates and estimate_throughput); each is bound on its first lookup,
-#: so importing this module and parsing an argv load none of scenarios,
-#: simulate and optimize
-_LAZY = {name: module for module, names in (
-    ("optimize", ("optimize_rates",)),
-    ("scenarios", ("SCENARIOS", "GridError", "Scenario", "ScenarioResult", "get_scenario",
-                   "parse_grid", "run_point", "run_scenario")),
-    ("simulate", ("estimate_throughput",)),
-) for name in names}
-
-
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f"{__package__}.{_LAZY[name]}"), name)
-    return value
 
 
 def _lib(name):
-    """This module's global `name`, bound by `__getattr__` on first lookup."""
-    return globals().get(name) or __getattr__(name)
+    """The package's public attribute `name`, bound as this module's global on
+    first lookup, so a value set here first is the one a command calls
+    (bench/tracing.py patches names here) and importing this module and
+    parsing an argv load none of scenarios, simulate and optimize."""
+    if name not in globals():
+        if name not in (package := sys.modules[__package__]).__all__:  # not `__path__`, say
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        globals()[name] = getattr(package, name)
+    return globals()[name]
+
+
+__getattr__ = _lib
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
@@ -118,13 +105,13 @@ def _cmd_sweep(args) -> int:
             description=f"ad-hoc sweep over {args.var.replace('-', '_')}",
             kind=kind,
             sweep=key,
-            grid=_lib("parse_grid")(args.grid),
+            grid=_lib("scenarios").parse_grid(args.grid),
             outputs=tuple(args.outputs.split(",")),
             slots=args.slots,
             seed=args.seed,
             settings=settings,
         )
-    except _lib("GridError") as exc:
+    except _lib("scenarios").GridError as exc:
         raise ValueError(f"--grid: {exc}") from None
     result = _lib("run_scenario")(scenario, workers=args.workers)
     _write(result.to_csv(), args.out)
@@ -175,7 +162,7 @@ def _cmd_one_point(args) -> int:
         name=args.command, description=description, kind=kind, sweep=sweep, grid=(x,),
         outputs=("analytic", "simulated") if simulated else ("analytic",),
         slots=args.slots if simulated else 1, seed=args.seed, settings=settings)
-    rows, notes = _lib("run_point")(scenario, config, x, args.seed, args.workers)
+    rows, notes = _lib("scenarios").run_point(scenario, config, x, args.seed, args.workers)
     _write(_lib("ScenarioResult")(scenario, tuple(rows), tuple(notes), config).to_csv(), args.out)
     return 0
 

@@ -237,9 +237,10 @@ def allocate_powers(
         for i in range(l + 1, L):
             var += channel_gain_mean * powers[i] * lams[i] / num_channels
         powers[l] = g * var / channel_gain_mean
-        if not math.isfinite(powers[l]):  # no power was set, so name what set it
-            raise ValueError(f"the power rule overflows a double at layer {l + 1}: "
-                             "gamma_db or arrival_rate is too large")
+        if not 0.0 < powers[l] < math.inf:  # no power was set, so name what set it
+            raise ValueError(f"the power rule gives layer {l + 1} a power of {powers[l]:g}, "
+                             "not a finite double > 0: gamma_db, arrival_rate, noise_power "
+                             "or gain_mean is out of range")
     return tuple(powers)
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
+from . import __version__
 from .model import (_SETTINGS, RATE_MAX, SystemConfig, _check_count, _check_seed, db_to_linear,
                     design_args, design_config)
 from .optimize import optimize_arrivals, optimize_rates
@@ -37,7 +38,7 @@ from .throughput import (
     throughput,
 )
 
-VERSION = "layered-aloha 0.1.0"
+VERSION = f"layered-aloha {__version__}"
 
 CSV_HEADER = "scenario,x_name,x_value,layer,quantity,value,stderr,slots,seed"
 

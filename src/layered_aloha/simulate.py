@@ -231,7 +231,8 @@ def sic_decode(slot: SlotRealization, config: SystemConfig) -> DecodeReport:
         copy_open = open_now[ch]
         coll = copy_open & (occ[ch] >= 2)
         single = copy_open & (occ[ch] == 1)
-        ok = single & (P[l] * g >= nus[l] * suffix[l][ch])
+        with np.errstate(over="ignore"):  # a threshold past the doubles is inf: nothing decodes
+            ok = single & (P[l] * g >= nus[l] * suffix[l][ch])
         user_decoded = ok.any(axis=1)
 
         out = np.full(m, BLOCKED, dtype=np.int8)
@@ -315,12 +316,15 @@ def sample_slots(config: SystemConfig, num_slots: int, seed: int) -> list[SlotRe
 def _decode_batch(batch, config: SystemConfig):
     """Vectorized SIC sweep over a batch of slots, in channel space.
 
-    A tile is C slots, a contiguous range of the slot-major copy rows: the
-    most (1 to S) with L*C*N at most _TILE_CELLS and C*B*sum(lambda) at
-    most _TILE_COPIES.  Each tile draws its (rows, B) gains from the batch
-    generator as standard exponentials scaled by the gain mean in place,
-    which is bit for bit `exponential(scale=mean)` (numpy forms it as
-    scale * standard_exponential) and leaves the stream at the same place.
+    A tile is C slots, a contiguous range of the slot-major copy rows.  The
+    most slots (1 to S) with L*C*N at most _TILE_CELLS and C*B*sum(lambda)
+    at most _TILE_COPIES set the tile count, ceil(S/most); C is then
+    ceil(S/count), which keeps that count and both budgets and leaves the
+    last tile fewer than count slots short of the others.  Each tile draws
+    its (rows, B) gains from the batch generator as standard exponentials
+    scaled by the gain mean in place, which is bit for bit
+    `exponential(scale=mean)` (numpy forms it as scale *
+    standard_exponential) and leaves the stream at the same place.
     The generator fills arrays in row-major order, each value continuing
     the stream, so the tiles' draws are the one-shot (T, B) draw.  One
     `np.repeat` gives each copy row its (slot, layer) group, and gathers
@@ -352,6 +356,7 @@ def _decode_batch(batch, config: SystemConfig):
     copies = B * sum(config.arrival_rates)
     C = min(S, _TILE_CELLS // (L * N), _TILE_COPIES // copies if copies else S)
     C = max(1, int(C))
+    C = -(-S // -(-S // C))  # the same tile count, the slots spread evenly over it
     CN = C * N
     nus = np.array([snr_gap(r) for r in config.rates])[:, None]
     # per (slot in tile, layer) group, slot-major: its cell offset and power
@@ -386,7 +391,8 @@ def _decode_batch(batch, config: SystemConfig):
         for l in range(L - 2, -1, -1):
             np.add(threshold[l + 1], power[l + 1], out=threshold[l])
         threshold += config.noise_power
-        threshold *= nus
+        with np.errstate(over="ignore"):  # a threshold past the doubles is inf: nothing decodes
+            threshold *= nus
         np.greater_equal(power, threshold, out=ok)
         ok &= np.equal(occ, 1, out=clear)  # `clear` lends its rows to the lone-copy mask
         if config.reopen_cleared_channels:

@@ -59,7 +59,18 @@ def capture_exponent(l: int, config: SystemConfig, nu, bound: bool = False, copi
         return nu / gamma_l
     expo = nu * config.noise_power / (p_l * config.channel_gain_mean)
     for i in range(l, config.num_layers):
-        expo += (lams[i] * copies / config.num_channels) * nu * powers[i] / (p_l + nu * powers[i])
+        load = lams[i] * copies / config.num_channels
+        term = load * nu * powers[i] / (p_l + nu * powers[i])
+        # the term is at most `load`, but where nu P_i or load nu overflows a
+        # double it reads NaN (inf / inf) or inf; divided through by nu P_i it
+        # is finite (load, once P_l << nu P_i)
+        if isinstance(term, float):
+            if not term < math.inf:
+                term = load / (1.0 + p_l / nu / powers[i])
+        else:
+            lost = ~(term < math.inf)
+            term[lost] = load / (1.0 + p_l / nu[lost] / powers[i])
+        expo += term
     return expo
 
 

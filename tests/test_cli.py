@@ -1,8 +1,11 @@
 import time
+import warnings
 
 import pytest
 
+import layered_aloha
 from layered_aloha import (
+    cli,
     config_from_settings,
     design_config,
     estimate_throughput,
@@ -27,6 +30,17 @@ def _parse_csv(text):
                       "value", "stderr", "slots", "seed"), parts))
         )
     return rows
+
+
+def test_cli_reads_library_names_through_the_package():
+    assert cli.outage is layered_aloha.outage
+    assert cli.estimate_throughput is layered_aloha.simulate.estimate_throughput
+    assert cli.get_scenario is layered_aloha.scenarios.get_scenario
+    assert vars(cli)["get_scenario"] is cli.get_scenario  # bound as a global
+    with pytest.raises(AttributeError):
+        getattr(cli, "no_such_name")
+    # only public names: the package's `__path__` would make `cli` read as a package
+    assert not hasattr(cli, "__path__") and not hasattr(cli, "__all__")
 
 
 def test_scenario_list(capsys):
@@ -92,6 +106,22 @@ def test_outage_command(tmp_path, capsys):
     assert code == 0
     rows = _parse_csv(capsys.readouterr().out)
     assert any(r["quantity"] == "simulated_outage" for r in rows)
+
+
+def test_a_rate_near_the_cap_decodes_nothing_without_nan_or_warnings(capsys):
+    # nu * P_i overflows at rate 1023: the capture term read NaN, `outage`'s
+    # series never met its stop rule and `simulate` refused capture_prob = nan
+    system = ["--layers", "2", "--channels", "10", "--arrival", "3", "--rate", "1023",
+              "--gamma-db", "10", "--out", "-"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["outage", *system]) == 0
+        rows = _parse_csv(capsys.readouterr().out)
+        assert [r["value"] for r in rows] == ["1", "1"]
+        assert main(["simulate", *system, "--slots", "2000"]) == 0
+    rows = _parse_csv(capsys.readouterr().out)
+    assert {r["value"] for r in rows if r["quantity"] == "capture_exact"} == {"0"}
+    assert {r["value"] for r in rows if r["quantity"] == "simulated_throughput"} == {"0"}
 
 
 @pytest.mark.parametrize("channels, copies", [
@@ -570,6 +600,24 @@ def test_bad_system_scalars_exit_2_naming_the_setting(tmp_path, capsys, argv, se
     assert captured.out == ""
     assert captured.err.startswith(f"error: {setting} must be")
     assert "power" not in captured.err.removeprefix(f"error: {setting}")
+
+
+@pytest.mark.parametrize("extra, power", [
+    (["--noise-power", "1e308"], "inf"),
+    (["--gain-mean", "1e-310"], "inf"),
+    (["--gamma-db", "-3000", "--noise-power", "1e-30"], "0"),
+    (["--noise-power", "1e-320", "--gain-mean", "1e10"], "0"),
+], ids=["noise-overflow", "gain-overflow", "gamma-underflow", "noise-underflow"])
+def test_a_power_outside_the_doubles_names_the_power_rule_inputs(capsys, extra, power):
+    # `power` has no flag: an underflow to 0.0 used to reach SystemConfig as
+    # "power must be finite and > 0", and an overflow named only two of the inputs
+    assert main(["outage", "--layers", "2", "--channels", "10", "--arrival", "3",
+                 "--gamma-db", "10", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: the power rule gives layer 2 a power of {power}, not a "
+                            "finite double > 0: gamma_db, arrival_rate, noise_power or "
+                            "gain_mean is out of range\n")
 
 
 def test_unknown_config_key_is_reported_once(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from layered_aloha import (
     SCENARIOS,
+    __version__,
     Scenario,
     db_to_linear,
     get_scenario,
@@ -230,6 +233,16 @@ def test_float_formatting_nine_significant_digits():
 def test_csv_header_declares_sampling_contract():
     lines = run_scenario(_tiny(outputs=("analytic",))).to_csv().splitlines()
     assert f"# sampling_contract: {SAMPLING_CONTRACT}" in lines
+
+
+def test_csv_header_and_pyproject_carry_the_package_version():
+    lines = run_scenario(_tiny(outputs=("analytic",))).to_csv().splitlines()
+    assert f"# version: layered-aloha {__version__}" in lines
+    if sys.version_info < (3, 11):
+        pytest.skip("tomllib needs Python 3.11")
+    import tomllib
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == __version__
 
 
 @pytest.mark.parametrize("kind, sweep", [("outage", "arrival_rate"), ("outage", "repetition"),

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -409,16 +410,21 @@ def test_batch_decode_matches_per_slot_decoder():
         design_config(3, 20, 3.0, 1.0, 10.0, repetition=4),
         design_config(2, 5, 4.0, 0.8, 4.0, repetition=2),
         design_config(1, 10, 10.0, 1.0, 2.0),
+        # at rate 1023 nu times a power overflows: the threshold is inf, with no warning
+        design_config(2, 10, 3.0, 1023.0, 10.0),
     ]
     for k, cfg in enumerate(configs):
         slots = sample_slots(cfg, 60, 1000 + k)
         for reopen in (False, True):
             sem = replace(cfg, reopen_cleared_channels=reopen)
-            per_slot = np.array(
-                [sic_decode(s, sem).decoded_per_layer for s in slots], dtype=float
-            )
-            batched = _batch_decode_counts(slots, sem)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                per_slot = np.array(
+                    [sic_decode(s, sem).decoded_per_layer for s in slots], dtype=float
+                )
+                batched = _batch_decode_counts(slots, sem)
             assert np.array_equal(per_slot, batched), (k, reopen)
+    assert not per_slot.any()  # the last, rate-1023 system decodes nothing
 
 
 # an exact SINR tie on channel 0: layer 1 sees 6 * 1.0 == nu(1) * (2 * 2.5 + 1)
@@ -705,8 +711,8 @@ def test_the_package_and_argv_parsing_leave_the_simulator_and_optimizer_unloaded
     code = textwrap.dedent('''\
         import contextlib, io, sys
         import layered_aloha
-        from layered_aloha.cli import build_parser
-        parser = build_parser()
+        import layered_aloha.cli as cli
+        parser = cli.build_parser()
         workloads = [["scenario", name, "--workers", "1", "--slots", "50000", "--seed", "1",
                       "--out", "-"] for name in ("throughput-vs-arrival", "outage-vs-copies")]
         for argv in [*workloads, ["optimize-rates", "--rate-max", "3"]]:
@@ -719,6 +725,8 @@ def test_the_package_and_argv_parsing_leave_the_simulator_and_optimizer_unloaded
         assert "optimize-rates" in out.getvalue()
         loaded = {f"layered_aloha.{m}" for m in ("scenarios", "simulate", "optimize")} & sys.modules.keys()
         assert not loaded, f"loaded at start-up: {sorted(loaded)}"
+        bound = set(vars(cli)) & (set(layered_aloha.__all__) - {"model"})
+        assert not bound, f"bound in cli at start-up: {sorted(bound)}"
     ''')
     _run_in_a_fresh_interpreter(code)
 

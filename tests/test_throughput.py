@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from layered_aloha import (
     snr_gap,
     throughput,
 )
+from layered_aloha.throughput import capture_exponent
 
 
 def _random_config(rng, max_layers=6):
@@ -277,3 +279,21 @@ def test_layer_index_validation():
         eta(1, cfg, 1.5)
     with pytest.raises(ValueError):
         rho(1, cfg, -0.1)
+
+
+@pytest.mark.parametrize("lam, powers", [
+    (3.0, (40.0, 10.0)),  # nu P_2 overflows, P_1 << nu P_2
+    (3.0, (1e308, 10.0)),  # nu P_2 overflows, P_1 comparable to nu P_2
+    (30.0, (1e308, 0.1)),  # nu P_2 is finite, but load * nu overflows
+])
+def test_capture_exponent_where_nu_times_an_upper_power_overflows(lam, powers):
+    # at rate 1023 nu = 2**1023 - 1: the upper-layer term used to read
+    # inf / inf = NaN, which hung `outage` and failed `capture_prob`'s check
+    cfg = design_config(2, 10, lam, 1023.0, 10.0, powers=powers)
+    nu, (p1, p2) = snr_gap(1023.0), (Fraction(p) for p in powers)
+    exact = Fraction(nu) / p1 + Fraction(lam) / 10 * Fraction(nu) * p2 / (p1 + Fraction(nu) * p2)
+    assert capture_exponent(1, cfg, nu) == pytest.approx(float(exact), rel=1e-15)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = capture_exponent(1, cfg, np.array([1.0, nu]))
+    assert grid[1] == capture_exponent(1, cfg, nu)
+    assert grid[0] == capture_exponent(1, cfg, 1.0)

@@ -19,13 +19,12 @@ def _namespaces():
     # fetched by import path: the package's `outage` function shadows the module
     mods = {n: importlib.import_module("layered_aloha." + n)
             for n in ("cli", "model", "optimize", "outage", "scenarios", "simulate")}
-    # `simulate` imports `multiprocessing` on first lookup and keeps it as a
-    # module global; the tracer's lookup would add that global mid-test, so
-    # look it up here, before any snapshot of the module's names is taken
-    mods["simulate"].multiprocessing  # noqa: B018
-    # so does `cli` with the library names its commands call
-    for name in mods["cli"]._LAZY:
-        getattr(mods["cli"], name)
+    # the tracer's lookups bind names as module globals on first use: `cli`
+    # binds the library names its commands call, `simulate` binds
+    # `multiprocessing`.  One empty run binds them all before any snapshot
+    # of the modules' names is taken
+    with _load_tracing().Tracer():
+        pass
     return {**mods, "SystemConfig": mods["model"].SystemConfig,
             "ScenarioResult": mods["scenarios"].ScenarioResult}
 
