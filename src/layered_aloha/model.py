@@ -113,7 +113,9 @@ class SystemConfig:
     scale, > 0) and `rates` (bits per channel use, >= 0) hold one value per
     layer, ordered by decoding position: index 0 is layer 1 (highest power,
     decoded first).  Each is a number or a sequence of numbers, checked
-    and stored as a tuple of floats.  ``repetition`` is the number of
+    and stored as a tuple of floats.  Each layer's mean received power,
+    power times `channel_gain_mean`, must be a finite double > 0: the
+    closed forms divide by it.  ``repetition`` is the number of
     copies B each user transmits on distinct channels (B = 1 means plain
     single-copy access).  ``reopen_cleared_channels`` is the receiver's SIC
     sweep rule: by default a channel stopped by a collision or a failed
@@ -142,6 +144,10 @@ class SystemConfig:
         if not len(self.arrival_rates) == len(self.powers) == len(self.rates):
             raise ValueError(f"arrival_rates, powers and rates need one value per layer each, got "
                              f"{len(self.arrival_rates)}, {len(self.powers)} and {len(self.rates)}")
+        for l, p in enumerate(self.powers, start=1):  # the mean received power, P_l s
+            if not 0.0 < p * self.channel_gain_mean < math.inf:
+                raise ValueError(f"layer {l}'s powers * gain_mean = {p:g} * "
+                                 f"{self.channel_gain_mean:g} is not a finite double > 0")
         if _check_count("repetition", self.repetition) > self.num_channels:
             raise ValueError(f"repetition B={self.repetition} exceeds num_channels={self.num_channels}")
         if not isinstance(self.reopen_cleared_channels, bool):

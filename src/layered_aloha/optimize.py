@@ -126,10 +126,12 @@ def optimize_rates(
     """Find per-layer rates maximizing the analytic total throughput.
 
     Rates already present in `config` are ignored.  Layers with zero
-    arrivals contribute nothing and get rate 0.  `use_bound` runs the
-    recursion on the Jensen lower-bound capture probability instead of the
-    exact one.  The search runs on [0, `rate_max`], which must lie in
-    (0, 1024) so that 2**rate_max fits a double.
+    arrivals contribute nothing and get rate 0: their objective is the
+    value of the layers above at every rate, and ties go to the smallest
+    rate.  `use_bound` runs the recursion on the Jensen lower-bound capture
+    probability instead of the exact one.  The search runs on
+    [0, `rate_max`], which must lie in (0, 1024) so that 2**rate_max fits
+    a double.
     """
     import numpy as np
     _check_rate("rate_max", rate_max, positive=True)
@@ -142,11 +144,6 @@ def optimize_rates(
     value_above = 0.0
     for l in range(L, 0, -1):
         lam = config.arrival_rates[l - 1]
-        if lam == 0.0:
-            # empty layer: eta = 0 and rho = 1, objective flat in R
-            rates[l - 1] = 0.0
-            values[l - 1] = value_above
-            continue
         decay = math.exp(-lam / N)
 
         def objective(r, l=l, lam=lam, decay=decay, tail=value_above):

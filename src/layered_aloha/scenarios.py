@@ -86,6 +86,8 @@ class Scenario:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
+        # its own copy, so no other scenario (a registry entry, say) shares the dict
+        object.__setattr__(self, "settings", dict(self.settings))
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.sweep not in _SETTINGS:
@@ -318,8 +320,8 @@ KINDS = {
 
 def _point_config(s: Scenario, x: float) -> SystemConfig:
     """The system at grid point x: the scenario's settings with the swept one set to x.
-    A missing rate stands at 0 until the throughput rows optimize it."""
-    p = {"rate": 0.0} | s.settings | {s.sweep: int(x) if s.integer else x}
+    A missing rate takes `design_args`' default until the throughput rows optimize it."""
+    p = s.settings | {s.sweep: int(x) if s.integer else x}
     return design_config(**design_args(p))
 
 
@@ -502,8 +504,5 @@ def get_scenario(name: str, slots: int | None = None, seed: int | None = None) -
     except KeyError:
         known = ", ".join(sorted(SCENARIOS))
         raise ValueError(f"unknown scenario {name!r}; known scenarios: {known}") from None
-    if slots is not None:
-        s = replace(s, slots=slots)
-    if seed is not None:
-        s = replace(s, seed=seed)
-    return s
+    return replace(s, slots=s.slots if slots is None else slots,
+                   seed=s.seed if seed is None else seed)

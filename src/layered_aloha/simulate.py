@@ -205,7 +205,7 @@ def sic_decode(slot: SlotRealization, config: SystemConfig) -> DecodeReport:
     for l in range(L - 1, -1, -1):
         suffix.append(acc + config.noise_power)
         ch, g = slot.channels[l], slot.gains[l]
-        if l > 0 and ch.size:
+        if l > 0:
             acc += np.bincount(ch.ravel(), weights=P[l] * g.ravel(), minlength=N)
     suffix.reverse()
 
@@ -219,14 +219,7 @@ def sic_decode(slot: SlotRealization, config: SystemConfig) -> DecodeReport:
 
     for l in range(L):
         ch, g = slot.channels[l], slot.gains[l]
-        m = ch.shape[0]
         open_now = (residual_below == 0) if config.reopen_cleared_channels else ~blocked
-        if m == 0:
-            outcomes.append(np.zeros(0, dtype=np.int8))
-            decoded_per_layer.append(0)
-            alive &= open_now  # an empty layer stalls nothing
-            stop_layer[alive] = l + 1
-            continue
         occ = np.bincount(ch.ravel(), minlength=N)
         copy_open = open_now[ch]
         coll = copy_open & (occ[ch] >= 2)
@@ -235,7 +228,7 @@ def sic_decode(slot: SlotRealization, config: SystemConfig) -> DecodeReport:
             ok = single & (P[l] * g >= nus[l] * suffix[l][ch])
         user_decoded = ok.any(axis=1)
 
-        out = np.full(m, BLOCKED, dtype=np.int8)
+        out = np.full(len(ch), BLOCKED, dtype=np.int8)
         out[(single & ~ok).any(axis=1)] = SINR_FAILURE
         out[coll.any(axis=1)] = COLLIDED
         out[user_decoded] = DECODED
@@ -249,9 +242,8 @@ def sic_decode(slot: SlotRealization, config: SystemConfig) -> DecodeReport:
         alive &= open_now & ~stalled
         stop_layer[alive] = l + 1
 
-        res = occ.copy()
-        if user_decoded.any():  # cancel every copy of each decoded user
-            res -= np.bincount(ch[user_decoded].ravel(), minlength=N)
+        # cancel every copy of each decoded user
+        res = occ - np.bincount(ch[user_decoded].ravel(), minlength=N)
         residual[l] = res
         residual_below += res
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -618,6 +621,28 @@ def test_a_power_outside_the_doubles_names_the_power_rule_inputs(capsys, extra, 
     assert captured.err == (f"error: the power rule gives layer 2 a power of {power}, not a "
                             "finite double > 0: gamma_db, arrival_rate, noise_power or "
                             "gain_mean is out of range\n")
+
+
+@pytest.mark.parametrize("command", [["outage"], ["simulate", "--slots", "100"],
+                                     ["optimize-rates"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("extra, product", [
+    ("rate = 1023\npowers = 1e308\ngain_mean = 10\nnoise_power = 10\n", "1e+308 * 10"),
+    ("rate = 1\npowers = 1e-300\ngain_mean = 1e-300\n", "1e-300 * 1e-300"),
+], ids=["overflow", "underflow"])
+def test_explicit_powers_outside_the_doubles_exit_2_naming_gain_mean(tmp_path, command, extra,
+                                                                   product):
+    # P_l s = inf made the capture exponent inf / inf = NaN (`outage` never ended,
+    # `simulate` named capture_prob); P_l s = 0 divided by zero, exit 1.  Run in a
+    # fresh interpreter, so that a hang fails the test instead of stalling the suite
+    cfg = tmp_path / "system.cfg"
+    cfg.write_text("layers = 1\nchannels = 10\narrival_rate = 3\n" + extra)
+    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = [sys.executable, "-m", "layered_aloha.cli", *command, "--config", str(cfg)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (f"error: layer 1's powers * gain_mean = {product} is not a finite "
+                           "double > 0\n")
 
 
 def test_unknown_config_key_is_reported_once(tmp_path, capsys):

@@ -120,10 +120,16 @@ def test_layer_values_dominate_scaled_tail():
 
 
 def test_zero_arrival_layers_get_zero_rate():
-    cfg = design_config(3, 10, [5.0, 0.0, 5.0], 0.0, 2.0)
-    plan = optimize_rates(cfg)
-    assert plan.optimal_rates[1] == 0.0
-    assert plan.layer_values[1] == plan.layer_values[2]
+    # an empty layer between loaded ones: its objective is flat at the
+    # value of the layers above, and the tie goes to rate 0
+    for gamma_db in (3.0, 60.0):  # at 60 dB layer 3 is at the search bound
+        cfg = design_config(3, 10, [5.0, 0.0, 5.0], 0.0, db_to_linear(gamma_db))
+        for use_bound in (False, True):
+            plan = optimize_rates(cfg, use_bound=use_bound)
+            assert plan.optimal_rates[1] == 0.0
+            assert plan.layer_values[1] == plan.layer_values[2]
+            assert 2 not in plan.bound_hits
+            assert (3 in plan.bound_hits) == (gamma_db == 60.0)
 
 
 def test_use_bound_flag_changes_objective():

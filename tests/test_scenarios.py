@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,19 @@ def test_get_scenario_overrides():
     for slots in (True, 2.5, 0):  # True used to run with `# slots: True` in the CSV header
         with pytest.raises(ValueError, match="slots"):
             get_scenario("outage-vs-copies", slots=slots)
+
+
+def test_a_fetched_scenario_leaves_the_registry_as_it_was():
+    # a fetched scenario shared the registry's settings dict, so a change to
+    # it reached every later run in the process
+    before = dict(SCENARIOS["outage-vs-copies"].settings)
+    for fetched in (get_scenario("outage-vs-copies"), get_scenario("outage-vs-copies", slots=5)):
+        fetched.settings["channels"] = 7
+    assert SCENARIOS["outage-vs-copies"].settings == before
+    settings = dict(before)
+    built = replace(SCENARIOS["outage-vs-copies"], settings=settings)
+    settings["channels"] = 7
+    assert built.settings == before
 
 
 def test_scenario_validation():

@@ -280,6 +280,21 @@ def test_sic_decode_empty_slot():
     assert rep.residual.sum() == 0
 
 
+@pytest.mark.parametrize("reopen", [False, True])
+def test_sic_decode_an_empty_middle_layer_stalls_nothing(reopen):
+    # layer 1 decodes on channel 0 and collides on channel 1; layer 2 is
+    # empty; layer 3 decodes on channel 2 and is blocked on channel 1
+    cfg = SystemConfig(4, (1.0,) * 3, (100.0, 10.0, 1.0), (0.0,) * 3,
+                       reopen_cleared_channels=reopen)
+    slot = _slot([3, 0, 2], [[0, 1, 1], [], [1, 2]], [[1.0] * 3, [], [1.0] * 2])
+    rep = sic_decode(slot, cfg)
+    assert rep.outcomes[1].dtype == np.int8 and rep.outcomes[1].shape == (0,)
+    assert rep.outcomes[2].tolist() == [BLOCKED, DECODED]
+    assert rep.decoded_per_layer == (1, 0, 1)
+    assert rep.residual.tolist() == [[0, 2, 0, 0], [0] * 4, [0, 1, 0, 0]]
+    assert rep.stop_layer.tolist() == [3, 0, 3, 3]
+
+
 def test_interference_uses_upper_layer_power():
     # one layer-1 user, one layer-2 interferer on the same channel with a
     # known gain: decoding flips exactly at the SINR threshold
@@ -696,6 +711,7 @@ def test_the_package_and_its_analytic_commands_leave_numpy_unloaded():
         for argv, code in [(["outage", *system, "--rate", "1", "--copies", "4"], 0),
                            (["sweep", "--var", "copies", "--grid", "1,2", *system], 0),
                            (["scenario", "--list"], 0),
+                           (["scenario", "compare-irsa"], 0),
                            (["outage", *system, "--channels", "abc"], 2)]:
             assert run(argv) == code, argv
             assert "numpy" not in sys.modules, argv
