@@ -95,7 +95,9 @@ def _cmd_scenario(args) -> int:
 def _cmd_sweep(args) -> int:
     key = next(k for k, (_, flag, _) in model._SETTINGS.items() if flag == "--" + args.var)
     kind = "outage" if key == "repetition" else "throughput"
-    settings = {"gamma_db": 10.0} | _settings_from_args(args)
+    settings = _settings_from_args(args)
+    if "powers" not in settings:  # explicit powers leave the power rule unused
+        settings = {"gamma_db": 10.0} | settings
     if kind == "outage":  # outage rows read a fixed rate
         settings = {"rate": 1.0} | settings
     try:

@@ -97,22 +97,43 @@ class SlotRealization:
 
     `channels[l]` is an (M_l, B) array of distinct int32 channel indices
     per user (int64 past 2^31 channels) and `gains[l]` the matching
-    (M_l, B) channel power gains, for 0-based layer position l.
+    (M_l, B) channel power gains, for 0-based layer position l.  A slot is
+    refused with a ValueError naming the field and the 1-based layer unless
+    `counts` is a 1-D integer array, `channels` and `gains` hold one array
+    per count, and each layer's are an integer and a float (M_l, B) array,
+    B alike in every layer.  Slots compare by identity.
     """
 
     counts: np.ndarray
     channels: list[np.ndarray]
     gains: list[np.ndarray]
 
-    def __eq__(self, other):
-        if not isinstance(other, SlotRealization):
-            return NotImplemented
-        import numpy as np
-        return (
-            np.array_equal(self.counts, other.counts)
-            and all(np.array_equal(a, b) for a, b in zip(self.channels, other.channels))
-            and all(np.array_equal(a, b) for a, b in zip(self.gains, other.gains))
-        )
+    def __post_init__(self):
+        counts = self.counts
+        if getattr(counts, "ndim", None) != 1 or counts.dtype.kind not in "iu":
+            raise ValueError(f"slot counts must be a 1-D integer array, one count per layer; "
+                             f"got {_describe(counts)}")
+        for name in ("channels", "gains"):
+            if len(getattr(self, name)) != len(counts):
+                raise ValueError(f"slot {name} must hold one array per layer, {len(counts)} as "
+                                 f"counts; got {len(getattr(self, name))}")
+        copies = None
+        for l, (users, ch, g) in enumerate(zip(counts.tolist(), self.channels, self.gains)):
+            if copies is None and getattr(ch, "ndim", None) == 2:
+                copies = ch.shape[1]  # every layer's users carry the first layer's B copies
+            shape = (users, copies)
+            if getattr(ch, "shape", None) != shape or ch.dtype.kind not in "iu":
+                want = shape if copies is not None else f"({users}, B)"
+                raise ValueError(f"slot channels of layer {l + 1} must be an integer {want} "
+                                 f"array; got {_describe(ch)}")
+            if getattr(g, "shape", None) != shape or g.dtype.kind != "f":
+                raise ValueError(f"slot gains of layer {l + 1} must be a float {shape} array, "
+                                 f"the shape of its channels; got {_describe(g)}")
+
+
+def _describe(a) -> str:
+    shape = getattr(a, "shape", None)
+    return f"{a.dtype} array of shape {shape}" if shape is not None else type(a).__name__
 
 
 @dataclass(frozen=True)
@@ -192,10 +213,13 @@ def _draw_channels(rng, total: int, num_channels: int, copies: int) -> np.ndarra
 
 
 def sic_decode(slot: SlotRealization, config: SystemConfig) -> DecodeReport:
-    """Run the layer-by-layer SIC sweep on one slot (see module docstring)."""
+    """Run the layer-by-layer SIC sweep on one slot (see module docstring).
+    A slot whose layer count is not the config's is refused (ValueError)."""
     import numpy as np
     N = config.num_channels
     L = config.num_layers
+    if len(slot.counts) != L:
+        raise ValueError(f"slot counts has {len(slot.counts)} layers, the config's num_layers {L}")
     P = config.powers
     nus = [snr_gap(r) for r in config.rates]
 
@@ -209,8 +233,6 @@ def sic_decode(slot: SlotRealization, config: SystemConfig) -> DecodeReport:
             acc += np.bincount(ch.ravel(), weights=P[l] * g.ravel(), minlength=N)
     suffix.reverse()
 
-    blocked = np.zeros(N, dtype=bool)
-    residual_below = np.zeros(N, dtype=np.int64)
     alive = np.ones(N, dtype=bool)  # consecutively cleared from layer 1
     stop_layer = np.zeros(N, dtype=np.int64)
     residual = np.zeros((L, N), dtype=np.int64)
@@ -219,7 +241,9 @@ def sic_decode(slot: SlotRealization, config: SystemConfig) -> DecodeReport:
 
     for l in range(L):
         ch, g = slot.channels[l], slot.gains[l]
-        open_now = (residual_below == 0) if config.reopen_cleared_channels else ~blocked
+        # a channel is open while no copy of a lower layer is left on it
+        # (reopen), else while every lower layer cleared it
+        open_now = residual[:l].sum(axis=0) == 0 if config.reopen_cleared_channels else alive
         occ = np.bincount(ch.ravel(), minlength=N)
         copy_open = open_now[ch]
         coll = copy_open & (occ[ch] >= 2)
@@ -238,14 +262,11 @@ def sic_decode(slot: SlotRealization, config: SystemConfig) -> DecodeReport:
         stalled = np.zeros(N, dtype=bool)
         stalled[ch[coll]] = True
         stalled[ch[single & ~ok]] = True
-        blocked |= stalled
         alive &= open_now & ~stalled
         stop_layer[alive] = l + 1
 
         # cancel every copy of each decoded user
-        res = occ - np.bincount(ch[user_decoded].ravel(), minlength=N)
-        residual[l] = res
-        residual_below += res
+        residual[l] = occ - np.bincount(ch[user_decoded].ravel(), minlength=N)
 
     return DecodeReport(
         outcomes=tuple(outcomes),

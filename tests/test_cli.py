@@ -512,6 +512,18 @@ def test_sweep_rejects_powers_over_a_swept_gamma(tmp_path, capsys):
     assert "powers" in captured.err
 
 
+def test_sweep_with_explicit_powers_echoes_no_power_rule(tmp_path, capsys):
+    # the default gamma_db would be echoed although the powers override it
+    cfg = tmp_path / "powers.cfg"
+    cfg.write_text("layers = 2\nchannels = 10\narrival_rate = 3\nrate = 1\npowers = 9, 3\n")
+    assert main(["sweep", "--var", "copies", "--grid", "1,2", "--config", str(cfg),
+                 "--out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "# config: layers=2 channels=10 arrival_rate=3 rate=1 repetition=sweep " \
+           "powers=9,3\n" in out
+    assert {r["x_value"] for r in _parse_csv(out)} == {"1", "2"}
+
+
 def test_sweep_does_not_need_the_swept_setting(capsys):
     assert main(["sweep", "--var", "layers", "--grid", "1,2", "--channels", "10",
                  "--arrival", "2", "--gamma-db", "3", "--out", "-"]) == 0

@@ -53,12 +53,37 @@ def _slot(counts, channels, gains):
     )
 
 
+def _slot_arrays(slot):
+    return [slot.counts, *slot.channels, *slot.gains]
+
+
+def _same_slot(x, y):
+    return all(np.array_equal(p, q) for p, q in zip(_slot_arrays(x), _slot_arrays(y)))
+
+
 def test_sample_slot_deterministic():
     cfg = design_config(3, 10, 7.0, 1.0, 2.0, repetition=2)
     a = sample_slots(cfg, 7, 99)
     b = sample_slots(cfg, 7, 99)
-    assert a == b
-    assert a[5] != a[6]
+    assert all(_same_slot(x, y) for x, y in zip(a, b))
+    assert not _same_slot(a[5], a[6])
+    assert a[0] == a[0] and a[0] != b[0]  # slots compare by identity
+
+
+_GOOD_SLOT = {"counts": np.array([1, 1]), "channels": [np.array([[0]]), np.array([[1]])],
+              "gains": [np.ones((1, 1)), np.full((1, 1), 2.0)]}
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"channels": [np.array([[0.0]]), np.array([[1.0]])]}, "slot channels of layer 1 "),
+    ({"gains": [np.ones((1, 1)), np.ones((1, 2))]}, "slot gains of layer 2 "),
+    ({k: v[:1] for k, v in _GOOD_SLOT.items()}, "slot counts has 1 layers"),
+], ids=["float-channels", "gain-shape", "layer-short"])
+def test_bad_slot_is_refused_naming_its_field(bad, message):
+    cfg = SystemConfig(4, (1.0, 1.0), (6.0, 2.0), (1.0, 1.0))
+    assert sic_decode(SlotRealization(**_GOOD_SLOT), cfg).decoded_per_layer == (1, 1)
+    with pytest.raises(ValueError, match=message):
+        sic_decode(SlotRealization(**(_GOOD_SLOT | bad)), cfg)
 
 
 def test_sample_slot_shapes_and_distinct_channels():
@@ -957,6 +982,29 @@ def test_estimates_equal_sic_decode_over_sample_slots():
         assert [o.value for o in est.per_layer] == ((users - decoded) / users).tolist()
         bits = estimate_throughput(sem, n, 3)
         assert bits.total.value == pytest.approx(decoded @ np.asarray(cfg.rates) / n, rel=1e-12)
+
+
+def test_one_slot_estimates_equal_sic_decode():
+    # one slot has no spread to estimate: stderr 0, the value the slot's
+    # own count, and NaN outage where the slot holds no user of a layer
+    cfg = design_config(3, 10, [6.0, 2.0, 0.1], [1.0, 1.5, 0.5], 10.0, repetition=2)
+    empty_layers = 0
+    for seed in range(5):
+        (slot,) = sample_slots(cfg, 1, seed)
+        decoded = sic_decode(slot, cfg).decoded_per_layer
+        bits = estimate_throughput(cfg, 1, seed)
+        outage = estimate_outage(cfg, 1, seed)
+        for l, rate in enumerate(cfg.rates):
+            assert bits.per_layer[l] == simulate.EstimatorOutput(decoded[l] * rate, 0.0)
+            users = int(slot.counts[l])
+            if users:
+                assert outage.per_layer[l].value == (users - decoded[l]) / users
+                assert outage.per_layer[l].stderr == pytest.approx(0.0, abs=1e-6)
+            else:
+                empty_layers += 1
+                assert math.isnan(outage.per_layer[l].value)
+        assert bits.total == simulate.EstimatorOutput(float(np.dot(decoded, cfg.rates)), 0.0)
+    assert empty_layers
 
 
 def _lone_pair_tally(seed):
